@@ -7,13 +7,7 @@ operators) into a convolution tree for sum-product and max-product inference
 on sums of discrete random variables.
 """
 
-from .fftconv import (
-    ConvPlan,
-    choose_naive_or_fast,
-    fast_convolve,
-    padded_length,
-    plan_convolution,
-)
+from .fftconv import fast_convolve, padded_length
 from .harness import (
     BenchRecord,
     DemoOutput,
@@ -54,6 +48,7 @@ from .tree import (
     naive_max_operator,
     narrow_to_support,
     numeric_max_operator,
+    operator_from_name,
     p_norm_operator,
     standard_operator,
     tree_cost_estimate,
@@ -63,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchRecord",
-    "ConvPlan",
     "ConvolutionOperator",
     "DEFAULT_P_LADDER",
     "DEFAULT_TAU",
@@ -76,7 +70,6 @@ __all__ = [
     "SubsetSumInstance",
     "TreeResult",
     "accuracy_sweep_rows",
-    "choose_naive_or_fast",
     "convolution_tree",
     "delta",
     "fast_convolve",
@@ -93,11 +86,11 @@ __all__ = [
     "normalize_max",
     "normalize_sum",
     "numeric_max_operator",
+    "operator_from_name",
     "p_norm_convolve",
     "p_norm_operator",
     "padded_length",
     "pair_counts",
-    "plan_convolution",
     "relative_absolute_error",
     "run_speed_bench",
     "run_subset_sum_demo",

@@ -23,18 +23,14 @@ from .harness import (
     run_subset_sum_demo,
 )
 from .numeric import (
+    DEFAULT_P_LADDER,
+    DEFAULT_TAU,
     PiecewiseConfig,
     max_convolve_auto,
     max_convolve_piecewise,
 )
 from .pmf import naive_max_convolve
-from .tree import (
-    convolution_tree,
-    naive_max_operator,
-    numeric_max_operator,
-    p_norm_operator,
-    standard_operator,
-)
+from .tree import OPERATOR_NAMES, convolution_tree, operator_from_name
 
 
 def _int_list(text: str) -> list[int]:
@@ -53,22 +49,6 @@ def _piecewise_config(args) -> PiecewiseConfig:
     return PiecewiseConfig(tuple(args.p_ladder), args.tau)
 
 
-def _tree_operator(op: str, config: PiecewiseConfig):
-    if op == "sum":
-        return standard_operator()
-    if op == "max-naive":
-        return naive_max_operator()
-    if op == "max-numeric":
-        return numeric_max_operator(config)
-    if op.startswith("pnorm:"):
-        try:
-            return p_norm_operator(float(op.split(":", 1)[1]))
-        except ValueError as exc:
-            raise SystemExit(f"bad pnorm operator {op!r}: {exc}") from exc
-    raise SystemExit(f"unknown operator {op!r}; expected "
-                     "sum | max-naive | max-numeric | pnorm:<p>")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convtree",
@@ -81,17 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_max.add_argument("--right", required=True)
     p_max.add_argument("--method", choices=("naive", "numeric", "auto"),
                        default="auto")
-    p_max.add_argument("--p-ladder", type=_float_list, default=[4.0, 32.0, 64.0])
-    p_max.add_argument("--tau", type=float, default=0.6)
+    p_max.add_argument("--p-ladder", type=_float_list, default=list(DEFAULT_P_LADDER))
+    p_max.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_max.add_argument("--out", required=True)
 
     p_tree = sub.add_parser("tree", help="convolution-tree inference")
     p_tree.add_argument("--priors", required=True, help="ndjson, one PMF per line")
     p_tree.add_argument("--sum", required=True, help="PMF JSON of the sum evidence")
-    p_tree.add_argument("--op", default="max-numeric",
-                        help="sum | max-naive | max-numeric | pnorm:<p>")
-    p_tree.add_argument("--p-ladder", type=_float_list, default=[4.0, 32.0, 64.0])
-    p_tree.add_argument("--tau", type=float, default=0.6)
+    p_tree.add_argument("--op", default="max-numeric", help=OPERATOR_NAMES)
+    p_tree.add_argument("--p-ladder", type=_float_list, default=list(DEFAULT_P_LADDER))
+    p_tree.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_tree.add_argument("--out", required=True)
 
     p_bench = sub.add_parser("bench", help="timing and accuracy sweeps")
@@ -139,7 +118,11 @@ def _cmd_maxconv(args) -> int:
 def _cmd_tree(args) -> int:
     priors = io.read_pmf_ndjson(args.priors)
     evidence = io.read_pmf(args.sum)
-    operator = _tree_operator(args.op, _piecewise_config(args))
+    config = _piecewise_config(args)
+    try:
+        operator = operator_from_name(args.op, config)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     result = convolution_tree(priors, evidence, operator)
     with open(args.out, "w") as fh:
         json.dump({

@@ -7,9 +7,6 @@ clipped to zero before downstream fractional powers see it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 
@@ -19,37 +16,6 @@ from .pmf import Pmf
 def padded_length(n_out: int) -> int:
     """Next power of two >= n_out."""
     return 1 << max(0, (n_out - 1).bit_length())
-
-
-@dataclass(frozen=True)
-class ConvPlan:
-    """Cost model for one pairwise convolution.
-
-    ``naive_cost`` is the k_L * k_R inner-product count; ``fast_cost`` is
-    crossover * padded * log2(padded), the transform-work estimate.
-    """
-
-    padded_length: int
-    naive_cost: float
-    fast_cost: float
-
-    @property
-    def method(self) -> str:
-        return "naive" if self.naive_cost <= self.fast_cost else "fast"
-
-
-def plan_convolution(k_left: int, k_right: int, crossover: float = 1.0) -> ConvPlan:
-    if k_left < 1 or k_right < 1:
-        raise ValueError("input lengths must be >= 1")
-    padded = padded_length(k_left + k_right - 1)
-    # log term floored at 1 so length-1 problems still prefer the naive path
-    fast_cost = crossover * padded * max(1.0, math.log2(padded))
-    return ConvPlan(padded, float(k_left) * float(k_right), fast_cost)
-
-
-def choose_naive_or_fast(k_left: int, k_right: int, crossover: float = 1.0) -> str:
-    """Pick "naive" when k_L*k_R work is below the padded-FFT estimate."""
-    return plan_convolution(k_left, k_right, crossover).method
 
 
 def _canonical_order(left: Pmf, right: Pmf) -> tuple[Pmf, Pmf]:

@@ -16,24 +16,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .numeric import PiecewiseConfig, max_convolve_normalized, max_convolve_piecewise
+from .numeric import max_convolve_normalized, max_convolve_piecewise
 from .pmf import Pmf, naive_max_convolve, normalize_sum, relative_absolute_error
-from .tree import (
-    TreeResult,
-    convolution_tree,
-    naive_max_operator,
-    numeric_max_operator,
-    standard_operator,
-)
+from .tree import TreeResult, convolution_tree, operator_from_name
 
 SPEED_K_LIST = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 ACCURACY_K_LIST = (128, 256, 512, 1024)
 ACCURACY_P_LIST = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-SPEED_CSV_HEADER = ("k", "method", "replicate", "wall_seconds")
-ACCURACY_CSV_HEADER = ("k", "p", "index", "exact_value", "rel_abs_error")
-
-DEMO_MODES = ("naive-max", "numeric-max", "sum-product")
+# demo report mode -> ConvolutionOperator.name of the operator it runs
+DEMO_MODES = {"naive-max": "max-naive", "numeric-max": "max-numeric",
+              "sum-product": "sum"}
 
 # sigma ~ uniform(0, k/10) can land arbitrarily close to zero; floor it at
 # half a bin so the discretized Gaussian stays well defined.
@@ -120,14 +113,13 @@ class BenchRecord:
 
 
 def run_speed_bench(k_list: Sequence[int] = SPEED_K_LIST, replicates: int = 5,
-                    seed: int = 0,
-                    config: PiecewiseConfig | None = None) -> list[BenchRecord]:
+                    seed: int = 0) -> list[BenchRecord]:
     """Time naive vs. piecewise-numeric max-convolution on random pairs."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     # warm the FFT plan cache so replicate 0 is not charged for it
     warm_l, warm_r = generate_uniform_pair(16, (seed, 16, 0))
-    max_convolve_piecewise(warm_l, warm_r, config)
+    max_convolve_piecewise(warm_l, warm_r)
     records = []
     for k in k_list:
         for rep in range(replicates):
@@ -136,7 +128,7 @@ def run_speed_bench(k_list: Sequence[int] = SPEED_K_LIST, replicates: int = 5,
             naive_max_convolve(left, right)
             records.append(BenchRecord(k, "naive", rep, time.perf_counter() - t0))
             t0 = time.perf_counter()
-            max_convolve_piecewise(left, right, config)
+            max_convolve_piecewise(left, right)
             records.append(BenchRecord(k, "numeric", rep, time.perf_counter() - t0))
     return records
 
@@ -176,19 +168,8 @@ class DemoOutput:
     results: dict[str, TreeResult]
 
 
-def _demo_operator(mode: str, config: PiecewiseConfig | None):
-    if mode == "naive-max":
-        return naive_max_operator()
-    if mode == "numeric-max":
-        return numeric_max_operator(config)
-    if mode == "sum-product":
-        return standard_operator()
-    raise ValueError(f"unknown mode {mode!r}; expected one of {DEMO_MODES}")
-
-
 def run_subset_sum_demo(n: int = 32, k: int = 256, seed: int = 0,
-                        modes: Iterable[str] = DEMO_MODES,
-                        config: PiecewiseConfig | None = None) -> DemoOutput:
+                        modes: Iterable[str] = DEMO_MODES) -> DemoOutput:
     """Solve one subset-sum instance with each requested inference mode.
 
     Only the tree computation is timed, not instance generation. The report
@@ -197,6 +178,10 @@ def run_subset_sum_demo(n: int = 32, k: int = 256, seed: int = 0,
     both ran.
     """
     modes = list(modes)
+    for mode in modes:
+        if mode not in DEMO_MODES:
+            raise ValueError(f"unknown mode {mode!r}; "
+                             f"expected one of {tuple(DEMO_MODES)}")
     instance = generate_subset_sum_instance(n, k, seed)
     report = {
         "n": n, "k": k, "seed": seed,
@@ -205,7 +190,7 @@ def run_subset_sum_demo(n: int = 32, k: int = 256, seed: int = 0,
     }
     results: dict[str, TreeResult] = {}
     for mode in modes:
-        operator = _demo_operator(mode, config)
+        operator = operator_from_name(DEMO_MODES[mode])
         t0 = time.perf_counter()
         result = convolution_tree(instance.priors, instance.sum_likelihood, operator)
         wall = time.perf_counter() - t0

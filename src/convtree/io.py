@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .harness import ACCURACY_CSV_HEADER, SPEED_CSV_HEADER, BenchRecord
 from .pmf import Pmf
+
+SPEED_CSV_HEADER = ("k", "method", "replicate", "wall_seconds")
+ACCURACY_CSV_HEADER = ("k", "p", "index", "exact_value", "rel_abs_error")
 
 
 def read_pmf(path) -> Pmf:
@@ -39,7 +41,8 @@ def write_pmf_ndjson(pmfs: Iterable[Pmf], path) -> None:
             fh.write("\n")
 
 
-def write_speed_csv(records: Sequence[BenchRecord], path) -> None:
+def write_speed_csv(records: Iterable, path) -> None:
+    """One row per harness.BenchRecord, in SPEED_CSV_HEADER order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SPEED_CSV_HEADER)

@@ -14,18 +14,13 @@ of the largest exponent whose (max-normalized) value is still trustworthy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .fftconv import (
-    choose_naive_or_fast,
-    fast_convolve,
-    padded_length,
-    _canonical_order,
-    _fft_convolve_values,
-)
+from .fftconv import fast_convolve, padded_length, _canonical_order
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
 DEFAULT_P_LADDER = (4.0, 32.0, 64.0)
@@ -43,21 +38,6 @@ def _check_p(p: float) -> float:
     if not p >= 1.0:
         raise ValueError(f"invalid exponent: p must be >= 1, got {p!r}")
     return p
-
-
-def _pow(x: np.ndarray, p: float) -> np.ndarray:
-    """Elementwise x**p; repeated squaring when p is an integral power of two."""
-    if p == 1.0:
-        return x.copy()
-    exp = int(p)
-    if exp == p and exp & (exp - 1) == 0:
-        out = np.square(x)
-        exp >>= 1
-        while exp > 1:
-            np.square(out, out=out)
-            exp >>= 1
-        return out
-    return np.power(x, p)
 
 
 @dataclass(frozen=True)
@@ -97,51 +77,29 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
     """
     p = _check_p(p)
     powered = fast_convolve(
-        Pmf(_pow(left.values, p), left.offset),
-        Pmf(_pow(right.values, p), right.offset),
+        Pmf(_ladder_powers(left.values, (p,))[0], left.offset),
+        Pmf(_ladder_powers(right.values, (p,))[0], right.offset),
         refine_below=REFINE_BELOW,
     )
     return Pmf(np.power(powered.values, 1.0 / p), powered.offset)
 
 
-def _normalized_rung(left: Pmf, right: Pmf, p: float) -> tuple[np.ndarray, float]:
-    """One underflow-guarded estimate: (max-normalized values, undo scale).
-
-    Both inputs are divided by their maxima before exponentiation so the
-    dominant terms start at 1 and survive the p-th power; the convolution
-    output is renormalized by its own peak (also absorbing FFT drift) before
-    the 1/p root. The caller multiplies by the returned scale to undo the
-    input normalization.
-    """
-    lmax = float(left.values.max())
-    rmax = float(right.values.max())
-    if lmax <= 0.0 or rmax <= 0.0:
-        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    vl = _pow(left.values / lmax, p)
-    vr = _pow(right.values / rmax, p)
-    vm = _fft_convolve_values(vl, vr)
-    vm /= vm.max()  # peak is 1 by construction; >= 1 - eps survives round-off
-    return np.power(vm, 1.0 / p), lmax * rmax
-
-
 def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
     """Numerical max-convolution with max-normalization against underflow.
 
-    Scale-equivariant by construction: scaling either input by c scales the
-    output by c.
+    The one-rung case of the piecewise ladder. Scale-equivariant by
+    construction: scaling either input by c scales the output by c.
     """
-    p = _check_p(p)
-    left, right = _canonical_order(left, right)
-    normalized, scale = _normalized_rung(left, right, p)
-    return Pmf(normalized * scale, left.offset + right.offset)
+    return _ladder_max_convolve(left, right, (_check_p(p),), DEFAULT_TAU)
 
 
 def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...]) -> list[np.ndarray]:
     """x**p for each ladder rung, sharing square chains between them.
 
-    Climbing from x**q to x**p by squaring composes to exactly the same
-    squarings as starting over from x, so the results are bit-identical to
-    _pow(x, p) per rung; non-power-of-two rungs fall back to _pow directly.
+    Power-of-two rungs come from repeated squaring (p = 1 is x itself).
+    Climbing from x**q to x**p composes to exactly the squarings that would
+    start over from x, so each rung is bit-identical to computing it alone.
+    Other rungs use np.power.
     """
     powers = []
     climbed, climbed_p = x, 1
@@ -153,8 +111,57 @@ def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...]) -> list[np.ndarray]
                 climbed_p *= 2
             powers.append(climbed)
         else:
-            powers.append(_pow(x, p))
+            powers.append(np.power(x, p))
     return powers
+
+
+def _ladder_max_convolve(left: Pmf, right: Pmf, ladder: tuple[float, ...],
+                         tau: float) -> Pmf:
+    """Max-normalized p-norm estimate at every rung, stitched per index.
+
+    Both inputs are divided by their maxima before exponentiation so the
+    dominant terms start at 1 and survive the p-th power; each rung's
+    convolution is divided by its own peak before the 1/p root, and the
+    input scale is multiplied back at the end. Each index takes the value of
+    the largest exponent whose normalized result clears tau; the smallest
+    exponent is the fallback, so a one-rung ladder never reads tau.
+    """
+    left, right = _canonical_order(left, right)
+    lmax = float(left.values.max())
+    rmax = float(right.values.max())
+    if lmax <= 0.0 or rmax <= 0.0:
+        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
+    # dividing by 1.0 is the identity; tree messages arrive max-normalized
+    xl = left.values if lmax == 1.0 else left.values / lmax
+    xr = right.values if rmax == 1.0 else right.values / rmax
+    left_powers = _ladder_powers(xl, ladder)
+    right_powers = _ladder_powers(xr, ladder)
+
+    # every rung shares one padded size, so all ladder convolutions ride a
+    # single batched transform (bit-identical to per-rung transforms)
+    rungs = len(ladder)
+    n_out = len(left) + len(right) - 1
+    size = padded_length(n_out)
+    stack = np.zeros((2 * rungs, size))
+    for i, v in enumerate(left_powers):
+        stack[i, :v.size] = v
+    for i, v in enumerate(right_powers):
+        stack[rungs + i, :v.size] = v
+    spectra = scipy.fft.rfft(stack, axis=-1)
+    vms = scipy.fft.irfft(spectra[:rungs] * spectra[rungs:], size,
+                          axis=-1)[:, :n_out]
+    np.maximum(vms, 0.0, out=vms)
+
+    stitched = None
+    for i, p in enumerate(ladder):
+        vm = vms[i]
+        vm /= vm.max()
+        normalized = np.power(vm, 1.0 / p, out=vm)
+        if stitched is None:
+            stitched = normalized  # smallest exponent is the fallback
+        else:
+            np.copyto(stitched, normalized, where=normalized >= tau)
+    return Pmf(stitched * (lmax * rmax), left.offset + right.offset)
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,
@@ -170,49 +177,19 @@ def max_convolve_piecewise(left: Pmf, right: Pmf,
     """
     if config is None:
         config = PiecewiseConfig()
-    left, right = _canonical_order(left, right)
-    lmax = float(left.values.max())
-    rmax = float(right.values.max())
-    if lmax <= 0.0 or rmax <= 0.0:
-        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    # dividing by 1.0 is the identity; tree messages arrive max-normalized
-    xl = left.values if lmax == 1.0 else left.values / lmax
-    xr = right.values if rmax == 1.0 else right.values / rmax
-    left_powers = _ladder_powers(xl, config.p_ladder)
-    right_powers = _ladder_powers(xr, config.p_ladder)
-
-    # every rung shares one padded size, so all ladder convolutions ride a
-    # single batched transform (bit-identical to per-rung transforms)
-    rungs = len(config.p_ladder)
-    n_out = len(left) + len(right) - 1
-    size = padded_length(n_out)
-    stack = np.zeros((2 * rungs, size))
-    for i, v in enumerate(left_powers):
-        stack[i, :v.size] = v
-    for i, v in enumerate(right_powers):
-        stack[rungs + i, :v.size] = v
-    spectra = scipy.fft.rfft(stack, axis=-1)
-    vms = scipy.fft.irfft(spectra[:rungs] * spectra[rungs:], size,
-                          axis=-1)[:, :n_out]
-    np.maximum(vms, 0.0, out=vms)
-
-    stitched = None
-    for i, p in enumerate(config.p_ladder):
-        vm = vms[i]
-        vm /= vm.max()
-        normalized = np.power(vm, 1.0 / p, out=vm)
-        if stitched is None:
-            stitched = normalized  # smallest exponent is the fallback
-        else:
-            np.copyto(stitched, normalized, where=normalized >= config.tau)
-    return Pmf(stitched * (lmax * rmax), left.offset + right.offset)
+    return _ladder_max_convolve(left, right, config.p_ladder, config.tau)
 
 
 def max_convolve_auto(left: Pmf, right: Pmf,
-                      config: PiecewiseConfig | None = None,
-                      crossover: float = 1.0) -> Pmf:
-    """Exact naive max-convolution on small problems, piecewise otherwise."""
-    if choose_naive_or_fast(len(left), len(right), crossover) == "naive":
+                      config: PiecewiseConfig | None = None) -> Pmf:
+    """Exact naive max-convolution on small problems, piecewise otherwise.
+
+    Naive when its k_L * k_R products are no more than the transform work
+    size * max(1, log2 size), size being the padded FFT length; the log is
+    floored at 1 so length-1 problems still take the naive path.
+    """
+    size = padded_length(len(left) + len(right) - 1)
+    if len(left) * len(right) <= size * max(1.0, math.log2(size)):
         return naive_max_convolve(left, right)
     return max_convolve_piecewise(left, right, config)
 

@@ -83,6 +83,30 @@ def p_norm_operator(p: float) -> ConvolutionOperator:
     )
 
 
+OPERATOR_NAMES = "sum | max-naive | max-numeric | pnorm:<p>"
+
+
+def operator_from_name(name: str,
+                       config: PiecewiseConfig | None = None) -> ConvolutionOperator:
+    """The stock operator whose ``ConvolutionOperator.name`` is ``name``.
+
+    ``name`` is one of OPERATOR_NAMES; ``config`` applies to max-numeric
+    only. Raises ValueError for any other name or an invalid exponent.
+    """
+    if name == "sum":
+        return standard_operator()
+    if name == "max-naive":
+        return naive_max_operator()
+    if name == "max-numeric":
+        return numeric_max_operator(config)
+    if name.startswith("pnorm:"):
+        try:
+            return p_norm_operator(float(name.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ValueError(f"bad pnorm operator {name!r}: {exc}") from exc
+    raise ValueError(f"unknown operator {name!r}; expected {OPERATOR_NAMES}")
+
+
 @dataclass(frozen=True)
 class TreeResult:
     """Per-variable distributions given the sum, plus the prior of the total.
@@ -197,8 +221,9 @@ def tree_cost_estimate(n: int, k: int) -> float:
     """Step-count model for the tree with an O(k log k) operator.
 
     sum over levels u of (n / 2^u) convolutions of length-(k 2^u) operands;
-    n is rounded up to a power of two. Used for reporting and crossover
-    heuristics, never asserted against wall time.
+    n is rounded up to a power of two. Used only to report the tree's cost
+    against the naive n^2 k^2 count (acceptance criterion 11); it never
+    selects a code path and is never compared with wall time.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")

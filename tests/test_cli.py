@@ -103,13 +103,14 @@ def test_tree_operators_run(tmp_path, op):
         assert len(lik["values"]) == len(prior)
 
 
-def test_tree_unknown_operator_exits(tmp_path):
+@pytest.mark.parametrize("op", ["bogus", "pnorm:", "pnorm:x", "pnorm:0.5"])
+def test_tree_unknown_operator_exits(tmp_path, op):
     write_pmf_ndjson([Pmf([1.0])], tmp_path / "p.ndjson")
     write_pmf(Pmf([1.0]), tmp_path / "s.json")
     with pytest.raises(SystemExit):
         main(["tree", "--priors", str(tmp_path / "p.ndjson"),
               "--sum", str(tmp_path / "s.json"),
-              "--op", "bogus", "--out", str(tmp_path / "o.json")])
+              "--op", op, "--out", str(tmp_path / "o.json")])
 
 
 def test_bench_speed_csv(tmp_path):

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from convtree import (
-    Pmf,
-    choose_naive_or_fast,
-    delta,
-    fast_convolve,
-    naive_convolve,
-    padded_length,
-    plan_convolution,
-)
+from convtree import Pmf, delta, fast_convolve, naive_convolve, padded_length
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -19,38 +11,6 @@ from convtree import (
 def test_padded_length(n, expected):
     assert padded_length(n) == expected
 
-
-def test_plan_fields():
-    plan = plan_convolution(8, 8)
-    assert plan.padded_length == 16
-    assert plan.naive_cost == 64.0
-    assert plan.fast_cost == 64.0
-    assert plan.method == "naive"  # tie goes to naive
-
-
-@pytest.mark.parametrize("kl,kr,expected", [
-    (8, 8, "naive"),
-    (4096, 4096, "fast"),
-    (1, 1, "naive"),
-    (1, 7, "naive"),
-    (1, 8192, "naive"),
-    (64, 64, "fast"),
-])
-def test_choose_naive_or_fast(kl, kr, expected):
-    assert choose_naive_or_fast(kl, kr) == expected
-
-
-def test_crossover_constant_moves_the_threshold():
-    assert choose_naive_or_fast(8, 8, crossover=0.5) == "fast"
-    assert choose_naive_or_fast(64, 64, crossover=100.0) == "naive"
-
-
-def test_plan_rejects_empty():
-    with pytest.raises(ValueError):
-        plan_convolution(0, 4)
-
-
-# ---------------------------------------------------------------------------
 
 def test_fast_convolve_binomial():
     out = fast_convolve(Pmf([1.0, 1.0]), Pmf([1.0, 1.0]))

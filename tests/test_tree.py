@@ -13,6 +13,7 @@ from convtree import (
     narrow_to_support,
     normalize_sum,
     numeric_max_operator,
+    operator_from_name,
     p_norm_operator,
     standard_operator,
     tree_cost_estimate,
@@ -148,6 +149,11 @@ def test_p_norm_operator_interpolates():
     pnorm_result = convolution_tree(priors, evidence, p_norm_operator(1.0))
     for got, expected in zip(pnorm_result.likelihoods, sum_result.likelihoods):
         assert_allclose(normalize_sum(got).values, expected.values, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:2"])
+def test_operator_from_name_round_trip(name):
+    assert operator_from_name(name).name == name
 
 
 # ---------------------------------------------------------------------------
