@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from convtree import Pmf, delta, fast_convolve, naive_convolve, padded_length
+from convtree import (
+    Pmf,
+    delta,
+    fast_convolve,
+    max_convolve_auto,
+    max_convolve_piecewise,
+    naive_convolve,
+    naive_max_convolve,
+    padded_length,
+)
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -11,6 +20,26 @@ from convtree import Pmf, delta, fast_convolve, naive_convolve, padded_length
 def test_padded_length(n, expected):
     assert padded_length(n) == expected
 
+
+@pytest.mark.parametrize("kl,kr,expected", [
+    (8, 8, "naive"),  # 64 products tie the 16 * log2(16) transform work
+    (4096, 4096, "fast"),
+    (1, 1, "naive"),
+    (1, 7, "naive"),
+    (1, 8192, "naive"),
+    (64, 64, "fast"),
+])
+def test_choose_naive_or_fast(kl, kr, expected):
+    """max_convolve_auto takes the naive path or the FFT-based piecewise one."""
+    rng = np.random.default_rng(kl * 10007 + kr)
+    left, right = Pmf(rng.random(kl)), Pmf(rng.random(kr))
+    reference = {"naive": naive_max_convolve,
+                 "fast": max_convolve_piecewise}[expected]
+    auto = max_convolve_auto(left, right)
+    assert_array_equal(auto.values, reference(left, right).values)
+
+
+# ---------------------------------------------------------------------------
 
 def test_fast_convolve_binomial():
     out = fast_convolve(Pmf([1.0, 1.0]), Pmf([1.0, 1.0]))
