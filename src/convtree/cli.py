@@ -46,7 +46,11 @@ def _str_list(text: str) -> list[str]:
 
 
 def _piecewise_config(args) -> PiecewiseConfig:
-    return PiecewiseConfig(tuple(args.p_ladder), args.tau)
+    """The --p-ladder/--tau config; an invalid one is a usage error."""
+    try:
+        return PiecewiseConfig(tuple(args.p_ladder), args.tau)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +122,8 @@ def _cmd_maxconv(args) -> int:
 def _cmd_tree(args) -> int:
     priors = io.read_pmf_ndjson(args.priors)
     evidence = io.read_pmf(args.sum)
-    config = _piecewise_config(args)
+    # only max-numeric reads --p-ladder/--tau
+    config = _piecewise_config(args) if args.op == "max-numeric" else None
     try:
         operator = operator_from_name(args.op, config)
     except ValueError as exc:

@@ -16,11 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.fft
 
-from .fftconv import fast_convolve, padded_length, _canonical_order
+from .fftconv import (
+    _canonical_order,
+    _operand_slots,
+    _stacked_convolve,
+    fast_convolve_many,
+    padded_length,
+)
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
 DEFAULT_P_LADDER = (4.0, 32.0, 64.0)
@@ -75,13 +81,32 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
 
     and is elementwise nonincreasing in p.
     """
+    return _p_norm_many([(left, right)], p)[0]
+
+
+def _p_norm_many(pairs: list[tuple[Pmf, Pmf]], p: float) -> list[Pmf]:
+    """p_norm_convolve of every pair, batched through fast_convolve_many.
+
+    Inputs are divided by their maxima before the p-th power, so large
+    values cannot overflow, and the output is scaled back; outputs below
+    REFINE_BELOW of each row's peak are recomputed by direct summation.
+    """
     p = _check_p(p)
-    powered = fast_convolve(
-        Pmf(_ladder_powers(left.values, (p,))[0], left.offset),
-        Pmf(_ladder_powers(right.values, (p,))[0], right.offset),
-        refine_below=REFINE_BELOW,
-    )
-    return Pmf(np.power(powered.values, 1.0 / p), powered.offset)
+    if p == 1.0:  # no power to overflow and no root to take
+        return fast_convolve_many(pairs, refine_below=REFINE_BELOW)
+    powered = {}
+    for x in dict.fromkeys(x for pair in pairs for x in pair):
+        values, peak = _max_normalized(x)
+        powered[x] = Pmf(_ladder_powers(values, (p,))[0], x.offset), peak
+    convolved = fast_convolve_many(
+        [(powered[left][0], powered[right][0]) for left, right in pairs],
+        refine_below=REFINE_BELOW)
+    results = []
+    for out, (left, right) in zip(convolved, pairs):
+        values = np.power(out.values, 1.0 / p)
+        values *= powered[left][1] * powered[right][1]
+        results.append(Pmf(values, out.offset))
+    return results
 
 
 def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
@@ -90,78 +115,88 @@ def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
     The one-rung case of the piecewise ladder. Scale-equivariant by
     construction: scaling either input by c scales the output by c.
     """
-    return _ladder_max_convolve(left, right, (_check_p(p),), DEFAULT_TAU)
+    return _ladder_max_convolve([(left, right)], (_check_p(p),), DEFAULT_TAU)[0]
 
 
-def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...]) -> list[np.ndarray]:
+def _max_normalized(x: Pmf) -> tuple[np.ndarray, float]:
+    """The values divided by their maximum, and that maximum.
+
+    Dividing by 1.0 (or by an all-zero vector's 0) is skipped, so tree
+    messages, which arrive max-normalized, keep their bits.
+    """
+    peak = float(x.values.max())
+    return (x.values if peak in (0.0, 1.0) else x.values / peak), peak
+
+
+def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...],
+                   out: np.ndarray | None = None) -> list[np.ndarray]:
     """x**p for each ladder rung, sharing square chains between them.
 
     Power-of-two rungs come from repeated squaring (p = 1 is x itself).
     Climbing from x**q to x**p composes to exactly the squarings that would
     start over from x, so each rung is bit-identical to computing it alone.
-    Other rungs use np.power.
+    Other rungs use np.power. Given ``out`` (one slot per rung), rung r is
+    written to ``out[r]`` instead of a new array.
     """
     powers = []
     climbed, climbed_p = x, 1
-    for p in ladder:
+    for r, p in enumerate(ladder):
+        dest = None if out is None else out[r]
         exp = int(p)
         if exp == p and exp & (exp - 1) == 0:
             while climbed_p < exp:
-                climbed = np.square(climbed)
+                climbed = np.square(climbed, out=dest)
                 climbed_p *= 2
+            if dest is not None and climbed is not dest:  # p = 1
+                np.copyto(dest, climbed)
+                climbed = dest
             powers.append(climbed)
         else:
-            powers.append(np.power(x, p))
+            powers.append(np.power(x, p, out=dest))
     return powers
 
 
-def _ladder_max_convolve(left: Pmf, right: Pmf, ladder: tuple[float, ...],
-                         tau: float) -> Pmf:
+def _ladder_max_convolve(pairs: list[tuple[Pmf, Pmf]], ladder: tuple[float, ...],
+                         tau: float) -> list[Pmf]:
     """Max-normalized p-norm estimate at every rung, stitched per index.
 
-    Both inputs are divided by their maxima before exponentiation so the
-    dominant terms start at 1 and survive the p-th power; each rung's
+    Both inputs of a pair are divided by their maxima before exponentiation
+    so the dominant terms start at 1 and survive the p-th power; each rung's
     convolution is divided by its own peak before the 1/p root, and the
     input scale is multiplied back at the end. Each index takes the value of
     the largest exponent whose normalized result clears tau; the smallest
     exponent is the fallback, so a one-rung ladder never reads tau.
+
+    All rungs of all pairs ride the stacked transforms of _stacked_convolve,
+    and every step after them acts on each row alone, so each result is
+    bit-identical to the one-pair call.
     """
-    left, right = _canonical_order(left, right)
-    lmax = float(left.values.max())
-    rmax = float(right.values.max())
-    if lmax <= 0.0 or rmax <= 0.0:
+    ordered = [_canonical_order(left, right) for left, right in pairs]
+    operands, slots = _operand_slots(ordered)
+    normalized = [_max_normalized(x) for x in operands]
+    if any(peak <= 0.0 for _, peak in normalized):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    # dividing by 1.0 is the identity; tree messages arrive max-normalized
-    xl = left.values if lmax == 1.0 else left.values / lmax
-    xr = right.values if rmax == 1.0 else right.values / rmax
-    left_powers = _ladder_powers(xl, ladder)
-    right_powers = _ladder_powers(xr, ladder)
 
-    # every rung shares one padded size, so all ladder convolutions ride a
-    # single batched transform (bit-identical to per-rung transforms)
-    rungs = len(ladder)
-    n_out = len(left) + len(right) - 1
-    size = padded_length(n_out)
-    stack = np.zeros((2 * rungs, size))
-    for i, v in enumerate(left_powers):
-        stack[i, :v.size] = v
-    for i, v in enumerate(right_powers):
-        stack[rungs + i, :v.size] = v
-    spectra = scipy.fft.rfft(stack, axis=-1)
-    vms = scipy.fft.irfft(spectra[:rungs] * spectra[rungs:], size,
-                          axis=-1)[:, :n_out]
-    np.maximum(vms, 0.0, out=vms)
+    results: list[Pmf] = [None] * len(pairs)
 
-    stitched = None
-    for i, p in enumerate(ladder):
-        vm = vms[i]
-        vm /= vm.max()
-        normalized = np.power(vm, 1.0 / p, out=vm)
-        if stitched is None:
-            stitched = normalized  # smallest exponent is the fallback
-        else:
-            np.copyto(stitched, normalized, where=normalized >= tau)
-    return Pmf(stitched * (lmax * rmax), left.offset + right.offset)
+    def finish(block, vms):
+        stitched = None
+        for vm, p in zip(vms, ladder):
+            vm /= vm.max(axis=1, keepdims=True)
+            rung = np.power(vm, 1.0 / p, out=vm)
+            if stitched is None:
+                stitched = rung  # smallest exponent is the fallback
+            else:
+                np.copyto(stitched, rung, where=rung >= tau)
+        for row, index in enumerate(block):
+            (a, b), (i, j) = ordered[index], slots[index]
+            scale = normalized[i][1] * normalized[j][1]
+            results[index] = Pmf(stitched[row, :len(a) + len(b) - 1] * scale,
+                                 a.offset + b.offset)
+
+    _stacked_convolve([values for values, _ in normalized], slots, finish,
+                     len(ladder), partial(_ladder_powers, ladder=ladder))
+    return results
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,
@@ -177,7 +212,7 @@ def max_convolve_piecewise(left: Pmf, right: Pmf,
     """
     if config is None:
         config = PiecewiseConfig()
-    return _ladder_max_convolve(left, right, config.p_ladder, config.tau)
+    return _ladder_max_convolve([(left, right)], config.p_ladder, config.tau)[0]
 
 
 def max_convolve_auto(left: Pmf, right: Pmf,

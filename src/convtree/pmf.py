@@ -94,20 +94,21 @@ class ErrorReport:
         return float(np.nanmean(self.per_index_rel_abs_error))
 
 
+def _divided(p: Pmf, scale: float) -> Pmf:
+    """``p`` divided by its positive sum or peak ``scale``."""
+    if scale <= 0.0:
+        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
+    return Pmf(p.values / scale, p.offset)
+
+
 def normalize_sum(p: Pmf) -> Pmf:
     """Scale so the values sum to one."""
-    total = float(p.values.sum())
-    if total <= 0.0:
-        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    return Pmf(p.values / total, p.offset)
+    return _divided(p, float(p.values.sum()))
 
 
 def normalize_max(p: Pmf) -> Pmf:
     """Scale so the largest value is exactly one."""
-    peak = float(p.values.max())
-    if peak <= 0.0:
-        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    return Pmf(p.values / peak, p.offset)
+    return _divided(p, float(p.values.max()))
 
 
 def negate(p: Pmf) -> Pmf:

@@ -13,13 +13,22 @@ marginals, a max-convolution gives max-product (best joint event) ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import starmap
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .fftconv import fast_convolve, padded_length
-from .numeric import PiecewiseConfig, _check_p, max_convolve_piecewise, p_norm_convolve
+from .fftconv import fast_convolve, fast_convolve_many, padded_length
+from .numeric import (
+    PiecewiseConfig,
+    _check_p,
+    _ladder_max_convolve,
+    _p_norm_many,
+    max_convolve_piecewise,
+    p_norm_convolve,
+)
 from .pmf import Pmf, delta, naive_max_convolve, negate, normalize_max, normalize_sum
 
 
@@ -43,11 +52,18 @@ class ConvolutionOperator:
     offsets summed) and commute up to round-off. ``normalization`` is "sum"
     for averaging semantics (sum-product) or "max" for best-case semantics
     (max-product); it fixes how every tree message is rescaled.
+
+    ``apply_many``, if given, takes a list of (left, right) pairs and
+    returns ``[apply(l, r) for l, r in pairs]``, bit for bit; the tree
+    then makes one call per layer. Without it the tree calls ``apply``
+    once per pair.
     """
 
     name: str
     apply: Callable[[Pmf, Pmf], Pmf]
     normalization: str
+    apply_many: Callable[[list[tuple[Pmf, Pmf]]], list[Pmf]] | None = field(
+        default=None, kw_only=True)
 
     def __post_init__(self):
         if self.normalization not in _NORMALIZERS:
@@ -59,7 +75,8 @@ class ConvolutionOperator:
 
 def standard_operator() -> ConvolutionOperator:
     """Sum-product addition: FFT convolution, messages normalized by sum."""
-    return ConvolutionOperator("sum", fast_convolve, "sum")
+    return ConvolutionOperator("sum", fast_convolve, "sum",
+                               apply_many=fast_convolve_many)
 
 
 def naive_max_operator() -> ConvolutionOperator:
@@ -71,7 +88,8 @@ def numeric_max_operator(config: PiecewiseConfig | None = None) -> ConvolutionOp
     """Fast numerical max-product addition (piecewise exponent ladder)."""
     cfg = config if config is not None else PiecewiseConfig()
     return ConvolutionOperator(
-        "max-numeric", lambda l, r: max_convolve_piecewise(l, r, cfg), "max"
+        "max-numeric", lambda l, r: max_convolve_piecewise(l, r, cfg), "max",
+        apply_many=partial(_ladder_max_convolve, ladder=cfg.p_ladder, tau=cfg.tau),
     )
 
 
@@ -79,7 +97,8 @@ def p_norm_operator(p: float) -> ConvolutionOperator:
     """Addition on the continuum between sum-product (p=1) and max-product."""
     p = _check_p(p)
     return ConvolutionOperator(
-        f"pnorm:{p:g}", lambda l, r: p_norm_convolve(l, r, p), "max"
+        f"pnorm:{p:g}", lambda l, r: p_norm_convolve(l, r, p), "max",
+        apply_many=partial(_p_norm_many, p=p),
     )
 
 
@@ -177,31 +196,37 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     forward = [leaves]
     while len(forward[-1]) > 1:
         layer = forward[-1]
-        forward.append([
-            operator.normalize(operator.apply(layer[j], layer[j + 1]))
-            for j in range(0, len(layer), 2)
-        ])
+        forward.append([operator.normalize(merged) for merged in
+                        _apply_layer(operator, list(zip(layer[::2], layer[1::2])))])
 
     # Reverse: the message for a child is the parent's message minus the
     # sibling, i.e. convolution with the negated sibling, cut back down to
-    # the child's own support.
+    # the child's own support. Both children share the parent's message.
     messages = [evidence]
     for depth in range(len(forward) - 2, -1, -1):
         children = forward[depth]
-        next_messages = []
+        pairs = []
         for j, msg in enumerate(messages):
             lhs, rhs = children[2 * j], children[2 * j + 1]
-            next_messages.append(narrow_to_support(
-                operator.apply(msg, negate(rhs)), lhs, operator.normalization))
-            next_messages.append(narrow_to_support(
-                operator.apply(msg, negate(lhs)), rhs, operator.normalization))
-        messages = next_messages
+            pairs += [(msg, negate(rhs)), (msg, negate(lhs))]
+        messages = [narrow_to_support(wide, child, operator.normalization)
+                    for wide, child in zip(_apply_layer(operator, pairs), children)]
 
     likelihoods = [
         _combine_with_prior(msg, leaf, operator)
         for msg, leaf in zip(messages[:n_real], leaves[:n_real])
     ]
     return TreeResult(likelihoods, forward[-1][0])
+
+
+def _apply_layer(operator: ConvolutionOperator,
+                 pairs: list[tuple[Pmf, Pmf]]) -> Iterable[Pmf]:
+    """``operator.apply`` of every pair: one ``apply_many`` call when the
+    operator has one, else per-pair calls in order, made as they are read
+    so each result can be reduced before the next pair runs."""
+    if operator.apply_many is None:
+        return starmap(operator.apply, pairs)
+    return operator.apply_many(pairs)
 
 
 def _combine_with_prior(message: Pmf, leaf: Pmf,

@@ -113,6 +113,28 @@ def test_tree_unknown_operator_exits(tmp_path, op):
               "--op", op, "--out", str(tmp_path / "o.json")])
 
 
+def test_tree_sum_ignores_ladder_options(tmp_path):
+    write_pmf_ndjson([Pmf([0.5, 0.5]), Pmf([0.9, 0.1])], tmp_path / "p.ndjson")
+    write_pmf(Pmf([1.0], offset=1), tmp_path / "s.json")
+    assert main(["tree", "--priors", str(tmp_path / "p.ndjson"),
+                 "--sum", str(tmp_path / "s.json"), "--op", "sum",
+                 "--p-ladder", "4", "--tau", "2", "--out", str(tmp_path / "o.json")]) == 0
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--p-ladder", "4"], "at least two exponents"),
+    (["--p-ladder", "32,4"], "strictly ascending"),
+    (["--tau", "1.5"], "tau must lie in"),
+])
+def test_tree_bad_ladder_is_a_usage_error(tmp_path, option, message):
+    write_pmf_ndjson([Pmf([1.0])], tmp_path / "p.ndjson")
+    write_pmf(Pmf([1.0]), tmp_path / "s.json")
+    with pytest.raises(SystemExit, match=message):
+        main(["tree", "--priors", str(tmp_path / "p.ndjson"),
+              "--sum", str(tmp_path / "s.json"), "--op", "max-numeric",
+              *option, "--out", str(tmp_path / "o.json")])
+
+
 def test_bench_speed_csv(tmp_path):
     out = tmp_path / "speed.csv"
     assert main(["bench", "speed", "--k-list", "16,32", "--replicates", "2",

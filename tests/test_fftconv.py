@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import convtree.fftconv as fftconv
 from convtree import (
     Pmf,
     delta,
     fast_convolve,
+    fast_convolve_many,
+    fft_length,
     max_convolve_auto,
     max_convolve_piecewise,
     naive_convolve,
@@ -19,6 +22,17 @@ from convtree import (
 ])
 def test_padded_length(n, expected):
     assert padded_length(n) == expected
+
+
+def test_fft_length_is_5_smooth_and_at_most_padded():
+    for n in [*range(1, 3000), 12286, 98209, 393121, (1 << 20) + 1]:
+        size = fft_length(n)
+        assert n <= size <= padded_length(n)
+        for factor in (2, 3, 5):
+            while size % factor == 0:
+                size //= factor
+        assert size == 1, n
+    assert fft_length(12286) == 12288  # the tree-wide reverse step: not 16384
 
 
 @pytest.mark.parametrize("kl,kr,expected", [
@@ -112,3 +126,53 @@ def test_refine_recomputes_tiny_outputs_exactly():
 def test_refine_handles_all_zero_input():
     out = fast_convolve(Pmf([0.0, 0.0]), Pmf([0.0, 0.0, 0.0]), refine_below=1e-6)
     assert_array_equal(out.values, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# Batched pairs
+
+def mixed_pairs():
+    """Pairs of mixed lengths and offsets, length-1 operands, equal-length
+    operands in both orders and one operand object shared by many pairs."""
+    rng = np.random.default_rng(21)
+    shared = Pmf(rng.random(40), offset=-3)
+    point = Pmf([0.7], offset=5)
+    pmfs = [Pmf(rng.random(k), offset=int(rng.integers(-9, 9)))
+            for k in (1, 2, 7, 40, 40, 63, 64, 300)]
+    return ([(shared, p) for p in pmfs] + [(p, shared) for p in pmfs[:4]]
+            + [(shared, shared), (point, point), (point, pmfs[5]),
+               (pmfs[3], pmfs[4]), (pmfs[4], pmfs[3]), (pmfs[6], pmfs[7])])
+
+
+@pytest.mark.parametrize("refine_below", [None, 1e-6])
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
+def test_fast_convolve_many_is_bit_identical_to_one_pair_calls(
+        monkeypatch, refine_below, block_floats):
+    # small blocks split groups and carry shared spectra across blocks
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    pairs = mixed_pairs()
+    for (left, right), got in zip(pairs, fast_convolve_many(pairs, refine_below)):
+        one = fast_convolve(left, right, refine_below)
+        assert got.offset == one.offset
+        assert got.values.tobytes() == one.values.tobytes()
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 1])
+def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    rows = []
+    rfft = fftconv.scipy.fft.rfft
+
+    def counting_rfft(x, *args, **kwargs):
+        rows.append(x.size // x.shape[-1])
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(fftconv.scipy.fft, "rfft", counting_rfft)
+    rng = np.random.default_rng(4)
+    message, lhs, rhs = Pmf(rng.random(63)), Pmf(rng.random(32)), Pmf(rng.random(32))
+    fast_convolve_many([(message, lhs), (message, rhs)])
+    assert sum(rows) == 3
+
+
+def test_fast_convolve_many_of_nothing():
+    assert fast_convolve_many([]) == []

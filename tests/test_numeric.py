@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import convtree.fftconv as fftconv
 from convtree import (
     DegenerateDistributionError,
     PiecewiseConfig,
@@ -15,7 +16,10 @@ from convtree import (
     max_convolve_normalized,
     max_convolve_piecewise,
     naive_max_convolve,
+    normalize_max,
+    numeric_max_operator,
     p_norm_convolve,
+    p_norm_operator,
     pair_counts,
 )
 
@@ -76,6 +80,25 @@ def test_p1_reduces_to_standard_convolution():
         assert np.abs(pn.values - fc.values).max() <= 1e-12
 
 
+def test_large_values_do_not_overflow():
+    # 1e5 ** 64 overflows; max-normalizing before the power keeps it finite
+    left, right = random_pair(256, 4)
+    plain = p_norm_convolve(left, right, 64.0)
+    scaled = p_norm_convolve(Pmf(1e5 * left.values), Pmf(1e5 * right.values), 64.0)
+    assert np.all(np.isfinite(scaled.values))
+    assert_allclose(scaled.values, 1e10 * plain.values, rtol=1e-12, atol=0.0)
+
+
+def test_max_normalized_inputs_keep_their_bits():
+    # a peak of exactly 1.0 is neither divided out nor multiplied back
+    left, right = (normalize_max(x) for x in random_pair(64, 9))
+    powered = fast_convolve(Pmf(np.square(np.square(left.values))),
+                            Pmf(np.square(np.square(right.values))),
+                            refine_below=1e-6)
+    out = p_norm_convolve(left, right, 4.0)
+    assert out.values.tobytes() == np.power(powered.values, 0.25).tobytes()
+
+
 def test_delta_pair_any_p():
     for p in (1.0, 3.5, 64.0):
         out = p_norm_convolve(delta(0), delta(0), p)
@@ -125,6 +148,44 @@ def test_pair_counts():
     assert_array_equal(pair_counts(3, 5), [1, 2, 3, 3, 3, 2, 1])
     assert_array_equal(pair_counts(1, 4), [1, 1, 1, 1])
     assert pair_counts(1024, 1024).max() == 1024
+
+
+# ---------------------------------------------------------------------------
+# Batched pairs
+
+def mixed_pairs():
+    """Mixed lengths and offsets, length-1 operands, both argument orders
+    and one operand object shared by several pairs."""
+    rng = np.random.default_rng(17)
+    shared = Pmf(0.01 + rng.random(48), offset=4)
+    pmfs = [Pmf(0.01 + rng.random(k), offset=int(rng.integers(-6, 6)))
+            for k in (1, 3, 48, 100, 257)]
+    return ([(shared, p) for p in pmfs] + [(p, shared) for p in pmfs[:3]]
+            + [(shared, shared), (pmfs[0], pmfs[0]), (pmfs[3], pmfs[4])])
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
+@pytest.mark.parametrize("operator, one_pair", [
+    (numeric_max_operator(), max_convolve_piecewise),
+    (numeric_max_operator(PiecewiseConfig((2.0, 3.0, 16.0), 0.5)),
+     lambda l, r: max_convolve_piecewise(l, r, PiecewiseConfig((2.0, 3.0, 16.0), 0.5))),
+    (p_norm_operator(1.0), lambda l, r: p_norm_convolve(l, r, 1.0)),
+    (p_norm_operator(4.0), lambda l, r: p_norm_convolve(l, r, 4.0)),
+], ids=["piecewise", "piecewise-custom", "pnorm1", "pnorm4"])
+def test_batched_pairs_are_bit_identical_to_one_pair_calls(
+        monkeypatch, block_floats, operator, one_pair):
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    pairs = mixed_pairs()
+    for (left, right), got in zip(pairs, operator.apply_many(pairs)):
+        one = one_pair(left, right)
+        assert got.offset == one.offset
+        assert got.values.tobytes() == one.values.tobytes()
+
+
+def test_batched_piecewise_rejects_a_degenerate_operand():
+    pairs = [(Pmf([1.0, 0.5]), Pmf([0.5])), (Pmf([0.0, 0.0]), Pmf([1.0]))]
+    with pytest.raises(DegenerateDistributionError):
+        numeric_max_operator().apply_many(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import convtree.fftconv as fftconv
 from bruteforce import brute_force_tree, normalize_mode
 from convtree import (
+    ConvolutionOperator,
     DegenerateDistributionError,
     InconsistentEvidenceError,
     Pmf,
     convolution_tree,
     delta,
+    generate_subset_sum_instance,
     naive_max_operator,
     narrow_to_support,
     normalize_sum,
@@ -154,6 +159,72 @@ def test_p_norm_operator_interpolates():
 @pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:2"])
 def test_operator_from_name_round_trip(name):
     assert operator_from_name(name).name == name
+
+
+# ---------------------------------------------------------------------------
+# Layer calls
+
+def per_pair(operator):
+    """The same operator without apply_many: one apply call per pair."""
+    return ConvolutionOperator(operator.name, operator.apply, operator.normalization)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:1", "pnorm:4"])
+def test_layer_calls_are_bit_identical_to_per_pair_calls(n, name):
+    # point masses pad n up to 8, so every layer mixes operand lengths
+    rng = np.random.default_rng(n)
+    priors = [Pmf(0.05 + rng.random(int(rng.integers(2, 9))), int(rng.integers(-3, 4)))
+              for _ in range(n)]
+    evidence = random_evidence(priors, n)
+    operator = operator_from_name(name)
+    batched = convolution_tree(priors, evidence, operator)
+    single = convolution_tree(priors, evidence, per_pair(operator))
+    for got, one in zip([*batched.likelihoods, batched.sum_prior],
+                        [*single.likelihoods, single.sum_prior]):
+        assert got.offset == one.offset
+        assert got.values.tobytes() == one.values.tobytes()
+
+
+def test_one_operator_call_per_layer():
+    stock = standard_operator()
+    calls = []
+
+    def apply_many(pairs):
+        calls.append(len(pairs))
+        return stock.apply_many(pairs)
+
+    operator = ConvolutionOperator("sum", stock.apply, "sum", apply_many=apply_many)
+    priors = random_priors(5, 4, 2)
+    convolution_tree(priors, random_evidence(priors, 2), operator)
+    assert calls == [4, 2, 1, 2, 4, 8]  # forward leaves-first, reverse root-first
+
+
+def test_positional_operator_has_no_layer_call():
+    operator = ConvolutionOperator("sum", standard_operator().apply, "sum")
+    assert operator.apply_many is None
+    with pytest.raises(TypeError):
+        ConvolutionOperator("sum", operator.apply, "sum", None)
+
+
+def _peak_bytes(priors, evidence, operator):
+    tracemalloc.start()
+    try:
+        convolution_tree(priors, evidence, operator)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_layer_batching_bounds_transient_memory(monkeypatch):
+    instance = generate_subset_sum_instance(64, 1024, 0)
+    args = (instance.priors, instance.sum_likelihood)
+    operator = numeric_max_operator()
+    batched = _peak_bytes(*args, operator)
+    assert batched <= 1.25 * _peak_bytes(*args, per_pair(operator))
+    # the block cap is what holds it there: whole layers in one block peak higher
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", 1 << 40)
+    assert _peak_bytes(*args, operator) > batched
 
 
 # ---------------------------------------------------------------------------
