@@ -30,7 +30,6 @@ from .numeric import (
 )
 from .pmf import (
     DegenerateDistributionError,
-    ErrorReport,
     Pmf,
     delta,
     naive_convolve,
@@ -63,7 +62,6 @@ __all__ = [
     "DEFAULT_TAU",
     "DegenerateDistributionError",
     "DemoOutput",
-    "ErrorReport",
     "InconsistentEvidenceError",
     "PiecewiseConfig",
     "Pmf",

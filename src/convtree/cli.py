@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import io
 from .harness import (
@@ -33,24 +34,16 @@ from .pmf import naive_max_convolve
 from .tree import OPERATOR_NAMES, convolution_tree, operator_from_name
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok for tok in text.split(",") if tok]
+def _list_of(convert):
+    """argparse type: comma-separated ``convert`` values, e.g. ``4,32,64``."""
+    def parse(text: str) -> list:
+        return [convert(tok) for tok in text.split(",") if tok]
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
 def _piecewise_config(args) -> PiecewiseConfig:
-    """The --p-ladder/--tau config; an invalid one is a usage error."""
-    try:
-        return PiecewiseConfig(tuple(args.p_ladder), args.tau)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    return PiecewiseConfig(tuple(args.p_ladder), args.tau)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,39 +52,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fast numerical max-convolution and convolution-tree inference.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ladder = argparse.ArgumentParser(add_help=False)
+    ladder.add_argument("--p-ladder", type=_list_of(float),
+                        default=list(DEFAULT_P_LADDER))
+    ladder.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
-    p_max = sub.add_parser("maxconv", help="max-convolve two PMF files")
+    p_max = sub.add_parser("maxconv", parents=[ladder],
+                           help="max-convolve two PMF files")
     p_max.add_argument("--left", required=True)
     p_max.add_argument("--right", required=True)
     p_max.add_argument("--method", choices=("naive", "numeric", "auto"),
                        default="auto")
-    p_max.add_argument("--p-ladder", type=_float_list, default=list(DEFAULT_P_LADDER))
-    p_max.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_max.add_argument("--out", required=True)
+    p_max.set_defaults(run=_cmd_maxconv)
 
-    p_tree = sub.add_parser("tree", help="convolution-tree inference")
+    p_tree = sub.add_parser("tree", parents=[ladder],
+                            help="convolution-tree inference")
     p_tree.add_argument("--priors", required=True, help="ndjson, one PMF per line")
     p_tree.add_argument("--sum", required=True, help="PMF JSON of the sum evidence")
     p_tree.add_argument("--op", default="max-numeric", help=OPERATOR_NAMES)
-    p_tree.add_argument("--p-ladder", type=_float_list, default=list(DEFAULT_P_LADDER))
-    p_tree.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_tree.add_argument("--out", required=True)
+    p_tree.set_defaults(run=_cmd_tree)
 
     p_bench = sub.add_parser("bench", help="timing and accuracy sweeps")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_speed = bench_sub.add_parser("speed", help="naive vs numeric wall time")
-    p_speed.add_argument("--k-list", type=_int_list, default=list(SPEED_K_LIST))
+    p_speed.add_argument("--k-list", type=_list_of(int), default=list(SPEED_K_LIST))
     p_speed.add_argument("--replicates", type=int, default=5)
     p_speed.add_argument("--seed", type=int, default=0)
     p_speed.add_argument("--out", required=True)
+    p_speed.set_defaults(run=_cmd_bench_speed)
 
     p_acc = bench_sub.add_parser("accuracy", help="per-index error vs exact")
-    p_acc.add_argument("--k-list", type=_int_list, default=list(ACCURACY_K_LIST))
-    p_acc.add_argument("--p-list", type=_float_list, default=list(ACCURACY_P_LIST))
+    p_acc.add_argument("--k-list", type=_list_of(int), default=list(ACCURACY_K_LIST))
+    p_acc.add_argument("--p-list", type=_list_of(float), default=list(ACCURACY_P_LIST))
     p_acc.add_argument("--replicates", type=int, default=64)
     p_acc.add_argument("--seed", type=int, default=0)
     p_acc.add_argument("--out", required=True)
+    p_acc.set_defaults(run=_cmd_bench_accuracy)
 
     p_demo = sub.add_parser("demo", help="end-to-end demonstrations")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
@@ -100,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ss.add_argument("--n", type=int, default=32)
     p_ss.add_argument("--k", type=int, default=256)
     p_ss.add_argument("--seed", type=int, default=0)
-    p_ss.add_argument("--modes", type=_str_list, default=list(DEMO_MODES))
+    p_ss.add_argument("--modes", type=_list_of(str), default=list(DEMO_MODES))
     p_ss.add_argument("--out-dir", required=True)
+    p_ss.set_defaults(run=_cmd_demo_subset_sum)
 
     return parser
 
@@ -124,10 +124,7 @@ def _cmd_tree(args) -> int:
     evidence = io.read_pmf(args.sum)
     # only max-numeric reads --p-ladder/--tau
     config = _piecewise_config(args) if args.op == "max-numeric" else None
-    try:
-        operator = operator_from_name(args.op, config)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    operator = operator_from_name(args.op, config)
     result = convolution_tree(priors, evidence, operator)
     with open(args.out, "w") as fh:
         json.dump({
@@ -152,7 +149,8 @@ def _cmd_bench_accuracy(args) -> int:
 
 
 def _cmd_demo_subset_sum(args) -> int:
-    out_dir = io.ensure_dir(args.out_dir)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     demo = run_subset_sum_demo(args.n, args.k, args.seed, args.modes)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(demo.report, fh, indent=2)
@@ -163,18 +161,13 @@ def _cmd_demo_subset_sum(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; invalid input (a ValueError or OSError) exits
+    with status 1 and a single ``convtree: ...`` line."""
     args = build_parser().parse_args(argv)
-    if args.command == "maxconv":
-        return _cmd_maxconv(args)
-    if args.command == "tree":
-        return _cmd_tree(args)
-    if args.command == "bench":
-        if args.bench_command == "speed":
-            return _cmd_bench_speed(args)
-        return _cmd_bench_accuracy(args)
-    if args.command == "demo":
-        return _cmd_demo_subset_sum(args)
-    raise SystemExit(2)
+    try:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"convtree: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-from pathlib import Path
 from typing import Iterable
 
 from .pmf import Pmf
@@ -43,23 +42,19 @@ def write_pmf_ndjson(pmfs: Iterable[Pmf], path) -> None:
 
 def write_speed_csv(records: Iterable, path) -> None:
     """One row per harness.BenchRecord, in SPEED_CSV_HEADER order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPEED_CSV_HEADER)
-        for rec in records:
-            writer.writerow([rec.k, rec.method, rec.replicate, repr(rec.wall_seconds)])
+    _write_csv(path, SPEED_CSV_HEADER,
+               ([rec.k, rec.method, rec.replicate, repr(rec.wall_seconds)]
+                for rec in records))
 
 
 def write_accuracy_csv(rows: Iterable[tuple], path) -> None:
+    _write_csv(path, ACCURACY_CSV_HEADER,
+               ([k, f"{p:g}", index, repr(float(exact_value)), repr(float(err))]
+                for k, p, index, exact_value, err in rows))
+
+
+def _write_csv(path, header: tuple, rows: Iterable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ACCURACY_CSV_HEADER)
-        for k, p, index, exact_value, err in rows:
-            writer.writerow([k, f"{p:g}", index, repr(float(exact_value)),
-                             repr(float(err))])
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -41,8 +41,8 @@ REFINE_BELOW = 1e-6
 
 def _check_p(p: float) -> float:
     p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"invalid exponent: p must be >= 1, got {p!r}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"invalid exponent: p must be finite and >= 1, got {p!r}")
     return p
 
 

@@ -64,34 +64,15 @@ class Pmf:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Pmf":
+        for key in ("offset", "values"):
+            if key not in data:
+                raise ValueError(f"PMF object has no {key!r} key")
         return cls(np.asarray(data["values"], dtype=float), int(data["offset"]))
 
 
 def delta(outcome: int = 0, mass: float = 1.0) -> Pmf:
     """Point mass at a single outcome."""
     return Pmf(np.array([mass], dtype=float), outcome)
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorReport:
-    """Per-index relative absolute error of a numerical result vs. a reference.
-
-    Indices where the reference is zero are undefined; they are marked NaN and
-    excluded from the aggregate helpers.
-    """
-
-    per_index_rel_abs_error: np.ndarray
-    exact_values: np.ndarray
-
-    @property
-    def undefined_count(self) -> int:
-        return int(np.isnan(self.per_index_rel_abs_error).sum())
-
-    def max_error(self) -> float:
-        return float(np.nanmax(self.per_index_rel_abs_error))
-
-    def mean_error(self) -> float:
-        return float(np.nanmean(self.per_index_rel_abs_error))
 
 
 def _divided(p: Pmf, scale: float) -> Pmf:
@@ -145,8 +126,11 @@ def naive_max_convolve(left: Pmf, right: Pmf) -> Pmf:
     return Pmf(out, left.offset + right.offset)
 
 
-def relative_absolute_error(numerical: Pmf, exact: Pmf) -> ErrorReport:
-    """Per-index |numerical - exact| / exact against a reference result."""
+def relative_absolute_error(numerical: Pmf, exact: Pmf) -> np.ndarray:
+    """Per-index |numerical - exact| / exact against a reference result.
+
+    NaN where the exact value is zero (the relative error is undefined).
+    """
     if len(numerical) != len(exact) or numerical.offset != exact.offset:
         raise ValueError(
             "shape mismatch: numerical and exact must share length and offset"
@@ -154,5 +138,4 @@ def relative_absolute_error(numerical: Pmf, exact: Pmf) -> ErrorReport:
     ex = exact.values
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.abs(numerical.values - ex) / ex
-    err = np.where(ex == 0.0, np.nan, err)
-    return ErrorReport(err, ex.copy())
+    return np.where(ex == 0.0, np.nan, err)

@@ -146,7 +146,10 @@ def narrow_to_support(wide: Pmf, target: Pmf,
     Outcomes of the target not covered by ``wide`` are zero-filled: evidence
     can legitimately exclude them. No overlap at all (or all-zero overlap
     when normalizing) means the evidence is inconsistent with the target.
+    ``normalization`` is None, "sum" or "max".
     """
+    if normalization is not None and normalization not in _NORMALIZERS:
+        raise ValueError(f"unknown normalization {normalization!r}")
     lo = target.offset - wide.offset
     hi = lo + len(target)
     if hi <= 0 or lo >= len(wide):

@@ -103,7 +103,7 @@ def test_tree_operators_run(tmp_path, op):
         assert len(lik["values"]) == len(prior)
 
 
-@pytest.mark.parametrize("op", ["bogus", "pnorm:", "pnorm:x", "pnorm:0.5"])
+@pytest.mark.parametrize("op", ["bogus", "pnorm:", "pnorm:x", "pnorm:0.5", "pnorm:inf"])
 def test_tree_unknown_operator_exits(tmp_path, op):
     write_pmf_ndjson([Pmf([1.0])], tmp_path / "p.ndjson")
     write_pmf(Pmf([1.0]), tmp_path / "s.json")
@@ -169,3 +169,50 @@ def test_demo_writes_files(tmp_path):
         curves = read_pmf_ndjson(out_dir / f"likelihoods_{mode}.ndjson")
         assert len(curves) == 4
         assert all(len(c) == 8 for c in curves)
+
+
+def _usage_error(argv) -> str:
+    """The message of the SystemExit that ``main(argv)`` must raise."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = str(info.value.code)
+    assert message.startswith("convtree: "), message
+    return message
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("p.ndjson", None, "No such file"),
+    ("p.ndjson", '{"offset": 0, "values": [0.5, -0.1]}\n', "nonnegative"),
+    ("s.json", '{"values": [1.0]}\n', "no 'offset' key"),
+    ("s.json", '{"offset": 7, "values": [1.0]}\n', "inconsistent evidence"),
+])
+def test_tree_bad_input_is_a_usage_error(tmp_path, name, text, message):
+    write_pmf_ndjson([Pmf([0.5, 0.5]), Pmf([0.9, 0.1])], tmp_path / "p.ndjson")
+    write_pmf(Pmf([1.0], offset=1), tmp_path / "s.json")
+    if text is None:
+        (tmp_path / name).unlink()
+    else:
+        (tmp_path / name).write_text(text)
+    assert message in _usage_error([
+        "tree", "--priors", str(tmp_path / "p.ndjson"),
+        "--sum", str(tmp_path / "s.json"), "--out", str(tmp_path / "o.json")])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "speed", "--k-list", "0", "--out", "s.csv"], "k must be >= 1"),
+    (["bench", "accuracy", "--replicates", "0", "--out", "a.csv"],
+     "replicates must be >= 1"),
+    (["demo", "subset-sum", "--modes", "bogus", "--out-dir", "d"], "unknown mode"),
+    (["maxconv", "--left", "missing.json", "--right", "r.json", "--out", "o.json"],
+     "No such file"),
+    (["maxconv", "--left", "l.json", "--right", "r.json", "--method", "numeric",
+      "--p-ladder", "4,inf", "--out", "o.json"], "invalid exponent"),
+    (["tree", "--priors", "p.ndjson", "--sum", "s.json", "--p-ladder", "4,inf",
+      "--out", "o.json"], "invalid exponent"),
+])
+def test_every_subcommand_reports_bad_input(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name in ("l.json", "r.json", "s.json"):
+        write_pmf(Pmf([0.5, 1.0]), name)
+    write_pmf_ndjson([Pmf([1.0]), Pmf([0.5, 1.0])], "p.ndjson")
+    assert message in _usage_error(argv)

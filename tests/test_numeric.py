@@ -44,13 +44,14 @@ def test_default_config():
     ((0.5, 4.0), 0.6),
     ((4.0, 32.0), 0.0),
     ((4.0, 32.0), 1.5),
+    ((4.0, float("inf")), 0.6),
 ])
 def test_config_rejects_bad_values(ladder, tau):
     with pytest.raises(ValueError):
         PiecewiseConfig(ladder, tau)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5, -3.0, float("nan")])
+@pytest.mark.parametrize("p", [0.0, 0.5, -3.0, float("nan"), float("inf")])
 def test_invalid_exponent(p):
     left, right = Pmf([1.0, 0.5]), Pmf([0.5, 1.0])
     with pytest.raises(ValueError, match="invalid exponent"):

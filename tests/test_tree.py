@@ -284,6 +284,11 @@ def test_narrow_disjoint_raises():
         narrow_to_support(Pmf([1.0, 1.0], offset=0), Pmf([1.0], offset=5))
 
 
+def test_narrow_rejects_unknown_normalization():
+    with pytest.raises(ValueError, match="unknown normalization 'Sum'"):
+        narrow_to_support(Pmf([2.0, 4.0]), Pmf([1.0, 1.0]), normalization="Sum")
+
+
 # ---------------------------------------------------------------------------
 # Cost model
 
