@@ -28,6 +28,10 @@ from .pmf import Pmf
 # more than one block; a single pair larger than this is a block on its own.
 BLOCK_FLOATS = 1 << 19
 
+# Small outputs at most this many indices apart share one direct-sum call
+# in _refine_small_values.
+_RUN_GAP = 8
+
 
 def padded_length(n_out: int) -> int:
     """Next power of two >= n_out."""
@@ -192,21 +196,78 @@ def _next_block(pairs, members, carried, size, rungs):
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
                          rel_threshold: float) -> None:
-    """Recompute outputs below rel_threshold * max(out) by direct summation.
+    """Recompute outputs at or below rel_threshold * max(out) by direct
+    summation, in place.
 
     FFT round-off is absolute (~1e-16 of the peak), so outputs far below the
-    peak can be pure noise; the direct sum is exact there. Nonnegative inputs
-    mean a small computed value implies few/small true terms, so this stays
-    cheap on the inputs it is used for.
+    peak can be pure noise; the direct sum is exact there. On peaked inputs
+    almost every output is small, so the sums are not taken one output at a
+    time. Instead:
+
+    1. Each operand is trimmed to its first..last nonzero value; small
+       outputs outside the trimmed output range are exactly zero.
+    2. If a trimmed operand still has interior zeros, one FFT convolution of
+       the two support indicators, rounded, counts the nonzero terms of
+       every output; small outputs with none are exactly zero.
+    3. The other small outputs are grouped into runs of consecutive indices,
+       merging gaps of at most _RUN_GAP, and each run is one
+       ``np.convolve(mode="valid")`` over the slices of both operands it
+       needs.
+
+    Cost: at most one FFT; plus, in C, about the sum of the trimmed overlaps
+    of the small outputs that have nonzero terms (a run of R outputs costs R
+    times the span of the shorter operand it reads); plus Python work per
+    run. Dense, smooth tails keep the middle term large, since each of their
+    small outputs has many nonzero terms.
     """
     peak = out.max()
     if peak <= 0.0:
         return
-    threshold = peak * rel_threshold
-    for m in np.nonzero(out <= threshold)[0]:
-        lo = max(0, m - b.size + 1)
-        hi = min(a.size - 1, m)
-        out[m] = float(np.dot(a[lo:hi + 1], b[m - hi:m - lo + 1][::-1]))
+    index = np.flatnonzero(out <= peak * rel_threshold)
+    if index.size == 0:
+        return
+    out[index] = 0.0  # the exact value of every output without a nonzero term
+    (a_start, a), (b_start, b) = _trimmed(a), _trimmed(b)
+    if b.size > a.size:  # slide the longer operand under the shorter one
+        (a_start, a), (b_start, b) = (b_start, b), (a_start, a)
+    shift = a_start + b_start
+    index = index[(index >= shift) & (index < shift + a.size + b.size - 1)] - shift
+    if not (a.all() and b.all()):
+        index = index[_support_counts(a, b)[index] > 0.5]
+    if index.size == 0:
+        return
+    starts = np.flatnonzero(np.diff(index) > _RUN_GAP + 1) + 1
+    for run in np.split(index, starts):
+        first, last = int(run[0]), int(run[-1])
+        # b[lo..hi] holds every b term of outputs first..last
+        lo, hi = max(0, first - a.size + 1), min(b.size - 1, last)
+        sums = np.convolve(_window(a, first - hi, last - lo), b[lo:hi + 1], mode="valid")
+        out[shift + run] = sums[run - first]
+
+
+def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:
+    """The index of the first nonzero value of ``x`` (which has one) and the
+    view from it to the last nonzero value."""
+    nonzero = np.flatnonzero(x)
+    return int(nonzero[0]), x[nonzero[0]:nonzero[-1] + 1]
+
+
+def _support_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The number of nonzero terms a[l] * b[m - l] of every output m, from
+    one FFT convolution of the 0/1 support indicators."""
+    size = fft_length(a.size + b.size - 1)
+    spectrum = (scipy.fft.rfft((a != 0.0).astype(float), size)
+                * scipy.fft.rfft((b != 0.0).astype(float), size))
+    return np.rint(scipy.fft.irfft(spectrum, size)[:a.size + b.size - 1])
+
+
+def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x[lo..hi], read as zero outside ``x``."""
+    if lo >= 0 and hi < x.size:
+        return x[lo:hi + 1]
+    window = np.zeros(hi - lo + 1)
+    window[max(0, -lo):min(x.size, hi + 1) - lo] = x[max(0, lo):hi + 1]
+    return window
 
 
 def fast_convolve_many(pairs: list[tuple[Pmf, Pmf]],

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .numeric import max_convolve_normalized, max_convolve_piecewise
+from .numeric import _check_p, max_convolve_normalized, max_convolve_piecewise
 from .pmf import Pmf, naive_max_convolve, normalize_sum, relative_absolute_error
 from .tree import TreeResult, convolution_tree, operator_from_name
 
@@ -137,14 +137,24 @@ def accuracy_sweep_rows(k_list: Sequence[int] = ACCURACY_K_LIST,
                         p_list: Sequence[float] = ACCURACY_P_LIST,
                         replicates: int = 64,
                         seed: int = 0) -> Iterator[tuple]:
-    """Yield (k, p, index, exact_value, rel_abs_error) rows.
+    """(k, p, index, exact_value, rel_abs_error) rows, lazily.
 
     Per (k, replicate) one random pair is max-convolved exactly and with the
     normalized numerical method at every p. exact_value is reported scaled
-    to peak 1; the relative error does not depend on that scale.
+    to peak 1; the relative error does not depend on that scale. The
+    arguments are checked here, before any row is produced, so a caller that
+    writes rows as they come never starts on invalid input.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if any(k < 1 for k in k_list):
+        raise ValueError("k must be >= 1")
+    for p in p_list:
+        _check_p(p)
+    return _accuracy_rows(k_list, p_list, replicates, seed)
+
+
+def _accuracy_rows(k_list, p_list, replicates, seed) -> Iterator[tuple]:
     for k in k_list:
         for rep in range(replicates):
             left, right = generate_uniform_pair(k, (seed, k, rep))

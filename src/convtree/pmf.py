@@ -11,6 +11,7 @@ its arguments, so all of them are safe to call concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,14 @@ class Pmf:
         for key in ("offset", "values"):
             if key not in data:
                 raise ValueError(f"PMF object has no {key!r} key")
-        return cls(np.asarray(data["values"], dtype=float), int(data["offset"]))
+        offset = data["offset"]
+        # a JSON number may be a float; one with a fraction (or a bool or a
+        # string) would otherwise be truncated into a shifted support
+        if isinstance(offset, bool) or not (
+                isinstance(offset, numbers.Integral)
+                or isinstance(offset, float) and offset.is_integer()):
+            raise ValueError(f"PMF offset must be an integer, got {offset!r}")
+        return cls(np.asarray(data["values"], dtype=float), int(offset))
 
 
 def delta(outcome: int = 0, mass: float = 1.0) -> Pmf:

@@ -51,3 +51,19 @@ def normalize_mode(arr, mode):
     arr = np.asarray(arr, dtype=float)
     scale = arr.sum() if mode == "sum" else arr.max()
     return arr / scale
+
+
+def refine_per_index(out, a, b, rel_threshold):
+    """Recompute, in place, every output at or below rel_threshold * max(out)
+    as its direct sum, one np.dot per output.
+
+    The oracle for fftconv's small-value refinement: the same selection,
+    visiting the outputs one at a time.
+    """
+    peak = out.max()
+    if peak <= 0.0:
+        return
+    for m in np.nonzero(out <= peak * rel_threshold)[0]:
+        lo = max(0, m - b.size + 1)
+        hi = min(a.size - 1, m)
+        out[m] = float(np.dot(a[lo:hi + 1], b[m - hi:m - lo + 1][::-1]))

@@ -184,6 +184,7 @@ def _usage_error(argv) -> str:
     ("p.ndjson", None, "No such file"),
     ("p.ndjson", '{"offset": 0, "values": [0.5, -0.1]}\n', "nonnegative"),
     ("s.json", '{"values": [1.0]}\n', "no 'offset' key"),
+    ("s.json", '{"offset": 1.5, "values": [1.0]}\n', "offset must be an integer"),
     ("s.json", '{"offset": 7, "values": [1.0]}\n', "inconsistent evidence"),
 ])
 def test_tree_bad_input_is_a_usage_error(tmp_path, name, text, message):
@@ -216,3 +217,16 @@ def test_every_subcommand_reports_bad_input(tmp_path, monkeypatch, argv, message
         write_pmf(Pmf([0.5, 1.0]), name)
     write_pmf_ndjson([Pmf([1.0]), Pmf([0.5, 1.0])], "p.ndjson")
     assert message in _usage_error(argv)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--replicates", "0"), ("--k-list", "16,0"), ("--p-list", "2,0.5"),
+])
+def test_bench_accuracy_bad_input_writes_no_file(tmp_path, option, value):
+    out = tmp_path / "a.csv"
+    argv = ["bench", "accuracy", "--k-list", "8", option, value, "--out", str(out)]
+    _usage_error(argv)
+    assert not out.exists()
+    out.write_bytes(b"k,p\r\n8,2\r\n")  # an earlier result stays as it was
+    _usage_error(argv)
+    assert out.read_bytes() == b"k,p\r\n8,2\r\n"

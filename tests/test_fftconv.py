@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
+from bruteforce import refine_per_index
 from convtree import (
     Pmf,
     delta,
@@ -126,6 +129,93 @@ def test_refine_recomputes_tiny_outputs_exactly():
 def test_refine_handles_all_zero_input():
     out = fast_convolve(Pmf([0.0, 0.0]), Pmf([0.0, 0.0, 0.0]), refine_below=1e-6)
     assert_array_equal(out.values, np.zeros(4))
+
+
+def assert_refined_like_oracle(got, expected):
+    """Equal within 1e-14 relative, with the same exact zeros."""
+    assert_array_equal(got == 0.0, expected == 0.0)
+    assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+# values from 1e-300 to 1, half of them zero, with zero runs at both ends
+magnitudes = st.one_of(st.just(0.0),
+                       st.floats(min_value=-300.0, max_value=0.0).map(lambda e: 10.0 ** e))
+operands = st.tuples(st.integers(0, 6), st.lists(magnitudes, min_size=1, max_size=40),
+                     st.integers(0, 6)).map(lambda t: [0.0] * t[0] + t[1] + [0.0] * t[2])
+
+
+@given(operands, operands)
+@settings(max_examples=300, deadline=None)
+def test_refine_matches_per_index_direct_sums(left, right):
+    # at most 40 nonzero terms per output, so any two summation orders
+    # agree within 2 * 40 * 2^-53 < 1e-14 relative
+    left, right = Pmf(left), Pmf(right)
+    expected = fast_convolve(left, right).values.copy()
+    refine_per_index(expected, left.values, right.values, 1e-6)
+    assert_refined_like_oracle(fast_convolve(left, right, refine_below=1e-6).values,
+                               expected)
+
+
+def test_refine_matches_per_index_with_an_all_zero_operand():
+    left, right = Pmf([0.0, 0.0, 0.0]), Pmf([0.5, 1e-300, 1.0])
+    expected = fast_convolve(left, right).values.copy()
+    refine_per_index(expected, left.values, right.values, 1e-6)
+    got = fast_convolve(left, right, refine_below=1e-6).values
+    assert_array_equal(got, expected)
+    assert_array_equal(got, np.zeros(5))
+
+
+def refine_calls(out, a, b):
+    """Refine ``out`` in place; the number of direct-sum calls it made."""
+    calls = []
+    convolve = np.convolve
+
+    def counting_convolve(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fftconv.np, "convolve", counting_convolve)
+        fftconv._refine_small_values(out, a, b, 1e-6)
+    return len(calls)
+
+
+def test_refine_merges_runs_across_small_gaps():
+    rng = np.random.default_rng(12)
+    a, b = rng.random(50), rng.random(20)
+    row = np.ones(69)
+    # gaps of 8 and 7 indices merge, gaps of 9 and 29 do not: three runs
+    small = [0, 1, 2, 11, 19, 20, 30, 60, 68]
+    assert fftconv._RUN_GAP == 8
+    row[small] = 1e-9
+    expected, got = row.copy(), row.copy()
+    refine_per_index(expected, a, b, 1e-6)
+    assert refine_calls(got, a, b) == 3
+    assert_refined_like_oracle(got, expected)
+    untouched = np.setdiff1d(np.arange(69), small)
+    assert_array_equal(got[untouched], 1.0)
+
+
+def test_refine_leaves_a_row_without_small_outputs_alone():
+    rng = np.random.default_rng(13)
+    a, b = rng.random(30), rng.random(30)
+    row = fast_convolve(Pmf(a), Pmf(b)).values.copy()
+    got = row.copy()
+    assert refine_calls(got, a, b) == 0
+    assert got.tobytes() == row.tobytes()
+
+
+def test_refine_zeroes_outputs_without_nonzero_terms_without_direct_sums():
+    # a comb against a comb: every odd output has no nonzero term
+    rng = np.random.default_rng(14)
+    a, b = rng.random(101), rng.random(51)
+    a[1::2], b[1::2] = 0.0, 0.0
+    got = fast_convolve(Pmf(a), Pmf(b)).values.copy()
+    expected = got.copy()
+    refine_per_index(expected, a, b, 1e-6)
+    assert refine_calls(got, a, b) == 0
+    assert_array_equal(got, expected)
+    assert np.all(got[1::2] == 0.0)
 
 
 # ---------------------------------------------------------------------------

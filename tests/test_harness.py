@@ -154,6 +154,17 @@ def test_accuracy_same_pair_across_p():
     assert_array_equal(by_p[2.0], by_p[64.0])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"replicates": 0}, "replicates must be >= 1"),
+    ({"k_list": (16, 0)}, "k must be >= 1"),
+    ({"p_list": (2.0, 0.5)}, "invalid exponent"),
+])
+def test_accuracy_rows_check_arguments_before_the_first_row(kwargs, message):
+    # raised by the call itself, not by the first next() on its rows
+    with pytest.raises(ValueError, match=message):
+        accuracy_sweep_rows(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Subset-sum demo
 

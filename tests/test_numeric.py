@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,36 @@ def test_upper_bound_property(lv, rv, p):
     exact = naive_max_convolve(left, right).values
     est = p_norm_convolve(left, right, p).values
     assert np.all(est >= exact - 1e-9 * exact.max())
+
+
+def best_of_3(fn, *args) -> float:
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["peaked", "comb"])
+def test_p1_small_values_cost_like_uniform_inputs(kind):
+    # refining outputs far below the peak must not turn quadratic: almost
+    # every output of a narrow Gaussian pair is small, and half the outputs
+    # of a comb pair (every other bin zero) are structural zeros
+    k = 16384
+    rng = np.random.default_rng(15)
+    if kind == "peaked":
+        bins = np.arange(k)
+        gaussian = np.exp(-0.5 * ((bins - k / 2) / 3.0) ** 2)
+        left = right = Pmf(gaussian / gaussian.sum())
+    else:
+        values = rng.random((2, k))
+        values[:, 1::2] = 0.0
+        left, right = Pmf(values[0]), Pmf(values[1])
+    uniform = generate_uniform_pair(k, 15)
+    ratio = (best_of_3(p_norm_convolve, left, right, 1.0)
+             / best_of_3(p_norm_convolve, *uniform, 1.0))
+    assert ratio <= 10.0
 
 
 def test_pair_counts():

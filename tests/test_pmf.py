@@ -61,6 +61,21 @@ def test_from_dict_names_a_missing_key(key):
         Pmf.from_dict(data)
 
 
+@pytest.mark.parametrize("offset", [1.5, -0.25, True, False, "3", None,
+                                    float("nan"), float("inf"), [1]])
+def test_from_dict_rejects_a_non_integer_offset(offset):
+    with pytest.raises(ValueError, match="offset"):
+        Pmf.from_dict({"offset": offset, "values": [1.0]})
+
+
+@pytest.mark.parametrize("offset, expected", [(3, 3), (-2, -2), (2.0, 2), (-0.0, 0),
+                                              (np.int64(4), 4)])
+def test_from_dict_accepts_an_integral_offset(offset, expected):
+    p = Pmf.from_dict({"offset": offset, "values": [1.0]})
+    assert p.offset == expected
+    assert type(p.offset) is int
+
+
 def test_delta():
     d = delta(3, mass=0.5)
     assert d.offset == 3
