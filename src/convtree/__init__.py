@@ -7,7 +7,7 @@ operators) into a convolution tree for sum-product and max-product inference
 on sums of discrete random variables.
 """
 
-from .fftconv import fast_convolve, fast_convolve_many, fft_length, padded_length
+from .fftconv import fast_convolve, fft_length, padded_length
 from .harness import (
     BenchRecord,
     DemoOutput,
@@ -71,7 +71,6 @@ __all__ = [
     "convolution_tree",
     "delta",
     "fast_convolve",
-    "fast_convolve_many",
     "fft_length",
     "generate_subset_sum_instance",
     "generate_uniform_pair",

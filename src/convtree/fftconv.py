@@ -1,13 +1,13 @@
-"""FFT-backed standard convolution, batched over many pairs.
+"""FFT-backed standard convolution of rows, batched over many pairs.
 
 This is the O(k log k) engine under every numerical max-convolution. Each
 transform is padded to the shortest 5-smooth length that holds the full
-output (``fft_length``). Pairs that share a transform length are stacked
-into one 2-D real FFT, and an operand object that appears in several pairs
-is transformed once, so a convolution-tree layer costs a few numpy calls
-instead of several per pair; a block of one pair uses plain 1-D
-transforms. Every row of a stacked transform is computed exactly as it
-would be alone, so a batched result is bit-identical to the one-pair call.
+output (``fft_length``). The kernel convolves every row pair of two arrays
+whose leading axes broadcast, in one stacked real FFT per block, so a
+convolution-tree layer costs a few numpy calls instead of several per
+pair; a one-pair call is its one-row case. Every row of a stacked
+transform is computed exactly as it would be alone, so each row of a
+batched result is bit-identical to the one-pair call on that row pair.
 Inputs are nonnegative, so any negative round-off in the
 inverse transform is clipped to zero before downstream fractional powers
 see it.
@@ -15,6 +15,7 @@ see it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -24,13 +25,16 @@ from .pmf import Pmf
 
 # Floats one stacked block may hold (4 MiB of float64), counting every
 # operand row and every product/output row it transforms. A wide layer is
-# split into blocks of this size so batching never raises peak memory by
-# more than one block; a single pair larger than this is a block on its own.
+# split along its leading axis into blocks of this size so batching never
+# raises peak memory by more than about one block; one leading index (a row
+# pair, or a parent and its two children) larger than this is a block on
+# its own.
 BLOCK_FLOATS = 1 << 19
 
 # Small outputs at most this many indices apart share one direct-sum call
-# in _refine_small_values.
+# in _refine_small_values, up to REFINE_RUN_CAP outputs per call.
 _RUN_GAP = 8
+REFINE_RUN_CAP = 256
 
 
 def padded_length(n_out: int) -> int:
@@ -44,154 +48,91 @@ def fft_length(n_out: int) -> int:
     return scipy.fft.next_fast_len(n_out, real=True)
 
 
-def _canonical_order(left: Pmf, right: Pmf) -> tuple[Pmf, Pmf]:
-    """Fix the operand order so swapped arguments run the same float program.
+def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Put every row pair in one fixed operand order, so swapped arguments
+    run the same float program.
 
     Complex multiplication is not bitwise commutative under FMA, so without
     this, op(L, R) and op(R, L) could differ by an ulp; downstream threshold
-    tests would then amplify that into visible noncommutativity.
+    tests would then amplify that into visible noncommutativity. The longer
+    operand goes first, which is one test for the whole call. Of equal
+    lengths, the row whose bytes (as ``tobytes`` lays them out) compare
+    lower goes first, in one vectorized comparison over all rows.
     """
-    if len(left) != len(right):
-        return (left, right) if len(left) > len(right) else (right, left)
-    if left.values.tobytes() <= right.values.tobytes():
+    if left.shape[-1] != right.shape[-1]:
+        return (left, right) if left.shape[-1] > right.shape[-1] else (right, left)
+    if left.size == right.size == left.shape[-1]:  # one pair
+        return (left, right) if left.tobytes() <= right.tobytes() else (right, left)
+    lb, rb = (np.ascontiguousarray(x).view(np.uint8) for x in (left, right))
+    differ = lb != rb
+    first = differ.argmax(axis=-1)[..., None]  # 0 where the rows are equal
+    swap = (np.take_along_axis(np.broadcast_to(lb, differ.shape), first, -1)
+            > np.take_along_axis(np.broadcast_to(rb, differ.shape), first, -1))
+    if not swap.any():
         return left, right
-    return right, left
+    return np.where(swap, right, left), np.where(swap, left, right)
 
 
-def _operand_slots(pairs: list[tuple[Pmf, Pmf]]) -> tuple[list[Pmf], list[tuple[int, int]]]:
-    """The distinct operand objects of ``pairs`` and each pair's indices
-    into them; an object used by several pairs gets one slot."""
-    index: dict[Pmf, int] = {}
-    slots = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)))
-             for a, b in pairs]
-    return list(index), slots
+def _convolve_rows(left: np.ndarray, right: np.ndarray,
+                   finish: Callable[[slice, np.ndarray], np.ndarray],
+                   rungs: int = 1, powers: Callable[..., object] | None = None,
+                   ) -> np.ndarray:
+    """Linear convolutions of every row pair of ``left`` (..., a) and
+    ``right`` (..., b), taken in the order given, whose leading axes
+    broadcast; one stacked transform per block.
 
+    ``powers(x, out=...)`` writes ``rungs`` elementwise maps of an operand
+    into ``out[0..rungs-1]``, and each map is convolved; without it the
+    operands themselves are, as one rung. The leading axis is cut into
+    blocks of at most BLOCK_FLOATS live floats (one index at least), so a
+    row shared through broadcasting within a block, such as a parent
+    message against its two children, is transformed once. Per block,
+    ``finish(rows, out)`` maps ``out``, a (rungs, *block, size) array whose
+    rows start with their a + b - 1 output values clipped at zero, to that
+    block's (*block, a + b - 1) results; the results of all blocks are
+    returned as one (..., a + b - 1) array.
 
-def _stacked_convolve(
-    operands: list[np.ndarray],
-    pairs: list[tuple[int, int]],
-    finish: Callable[[list[int], np.ndarray], None],
-    rungs: int = 1,
-    powers: Callable[..., object] | None = None,
-) -> None:
-    """Linear convolutions of operand rows, one stacked transform per block.
-
-    ``pairs`` holds (i, j) indices into ``operands``. ``powers(x, out=...)``
-    writes ``rungs`` elementwise maps of an operand into ``out[0..rungs-1]``,
-    and each map is convolved pairwise; without it the operands themselves
-    are, as one rung. Calls
-    ``finish(members, outputs)`` once per block with the indices of its
-    pairs and a (rungs, len(members), size) array: row [k, r] starts with
-    the n_i + n_j - 1 rung-k output values of pair ``members[r]``, clipped
-    at zero. The kernel drops the array when ``finish`` returns, so a
-    block's memory is freed before the next block starts unless ``finish``
-    keeps views into it.
-
-    Pairs are grouped by transform length. Within a group an operand's
-    spectra are computed once; when a block boundary falls between two of
-    its uses, they are carried over to the next block.
+    A plain one-pair call runs two 1-D transforms; with ``powers``, both
+    operands' maps go straight into one zeroed (rungs, 2, size) stack.
     """
-    groups: dict[int, list[int]] = {}
-    for index, (i, j) in enumerate(pairs):
-        size = fft_length(operands[i].size + operands[j].size - 1)
-        groups.setdefault(size, []).append(index)
-    for size, members in groups.items():
-        _convolve_group(operands, pairs, members, size, finish, rungs, powers)
-
-
-def _convolve_group(operands, pairs, members, size, finish, rungs, powers):
-    last_use = {o: index for index in members for o in pairs[index]}
-    carried: dict[int, np.ndarray] = {}
-    start = 0
-    while start < len(members):
-        block, new = _next_block(pairs, members[start:], carried, size, rungs)
-        start += len(block)
-        kept = [o for o in new if last_use[o] > block[-1]]
-        if len(block) == 1 and powers is None:
-            outputs, spectra = _convolve_pair(operands, pairs[block[0]], carried, kept, size)
-        else:
-            outputs, spectra = _convolve_stack(operands, [pairs[index] for index in block],
-                                               new, carried, kept, size, rungs, powers)
-        carried = {o: v for o, v in carried.items() if last_use[o] > block[-1]}
-        carried.update(spectra)
-        finish(block, outputs)
-        del outputs
-
-
-def _convolve_pair(operands, pair, carried, kept, size):
-    """A block of one pair without powers, from 1-D transforms.
-
-    The same per-row arithmetic as _convolve_stack, so the output is
-    bit-identical, but a large pair allocates only what plain rfft/irfft
-    calls do. A 2-row stack doubles each temporary, and on a small heap the
-    allocator then maps fresh pages, and takes their faults, on every call.
-    """
-    spectra = {o: carried[o] if o in carried else scipy.fft.rfft(operands[o], size)[None]
-               for o in pair}
-    i, j = pair
-    out = scipy.fft.irfft(spectra[i] * spectra[j], size)
-    np.maximum(out, 0.0, out=out)
-    return out[:, None], {o: spectra[o] for o in kept}
-
-
-def _convolve_stack(operands, pairs, new, carried, kept, size, rungs, powers):
-    """A block of pairs in one stacked rfft and irfft over all rungs.
-
-    Returns the (rungs, pairs, size) outputs and the (rungs, size // 2 + 1)
-    spectra of the ``kept`` operands, which later blocks reuse.
-    """
-    used = [o for o in carried if any(o in pair for pair in pairs)]
-    rows = {**new, **{o: len(new) + n for n, o in enumerate(used)}}
-    powered = np.zeros((rungs, len(new), size))
-    for o, row in new.items():
-        n = operands[o].size
+    lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
+    a, b = left.shape[-1], right.shape[-1]
+    size = fft_length(a + b - 1)
+    shape = (lead or (1,)) + (a + b - 1,)
+    left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
+    rows_per_index = [math.prod(x.shape[1:-1]) for x in (left, right)]
+    floats = (2 * sum(rows_per_index) + 3 * math.prod(shape[1:-1])) * rungs * size
+    blocks = range(0, shape[0], max(1, BLOCK_FLOATS // floats))
+    result = None if len(blocks) == 1 else np.empty(shape)
+    for start in blocks:
+        rows = slice(start, start + blocks.step)
+        l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
         if powers is None:
-            powered[0, row, :n] = operands[o]
+            if l.size == a and r.size == b:
+                product = scipy.fft.rfft(l.ravel(), size) * scipy.fft.rfft(r.ravel(), size)
+            else:
+                product = scipy.fft.rfft(l, size) * scipy.fft.rfft(r, size)
+            out = scipy.fft.irfft(product, size)[None]
         else:
-            powers(operands[o], out=powered[:, row, :n])
-    spectra = scipy.fft.rfft(powered, axis=-1)
-    del powered
-    if used:
-        spectra = np.concatenate([spectra, *(carried[o][:, None] for o in used)], axis=1)
-    product = (_take_rows(spectra, [rows[i] for i, _ in pairs])
-               * _take_rows(spectra, [rows[j] for _, j in pairs]))
-    carry = {o: spectra[:, new[o]].copy() for o in kept}
-    del spectra
-    out = scipy.fft.irfft(product, size, axis=-1)
-    del product
-    np.maximum(out, 0.0, out=out)
-    return out, carry
-
-
-def _take_rows(a: np.ndarray, rows: list[int]) -> np.ndarray:
-    """``a[:, rows]``, as a strided view (no copy) when ``rows`` is evenly
-    spaced."""
-    step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
-        return a[:, rows[0]:rows[-1] + 1:step]
-    return a[:, rows]
-
-
-def _next_block(pairs, members, carried, size, rungs):
-    """The longest run of ``members`` (at least one pair) whose live floats
-    fit in BLOCK_FLOATS, and the new operands it transforms, by row.
-
-    Live floats, all rungs: each new operand's padded powers and their
-    spectra; each pair's product, a gathered factor and its outputs; and
-    the spectra carried in from earlier blocks.
-    """
-    block, new = [], {}
-    floats = len(carried) * rungs * size
-    for index in members:
-        added = [o for o in dict.fromkeys(pairs[index]) if o not in carried and o not in new]
-        cost = (2 * len(added) + 3) * rungs * size
-        if block and floats + cost > BLOCK_FLOATS:
-            break
-        block.append(index)
-        floats += cost
-        for o in added:
-            new[o] = len(new)
-    return block, new
+            l2, r2 = l.reshape(-1, a), r.reshape(-1, b)
+            stack = np.zeros((rungs, len(l2) + len(r2), size))
+            powers(l2, out=stack[:, :len(l2), :a])
+            powers(r2, out=stack[:, len(l2):, :b])
+            spectra = scipy.fft.rfft(stack)
+            del stack
+            product = (spectra[:, :len(l2)].reshape(rungs, *l.shape[:-1], -1)
+                       * spectra[:, len(l2):].reshape(rungs, *r.shape[:-1], -1))
+            del spectra
+            out = scipy.fft.irfft(product, size)
+        del product
+        np.maximum(out, 0.0, out=out)
+        done = finish(rows, out.reshape(rungs, -1, *shape[1:-1], size))
+        del out
+        if result is None:
+            result = done
+        else:
+            result[rows] = done
+    return result.reshape(lead + shape[-1:])
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -210,15 +151,17 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
        the two support indicators, rounded, counts the nonzero terms of
        every output; small outputs with none are exactly zero.
     3. The other small outputs are grouped into runs of consecutive indices,
-       merging gaps of at most _RUN_GAP, and each run is one
+       merging gaps of at most _RUN_GAP, and cut into pieces of at most
+       REFINE_RUN_CAP outputs; each piece is one
        ``np.convolve(mode="valid")`` over the slices of both operands it
        needs.
 
     Cost: at most one FFT; plus, in C, about the sum of the trimmed overlaps
-    of the small outputs that have nonzero terms (a run of R outputs costs R
-    times the span of the shorter operand it reads); plus Python work per
-    run. Dense, smooth tails keep the middle term large, since each of their
-    small outputs has many nonzero terms.
+    of the small outputs that have nonzero terms (a piece of R outputs
+    costs R times the span of the shorter operand it reads, which the cap
+    keeps within about R*R/2 products of its outputs' own overlaps); plus
+    Python work per piece. Dense, smooth tails keep the middle term large,
+    since each of their small outputs has many nonzero terms.
     """
     peak = out.max()
     if peak <= 0.0:
@@ -237,7 +180,9 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     if index.size == 0:
         return
     starts = np.flatnonzero(np.diff(index) > _RUN_GAP + 1) + 1
-    for run in np.split(index, starts):
+    runs = (piece for run in np.split(index, starts)
+            for piece in np.split(run, range(REFINE_RUN_CAP, run.size, REFINE_RUN_CAP)))
+    for run in runs:
         first, last = int(run[0]), int(run[-1])
         # b[lo..hi] holds every b term of outputs first..last
         lo, hi = max(0, first - a.size + 1), min(b.size - 1, last)
@@ -270,38 +215,41 @@ def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return window
 
 
-def fast_convolve_many(pairs: list[tuple[Pmf, Pmf]],
-                       refine_below: float | None = None) -> list[Pmf]:
-    """fast_convolve of every (left, right) pair, batched.
+def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
+                      refine_below: float | None = None) -> np.ndarray:
+    """fast_convolve of every row pair of ``left`` (..., a) and ``right``
+    (..., b), whose leading axes broadcast: a (..., a + b - 1) array.
 
-    Pairs with equal transform lengths share one stacked FFT, and an operand
-    object used by several pairs is transformed once. Each result is
-    bit-identical to the one-pair call. Results of one block are views
-    into one array, which stays alive while any of them does.
+    Each row is bit-identical to the one-pair call on that row pair.
     """
-    ordered = [_canonical_order(left, right) for left, right in pairs]
-    operands, slots = _operand_slots(ordered)
-    results: list[Pmf] = [None] * len(ordered)
+    a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
+    n_out = a.shape[-1] + b.shape[-1] - 1
+    out = _convolve_rows(a, b, lambda rows, out: out[0, ..., :n_out])
+    if refine_below is not None:
+        _refine_rows(out, a, b, refine_below)
+    return out
 
-    def finish(block, outputs):
-        (out,) = outputs
-        for row, index in enumerate(block):
-            a, b = ordered[index]
-            values = out[row, :len(a) + len(b) - 1]
-            if refine_below is not None:
-                _refine_small_values(values, a.values, b.values, refine_below)
-            results[index] = Pmf(values, a.offset + b.offset)
 
-    _stacked_convolve([x.values for x in operands], slots, finish)
-    return results
+def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 rel_threshold: float) -> None:
+    """_refine_small_values of each row of ``out`` that has a small output."""
+    if out.ndim == 1:
+        _refine_small_values(out, a, b, rel_threshold)
+        return
+    peak = out.max(axis=-1, keepdims=True)
+    small = ((out <= peak * rel_threshold) & (peak > 0.0)).any(axis=-1)
+    a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
+    for index in map(tuple, np.argwhere(small)):
+        _refine_small_values(out[index], a[index], b[index], rel_threshold)
 
 
 def fast_convolve(left: Pmf, right: Pmf, refine_below: float | None = None) -> Pmf:
-    """Standard convolution via real FFT; the one-pair fast_convolve_many.
+    """Standard convolution via real FFT; the one-row fast_convolve_rows.
 
     Matches naive_convolve to ~1e-15 of the peak. When ``refine_below`` is
     given, outputs under that fraction of the peak are recomputed exactly by
     direct summation (used by the p-norm path, where the 1/p root would blow
     round-off noise up to order one).
     """
-    return fast_convolve_many([(left, right)], refine_below)[0]
+    return Pmf(fast_convolve_rows(left.values, right.values, refine_below),
+               left.offset + right.offset)

@@ -20,13 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .fftconv import (
-    _canonical_order,
-    _operand_slots,
-    _stacked_convolve,
-    fast_convolve_many,
-    padded_length,
-)
+from .fftconv import _canonical_rows, _convolve_rows, fast_convolve_rows, padded_length
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
 DEFAULT_P_LADDER = (4.0, 32.0, 64.0)
@@ -81,11 +75,11 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
 
     and is elementwise nonincreasing in p.
     """
-    return _p_norm_many([(left, right)], p)[0]
+    return Pmf(_p_norm_rows(left.values, right.values, p), left.offset + right.offset)
 
 
-def _p_norm_many(pairs: list[tuple[Pmf, Pmf]], p: float) -> list[Pmf]:
-    """p_norm_convolve of every pair, batched through fast_convolve_many.
+def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float) -> np.ndarray:
+    """p_norm_convolve of every row pair, through fast_convolve_rows.
 
     Inputs are divided by their maxima before the p-th power, so large
     values cannot overflow, and the output is scaled back; outputs below
@@ -93,20 +87,13 @@ def _p_norm_many(pairs: list[tuple[Pmf, Pmf]], p: float) -> list[Pmf]:
     """
     p = _check_p(p)
     if p == 1.0:  # no power to overflow and no root to take
-        return fast_convolve_many(pairs, refine_below=REFINE_BELOW)
-    powered = {}
-    for x in dict.fromkeys(x for pair in pairs for x in pair):
-        values, peak = _max_normalized(x)
-        powered[x] = Pmf(_ladder_powers(values, (p,))[0], x.offset), peak
-    convolved = fast_convolve_many(
-        [(powered[left][0], powered[right][0]) for left, right in pairs],
-        refine_below=REFINE_BELOW)
-    results = []
-    for out, (left, right) in zip(convolved, pairs):
-        values = np.power(out.values, 1.0 / p)
-        values *= powered[left][1] * powered[right][1]
-        results.append(Pmf(values, out.offset))
-    return results
+        return fast_convolve_rows(left, right, refine_below=REFINE_BELOW)
+    (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
+    out = fast_convolve_rows(_ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0],
+                             refine_below=REFINE_BELOW)
+    out = np.power(out, 1.0 / p, out=out)
+    out *= (left_peak * right_peak)[..., None]
+    return out
 
 
 def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
@@ -115,17 +102,20 @@ def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
     The one-rung case of the piecewise ladder. Scale-equivariant by
     construction: scaling either input by c scales the output by c.
     """
-    return _ladder_max_convolve([(left, right)], (_check_p(p),), DEFAULT_TAU)[0]
+    return Pmf(_ladder_max_convolve(left.values, right.values, (_check_p(p),), DEFAULT_TAU),
+               left.offset + right.offset)
 
 
-def _max_normalized(x: Pmf) -> tuple[np.ndarray, float]:
-    """The values divided by their maximum, and that maximum.
+def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by its maximum, and those maxima.
 
-    Dividing by 1.0 (or by an all-zero vector's 0) is skipped, so tree
-    messages, which arrive max-normalized, keep their bits.
+    A row whose maximum is 1.0 (or 0, all-zero) is divided by 1.0, which
+    keeps its bits, so tree messages, which arrive max-normalized, are
+    unchanged.
     """
-    peak = float(x.values.max())
-    return (x.values if peak in (0.0, 1.0) else x.values / peak), peak
+    x = np.asarray(x, dtype=float)
+    peak = x.max(axis=-1)
+    return x / np.where(peak == 0.0, 1.0, peak)[..., None], peak
 
 
 def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...],
@@ -156,9 +146,11 @@ def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...],
     return powers
 
 
-def _ladder_max_convolve(pairs: list[tuple[Pmf, Pmf]], ladder: tuple[float, ...],
-                         tau: float) -> list[Pmf]:
-    """Max-normalized p-norm estimate at every rung, stitched per index.
+def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
+                         ladder: tuple[float, ...], tau: float) -> np.ndarray:
+    """Max-normalized p-norm estimate at every rung, stitched per index, of
+    every row pair of ``left`` (..., a) and ``right`` (..., b), whose
+    leading axes broadcast.
 
     Both inputs of a pair are divided by their maxima before exponentiation
     so the dominant terms start at 1 and survive the p-th power; each rung's
@@ -167,36 +159,29 @@ def _ladder_max_convolve(pairs: list[tuple[Pmf, Pmf]], ladder: tuple[float, ...]
     the largest exponent whose normalized result clears tau; the smallest
     exponent is the fallback, so a one-rung ladder never reads tau.
 
-    All rungs of all pairs ride the stacked transforms of _stacked_convolve,
-    and every step after them acts on each row alone, so each result is
+    All rungs of all rows ride the stacked transforms of _convolve_rows,
+    and every step after them acts on each row alone, so each row is
     bit-identical to the one-pair call.
     """
-    ordered = [_canonical_order(left, right) for left, right in pairs]
-    operands, slots = _operand_slots(ordered)
-    normalized = [_max_normalized(x) for x in operands]
-    if any(peak <= 0.0 for _, peak in normalized):
+    a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
+    (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
+    if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
+    scale = np.atleast_1d(a_peak * b_peak)
+    n_out = a.shape[-1] + b.shape[-1] - 1
 
-    results: list[Pmf] = [None] * len(pairs)
-
-    def finish(block, vms):
+    def finish(rows, vms):
         stitched = None
         for vm, p in zip(vms, ladder):
-            vm /= vm.max(axis=1, keepdims=True)
+            vm /= vm.max(axis=-1, keepdims=True)
             rung = np.power(vm, 1.0 / p, out=vm)
             if stitched is None:
                 stitched = rung  # smallest exponent is the fallback
             else:
                 np.copyto(stitched, rung, where=rung >= tau)
-        for row, index in enumerate(block):
-            (a, b), (i, j) = ordered[index], slots[index]
-            scale = normalized[i][1] * normalized[j][1]
-            results[index] = Pmf(stitched[row, :len(a) + len(b) - 1] * scale,
-                                 a.offset + b.offset)
+        return stitched[..., :n_out] * scale[rows, ..., None]
 
-    _stacked_convolve([values for values, _ in normalized], slots, finish,
-                     len(ladder), partial(_ladder_powers, ladder=ladder))
-    return results
+    return _convolve_rows(a, b, finish, len(ladder), partial(_ladder_powers, ladder=ladder))
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,
@@ -212,7 +197,8 @@ def max_convolve_piecewise(left: Pmf, right: Pmf,
     """
     if config is None:
         config = PiecewiseConfig()
-    return _ladder_max_convolve([(left, right)], config.p_ladder, config.tau)[0]
+    return Pmf(_ladder_max_convolve(left.values, right.values, config.p_ladder, config.tau),
+               left.offset + right.offset)
 
 
 def max_convolve_auto(left: Pmf, right: Pmf,

@@ -33,6 +33,17 @@ def _as_values(values) -> np.ndarray:
     return v
 
 
+def _as_offset(offset) -> int:
+    # a float with a fraction, a bool or a string would otherwise be
+    # truncated or coerced into a shifted support; integral floats (a JSON
+    # number may be one) and numpy integers are fine
+    if isinstance(offset, bool) or not (
+            isinstance(offset, numbers.Integral)
+            or isinstance(offset, float) and offset.is_integer()):
+        raise ValueError(f"PMF offset must be an integer, got {offset!r}")
+    return int(offset)
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """Nonnegative masses (or unnormalized likelihoods) with an integer offset.
@@ -46,7 +57,7 @@ class Pmf:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.values))
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", _as_offset(self.offset))
 
     def __len__(self) -> int:
         return self.values.size
@@ -68,14 +79,7 @@ class Pmf:
         for key in ("offset", "values"):
             if key not in data:
                 raise ValueError(f"PMF object has no {key!r} key")
-        offset = data["offset"]
-        # a JSON number may be a float; one with a fraction (or a bool or a
-        # string) would otherwise be truncated into a shifted support
-        if isinstance(offset, bool) or not (
-                isinstance(offset, numbers.Integral)
-                or isinstance(offset, float) and offset.is_integer()):
-            raise ValueError(f"PMF offset must be an integer, got {offset!r}")
-        return cls(np.asarray(data["values"], dtype=float), int(offset))
+        return cls(np.asarray(data["values"], dtype=float), data["offset"])
 
 
 def delta(outcome: int = 0, mass: float = 1.0) -> Pmf:

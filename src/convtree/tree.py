@@ -15,21 +15,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import starmap
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .fftconv import fast_convolve, fast_convolve_many, padded_length
+from .fftconv import fast_convolve, fast_convolve_rows, padded_length
 from .numeric import (
     PiecewiseConfig,
     _check_p,
     _ladder_max_convolve,
-    _p_norm_many,
+    _p_norm_rows,
     max_convolve_piecewise,
     p_norm_convolve,
 )
-from .pmf import Pmf, delta, naive_max_convolve, negate, normalize_max, normalize_sum
+from .pmf import (
+    DegenerateDistributionError,
+    Pmf,
+    naive_max_convolve,
+    normalize_max,
+    normalize_sum,
+)
 
 
 class InconsistentEvidenceError(ValueError):
@@ -53,16 +58,17 @@ class ConvolutionOperator:
     for averaging semantics (sum-product) or "max" for best-case semantics
     (max-product); it fixes how every tree message is rescaled.
 
-    ``apply_many``, if given, takes a list of (left, right) pairs and
-    returns ``[apply(l, r) for l, r in pairs]``, bit for bit; the tree
-    then makes one call per layer. Without it the tree calls ``apply``
-    once per pair.
+    ``apply_rows``, if given, takes a (..., a) and a (..., b) array whose
+    leading axes broadcast and returns the (..., a + b - 1) array whose
+    every row is ``apply`` of that row pair, bit for bit; the tree then
+    makes one call per layer. Without it the tree calls ``apply`` once per
+    pair, on the same rows wrapped as Pmfs at offset 0.
     """
 
     name: str
     apply: Callable[[Pmf, Pmf], Pmf]
     normalization: str
-    apply_many: Callable[[list[tuple[Pmf, Pmf]]], list[Pmf]] | None = field(
+    apply_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, kw_only=True)
 
     def __post_init__(self):
@@ -76,7 +82,7 @@ class ConvolutionOperator:
 def standard_operator() -> ConvolutionOperator:
     """Sum-product addition: FFT convolution, messages normalized by sum."""
     return ConvolutionOperator("sum", fast_convolve, "sum",
-                               apply_many=fast_convolve_many)
+                               apply_rows=fast_convolve_rows)
 
 
 def naive_max_operator() -> ConvolutionOperator:
@@ -89,7 +95,7 @@ def numeric_max_operator(config: PiecewiseConfig | None = None) -> ConvolutionOp
     cfg = config if config is not None else PiecewiseConfig()
     return ConvolutionOperator(
         "max-numeric", lambda l, r: max_convolve_piecewise(l, r, cfg), "max",
-        apply_many=partial(_ladder_max_convolve, ladder=cfg.p_ladder, tau=cfg.tau),
+        apply_rows=partial(_ladder_max_convolve, ladder=cfg.p_ladder, tau=cfg.tau),
     )
 
 
@@ -98,7 +104,7 @@ def p_norm_operator(p: float) -> ConvolutionOperator:
     p = _check_p(p)
     return ConvolutionOperator(
         f"pnorm:{p:g}", lambda l, r: p_norm_convolve(l, r, p), "max",
-        apply_many=partial(_p_norm_many, p=p),
+        apply_rows=partial(_p_norm_rows, p=p),
     )
 
 
@@ -175,74 +181,84 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     """Run the forward/reverse passes; per variable, narrow the evidence
     message to the prior's support and fold the prior itself back in.
 
-    When n is not a power of two the leaf layer is padded with point masses
-    at zero (they do not change the sum); their outputs are dropped. Raises
-    DegenerateDistributionError for an all-zero prior and
-    InconsistentEvidenceError when the evidence excludes every reachable
+    Each layer of the tree is one (nodes, width) array, applied with one
+    ``apply_rows`` call. Every prior is zero-padded on the right to the
+    longest one, and when n is not a power of two the leaf layer is padded
+    with point masses at zero (they do not change the sum); their outputs
+    are dropped. Each later layer is as wide as its widest node support. Raises DegenerateDistributionError for an all-zero prior
+    and InconsistentEvidenceError when the evidence excludes every reachable
     outcome of some variable.
     """
     if len(priors) < 1:
         raise ValueError("need at least one prior")
-    leaves = [operator.normalize(p) for p in priors]
-    evidence = operator.normalize(sum_likelihood)
-    n_real = len(leaves)
-
-    if n_real == 1:
-        narrowed = narrow_to_support(evidence, leaves[0], operator.normalization)
-        return TreeResult([_combine_with_prior(narrowed, leaves[0], operator)],
-                          leaves[0])
-
-    while len(leaves) & (len(leaves) - 1):
-        leaves.append(delta())
+    apply_rows = operator.apply_rows or partial(_per_pair_rows, operator.apply)
+    normalization = operator.normalization
+    leaves = np.zeros((padded_length(len(priors)), max(len(p) for p in priors)))
+    leaves[len(priors):, 0] = 1.0  # padding leaves: point masses at zero
+    for row, prior in zip(leaves, priors):
+        row[:len(prior)] = prior.values
 
     # Forward: pair up each layer until a single root (the prior of the sum).
-    forward = [leaves]
+    # A row holds only round-off past its reach (the length of its node's
+    # support), so each layer is cut to its longest reach: ragged priors
+    # pay for their padding at the leaves only.
+    reach = np.array([len(p) for p in priors] + [1] * (len(leaves) - len(priors)))
+    forward = [_normalized(leaves, normalization)]
     while len(forward[-1]) > 1:
         layer = forward[-1]
-        forward.append([operator.normalize(merged) for merged in
-                        _apply_layer(operator, list(zip(layer[::2], layer[1::2])))])
+        reach = reach[0::2] + reach[1::2] - 1
+        merged = apply_rows(layer[0::2], layer[1::2])[:, :reach.max()]
+        forward.append(_normalized(merged, normalization))
+    sum_prior = Pmf(forward[-1][0], sum(p.offset for p in priors))
 
     # Reverse: the message for a child is the parent's message minus the
-    # sibling, i.e. convolution with the negated sibling, cut back down to
-    # the child's own support. Both children share the parent's message.
-    messages = [evidence]
-    for depth in range(len(forward) - 2, -1, -1):
-        children = forward[depth]
-        pairs = []
-        for j, msg in enumerate(messages):
-            lhs, rhs = children[2 * j], children[2 * j + 1]
-            pairs += [(msg, negate(rhs)), (msg, negate(lhs))]
-        messages = [narrow_to_support(wide, child, operator.normalization)
-                    for wide, child in zip(_apply_layer(operator, pairs), children)]
+    # sibling, i.e. convolution with the negated (reversed) sibling, cut
+    # back down to the child's own support, which is the same window of
+    # every row. Both children share the parent's message.
+    messages = narrow_to_support(operator.normalize(sum_likelihood), sum_prior,
+                                 normalization).values[None]
+    for children in reversed(forward[:-1]):
+        width = children.shape[1]
+        siblings = children.reshape(len(messages), 2, width)[:, ::-1, ::-1]
+        wide = apply_rows(messages[:, None], siblings).reshape(len(children), -1)
+        window = wide[:, width - 1:2 * width - 1]
+        peak = window.max(axis=1)
+        if np.any(peak <= ZERO_MASS_REL_TOL * wide.max(axis=1)):
+            raise InconsistentEvidenceError(
+                "inconsistent evidence: zero mass over the target support")
+        scale = window.sum(axis=1) if normalization == "sum" else peak
+        messages = window / scale[:, None]
 
-    likelihoods = [
-        _combine_with_prior(msg, leaf, operator)
-        for msg, leaf in zip(messages[:n_real], leaves[:n_real])
-    ]
-    return TreeResult(likelihoods, forward[-1][0])
-
-
-def _apply_layer(operator: ConvolutionOperator,
-                 pairs: list[tuple[Pmf, Pmf]]) -> Iterable[Pmf]:
-    """``operator.apply`` of every pair: one ``apply_many`` call when the
-    operator has one, else per-pair calls in order, made as they are read
-    so each result can be reduced before the next pair runs."""
-    if operator.apply_many is None:
-        return starmap(operator.apply, pairs)
-    return operator.apply_many(pairs)
-
-
-def _combine_with_prior(message: Pmf, leaf: Pmf,
-                        operator: ConvolutionOperator) -> Pmf:
-    """Fold the leaf's own prior into its evidence message."""
-    product = message.values * leaf.values
-    peak = product.max()
-    if peak <= ZERO_MASS_REL_TOL * message.values.max() * leaf.values.max():
+    # Fold each leaf's own prior into its evidence message.
+    messages, leaves = messages[:len(priors)], forward[0][:len(priors)]
+    product = messages * leaves
+    peak = product.max(axis=1)
+    if np.any(peak <= ZERO_MASS_REL_TOL * messages.max(axis=1) * leaves.max(axis=1)):
         raise InconsistentEvidenceError(
-            "inconsistent evidence: no outcome of a prior survives the evidence"
-        )
-    product /= product.sum() if operator.normalization == "sum" else peak
-    return Pmf(product, leaf.offset)
+            "inconsistent evidence: no outcome of a prior survives the evidence")
+    product /= (product.sum(axis=1) if normalization == "sum" else peak)[:, None]
+    return TreeResult([Pmf(row[:len(p)], p.offset) for row, p in zip(product, priors)],
+                      sum_prior)
+
+
+def _normalized(rows: np.ndarray, normalization: str) -> np.ndarray:
+    """Each row divided by its sum or its peak, which must be positive."""
+    scale = rows.sum(axis=1) if normalization == "sum" else rows.max(axis=1)
+    if not np.all(scale > 0.0):
+        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
+    return rows / scale[:, None]
+
+
+def _per_pair_rows(apply: Callable[[Pmf, Pmf], Pmf], left: np.ndarray,
+                   right: np.ndarray) -> np.ndarray:
+    """``apply`` of every row pair, one call each in row order, for an
+    operator without ``apply_rows``."""
+    lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
+    left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
+    out = np.empty(lead + (left.shape[-1] + right.shape[-1] - 1,))
+    for index in np.ndindex(lead):
+        out[index] = apply(Pmf(left[index]), Pmf(right[index])).values
+    return out
 
 
 def tree_cost_estimate(n: int, k: int) -> float:

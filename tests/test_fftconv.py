@@ -10,13 +10,13 @@ from convtree import (
     Pmf,
     delta,
     fast_convolve,
-    fast_convolve_many,
     fft_length,
     max_convolve_auto,
     max_convolve_piecewise,
     naive_convolve,
     naive_max_convolve,
     padded_length,
+    pair_counts,
 )
 
 
@@ -219,32 +219,40 @@ def test_refine_zeroes_outputs_without_nonzero_terms_without_direct_sums():
 
 
 # ---------------------------------------------------------------------------
-# Batched pairs
+# Batched rows
 
-def mixed_pairs():
-    """Pairs of mixed lengths and offsets, length-1 operands, equal-length
-    operands in both orders and one operand object shared by many pairs."""
+def row_cases():
+    """(left, right) row arrays: equal widths in both byte orders and equal
+    rows, unequal widths both ways round, a 1-D row broadcast against many,
+    the parent-against-two-siblings layout of the reverse pass, length-1
+    rows and rows that decay far below their peak."""
     rng = np.random.default_rng(21)
-    shared = Pmf(rng.random(40), offset=-3)
-    point = Pmf([0.7], offset=5)
-    pmfs = [Pmf(rng.random(k), offset=int(rng.integers(-9, 9)))
-            for k in (1, 2, 7, 40, 40, 63, 64, 300)]
-    return ([(shared, p) for p in pmfs] + [(p, shared) for p in pmfs[:4]]
-            + [(shared, shared), (point, point), (point, pmfs[5]),
-               (pmfs[3], pmfs[4]), (pmfs[4], pmfs[3]), (pmfs[6], pmfs[7])])
+    equal = rng.random((6, 40)), rng.random((6, 40))
+    equal[1][3] = equal[0][3]
+    return [equal,
+            (rng.random((5, 7)), rng.random((5, 300))),
+            (rng.random(63), rng.random((4, 64))),
+            (rng.random((3, 1, 63)), rng.random((3, 2, 32))),
+            (rng.random((4, 1)), rng.random((4, 1))),
+            (np.array([[0.7]]), rng.random((3, 2))),
+            (np.exp(-40.0 * rng.random((4, 50))), np.exp(-40.0 * rng.random((4, 50))))]
 
 
 @pytest.mark.parametrize("refine_below", [None, 1e-6])
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
 def test_fast_convolve_many_is_bit_identical_to_one_pair_calls(
         monkeypatch, refine_below, block_floats):
-    # small blocks split groups and carry shared spectra across blocks
+    # many row pairs through fast_convolve_rows; small blocks cut the
+    # leading axis into several transforms
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
-    pairs = mixed_pairs()
-    for (left, right), got in zip(pairs, fast_convolve_many(pairs, refine_below)):
-        one = fast_convolve(left, right, refine_below)
-        assert got.offset == one.offset
-        assert got.values.tobytes() == one.values.tobytes()
+    for left, right in row_cases():
+        got = fftconv.fast_convolve_rows(left, right, refine_below)
+        lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
+        assert got.shape == lead + (left.shape[-1] + right.shape[-1] - 1,)
+        left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
+        for index in np.ndindex(lead):
+            one = fast_convolve(Pmf(left[index]), Pmf(right[index]), refine_below)
+            assert got[index].tobytes() == one.values.tobytes()
 
 
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 1])
@@ -259,10 +267,35 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
 
     monkeypatch.setattr(fftconv.scipy.fft, "rfft", counting_rfft)
     rng = np.random.default_rng(4)
-    message, lhs, rhs = Pmf(rng.random(63)), Pmf(rng.random(32)), Pmf(rng.random(32))
-    fast_convolve_many([(message, lhs), (message, rhs)])
+    message, siblings = rng.random((1, 1, 63)), rng.random((1, 2, 32))
+    fftconv.fast_convolve_rows(message, siblings)
     assert sum(rows) == 3
 
 
 def test_fast_convolve_many_of_nothing():
-    assert fast_convolve_many([]) == []
+    out = fftconv.fast_convolve_rows(np.empty((0, 3)), np.empty((0, 5)))
+    assert out.shape == (0, 7)
+
+
+def test_refine_cost_stays_near_the_overlaps_of_its_outputs():
+    # dense, smooth tails: two runs of about 6000 small outputs, each with
+    # thousands of nonzero terms
+    bins = np.arange(8192)
+    a = np.exp(-0.5 * ((bins - 4095.5) / 300.0) ** 2)
+    b = np.exp(-0.5 * ((bins - 4096.5) / 300.0) ** 2)
+    out = fast_convolve(Pmf(a), Pmf(b)).values.copy()
+    small = np.flatnonzero(out <= out.max() * 1e-6)
+    overlaps = int(pair_counts(a.size, b.size)[small].sum())  # nothing to trim
+    products = []
+    convolve = np.convolve
+
+    def counting_convolve(x, y, mode="full"):
+        assert mode == "valid"
+        products.append((abs(x.size - y.size) + 1) * min(x.size, y.size))
+        return convolve(x, y, mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fftconv.np, "convolve", counting_convolve)
+        fftconv._refine_small_values(out, a, b, 1e-6)
+    assert small.size > 10000
+    assert sum(products) <= 1.1 * overlaps

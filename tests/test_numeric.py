@@ -186,15 +186,19 @@ def test_pair_counts():
 # ---------------------------------------------------------------------------
 # Batched pairs
 
-def mixed_pairs():
-    """Mixed lengths and offsets, length-1 operands, both argument orders
-    and one operand object shared by several pairs."""
+def row_cases():
+    """(left, right) row arrays: equal widths in both byte orders and equal
+    rows, unequal widths both ways round, a 1-D row broadcast against many,
+    the parent-against-two-siblings layout of the reverse pass and length-1
+    rows."""
     rng = np.random.default_rng(17)
-    shared = Pmf(0.01 + rng.random(48), offset=4)
-    pmfs = [Pmf(0.01 + rng.random(k), offset=int(rng.integers(-6, 6)))
-            for k in (1, 3, 48, 100, 257)]
-    return ([(shared, p) for p in pmfs] + [(p, shared) for p in pmfs[:3]]
-            + [(shared, shared), (pmfs[0], pmfs[0]), (pmfs[3], pmfs[4])])
+    equal = 0.01 + rng.random((5, 48)), 0.01 + rng.random((5, 48))
+    equal[1][2] = equal[0][2]
+    return [equal,
+            (0.01 + rng.random((4, 3)), 0.01 + rng.random((4, 257))),
+            (0.01 + rng.random(100), 0.01 + rng.random((3, 48))),
+            (0.01 + rng.random((3, 1, 95)), 0.01 + rng.random((3, 2, 48))),
+            (0.01 + rng.random((2, 1)), 0.01 + rng.random((2, 1)))]
 
 
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
@@ -208,17 +212,20 @@ def mixed_pairs():
 def test_batched_pairs_are_bit_identical_to_one_pair_calls(
         monkeypatch, block_floats, operator, one_pair):
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
-    pairs = mixed_pairs()
-    for (left, right), got in zip(pairs, operator.apply_many(pairs)):
-        one = one_pair(left, right)
-        assert got.offset == one.offset
-        assert got.values.tobytes() == one.values.tobytes()
+    for left, right in row_cases():
+        got = operator.apply_rows(left, right)
+        lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
+        assert got.shape == lead + (left.shape[-1] + right.shape[-1] - 1,)
+        left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
+        for index in np.ndindex(lead):
+            one = one_pair(Pmf(left[index]), Pmf(right[index]))
+            assert got[index].tobytes() == one.values.tobytes()
 
 
 def test_batched_piecewise_rejects_a_degenerate_operand():
-    pairs = [(Pmf([1.0, 0.5]), Pmf([0.5])), (Pmf([0.0, 0.0]), Pmf([1.0]))]
+    left, right = np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([[0.5], [1.0]])
     with pytest.raises(DegenerateDistributionError):
-        numeric_max_operator().apply_many(pairs)
+        numeric_max_operator().apply_rows(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,23 @@ def test_from_dict_accepts_an_integral_offset(offset, expected):
     assert type(p.offset) is int
 
 
+@pytest.mark.parametrize("offset", [1.5, -0.25, True, False, "3", None,
+                                    float("nan"), float("inf"), [1], np.float64(2.5)])
+def test_constructor_rejects_a_non_integer_offset(offset):
+    # int() would truncate or coerce these into a shifted support
+    with pytest.raises(ValueError, match="offset"):
+        Pmf([1.0], offset)
+
+
+@pytest.mark.parametrize("offset, expected", [(3, 3), (-2, -2), (2.0, 2), (-0.0, 0),
+                                              (np.int64(4), 4), (np.int32(-5), -5),
+                                              (np.float64(6.0), 6)])
+def test_constructor_accepts_an_integral_offset(offset, expected):
+    p = Pmf([1.0], offset)
+    assert p.offset == expected
+    assert type(p.offset) is int
+
+
 def test_delta():
     d = delta(3, mass=0.5)
     assert d.offset == 3

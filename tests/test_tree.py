@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
+import convtree.pmf as pmf_module
 from bruteforce import brute_force_tree, normalize_mode
 from convtree import (
     ConvolutionOperator,
@@ -165,7 +166,7 @@ def test_operator_from_name_round_trip(name):
 # Layer calls
 
 def per_pair(operator):
-    """The same operator without apply_many: one apply call per pair."""
+    """The same operator without apply_rows: one apply call per pair."""
     return ConvolutionOperator(operator.name, operator.apply, operator.normalization)
 
 
@@ -190,11 +191,11 @@ def test_one_operator_call_per_layer():
     stock = standard_operator()
     calls = []
 
-    def apply_many(pairs):
-        calls.append(len(pairs))
-        return stock.apply_many(pairs)
+    def apply_rows(left, right):
+        calls.append(np.prod(np.broadcast_shapes(left.shape[:-1], right.shape[:-1])))
+        return stock.apply_rows(left, right)
 
-    operator = ConvolutionOperator("sum", stock.apply, "sum", apply_many=apply_many)
+    operator = ConvolutionOperator("sum", stock.apply, "sum", apply_rows=apply_rows)
     priors = random_priors(5, 4, 2)
     convolution_tree(priors, random_evidence(priors, 2), operator)
     assert calls == [4, 2, 1, 2, 4, 8]  # forward leaves-first, reverse root-first
@@ -202,9 +203,37 @@ def test_one_operator_call_per_layer():
 
 def test_positional_operator_has_no_layer_call():
     operator = ConvolutionOperator("sum", standard_operator().apply, "sum")
-    assert operator.apply_many is None
+    assert operator.apply_rows is None
     with pytest.raises(TypeError):
         ConvolutionOperator("sum", operator.apply, "sum", None)
+
+
+def test_tree_builds_no_pmf_per_message(monkeypatch):
+    # one validated Pmf per likelihood plus a few for the evidence and the
+    # root; none per layer row
+    instance = generate_subset_sum_instance(256, 16, 0)
+    calls = []
+    as_values = pmf_module._as_values
+
+    def counting_as_values(values):
+        calls.append(1)
+        return as_values(values)
+
+    monkeypatch.setattr(pmf_module, "_as_values", counting_as_values)
+    convolution_tree(instance.priors, instance.sum_likelihood, standard_operator())
+    assert len(calls) <= 256 + 2 * 8 + 2
+
+
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric"])
+@pytest.mark.parametrize("tail", [[], [Pmf([1.0]), Pmf([1.0])]], ids=["leaf", "node"])
+def test_evidence_on_zero_padding_only_raises(name, tail):
+    # every prior is padded to length 5, and the second has mass at 0 only:
+    # the sum 4 needs the first prior at its padded outcome 4, and with two
+    # point masses added, sum 5 needs their parent node at padded outcomes
+    priors = [Pmf([1.0, 1.0]), Pmf([1.0, 0.0, 0.0, 0.0, 0.0]), *tail]
+    evidence = delta(4 + len(tail) // 2)
+    with pytest.raises(InconsistentEvidenceError):
+        convolution_tree(priors, evidence, operator_from_name(name))
 
 
 def _peak_bytes(priors, evidence, operator):
