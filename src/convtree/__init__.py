@@ -34,7 +34,6 @@ from .pmf import (
     delta,
     naive_convolve,
     naive_max_convolve,
-    negate,
     normalize_max,
     normalize_sum,
     relative_absolute_error,
@@ -45,7 +44,6 @@ from .tree import (
     TreeResult,
     convolution_tree,
     naive_max_operator,
-    narrow_to_support,
     numeric_max_operator,
     operator_from_name,
     p_norm_operator,
@@ -80,8 +78,6 @@ __all__ = [
     "naive_convolve",
     "naive_max_convolve",
     "naive_max_operator",
-    "narrow_to_support",
-    "negate",
     "normalize_max",
     "normalize_sum",
     "numeric_max_operator",

@@ -9,20 +9,13 @@ e.g. ``--p-ladder 4,32,64``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from . import io
-from .harness import (
-    ACCURACY_K_LIST,
-    ACCURACY_P_LIST,
-    DEMO_MODES,
-    SPEED_K_LIST,
-    accuracy_sweep_rows,
-    run_speed_bench,
-    run_subset_sum_demo,
-)
+from .harness import accuracy_sweep_rows, run_speed_bench, run_subset_sum_demo
 from .numeric import (
     DEFAULT_P_LADDER,
     DEFAULT_TAU,
@@ -40,6 +33,14 @@ def _list_of(convert):
         return [convert(tok) for tok in text.split(",") if tok]
     parse.__name__ = f"{convert.__name__} list"
     return parse
+
+
+def _defaults_of(func) -> dict:
+    """The keyword defaults of ``func``; a harness function's parameter
+    names are the dests of the options that feed it."""
+    return {name: param.default
+            for name, param in inspect.signature(func).parameters.items()
+            if param.default is not param.empty}
 
 
 def _piecewise_config(args) -> PiecewiseConfig:
@@ -78,30 +79,30 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_speed = bench_sub.add_parser("speed", help="naive vs numeric wall time")
-    p_speed.add_argument("--k-list", type=_list_of(int), default=list(SPEED_K_LIST))
-    p_speed.add_argument("--replicates", type=int, default=5)
-    p_speed.add_argument("--seed", type=int, default=0)
+    p_speed.add_argument("--k-list", type=_list_of(int))
+    p_speed.add_argument("--replicates", type=int)
+    p_speed.add_argument("--seed", type=int)
     p_speed.add_argument("--out", required=True)
-    p_speed.set_defaults(run=_cmd_bench_speed)
+    p_speed.set_defaults(run=_cmd_bench_speed, **_defaults_of(run_speed_bench))
 
     p_acc = bench_sub.add_parser("accuracy", help="per-index error vs exact")
-    p_acc.add_argument("--k-list", type=_list_of(int), default=list(ACCURACY_K_LIST))
-    p_acc.add_argument("--p-list", type=_list_of(float), default=list(ACCURACY_P_LIST))
-    p_acc.add_argument("--replicates", type=int, default=64)
-    p_acc.add_argument("--seed", type=int, default=0)
+    p_acc.add_argument("--k-list", type=_list_of(int))
+    p_acc.add_argument("--p-list", type=_list_of(float))
+    p_acc.add_argument("--replicates", type=int)
+    p_acc.add_argument("--seed", type=int)
     p_acc.add_argument("--out", required=True)
-    p_acc.set_defaults(run=_cmd_bench_accuracy)
+    p_acc.set_defaults(run=_cmd_bench_accuracy, **_defaults_of(accuracy_sweep_rows))
 
     p_demo = sub.add_parser("demo", help="end-to-end demonstrations")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
 
     p_ss = demo_sub.add_parser("subset-sum", help="probabilistic subset sum")
-    p_ss.add_argument("--n", type=int, default=32)
-    p_ss.add_argument("--k", type=int, default=256)
-    p_ss.add_argument("--seed", type=int, default=0)
-    p_ss.add_argument("--modes", type=_list_of(str), default=list(DEMO_MODES))
+    p_ss.add_argument("--n", type=int)
+    p_ss.add_argument("--k", type=int)
+    p_ss.add_argument("--seed", type=int)
+    p_ss.add_argument("--modes", type=_list_of(str))
     p_ss.add_argument("--out-dir", required=True)
-    p_ss.set_defaults(run=_cmd_demo_subset_sum)
+    p_ss.set_defaults(run=_cmd_demo_subset_sum, **_defaults_of(run_subset_sum_demo))
 
     return parser
 
@@ -149,9 +150,9 @@ def _cmd_bench_accuracy(args) -> int:
 
 
 def _cmd_demo_subset_sum(args) -> int:
+    demo = run_subset_sum_demo(args.n, args.k, args.seed, args.modes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    demo = run_subset_sum_demo(args.n, args.k, args.seed, args.modes)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(demo.report, fh, indent=2)
         fh.write("\n")

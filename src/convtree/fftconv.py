@@ -207,11 +207,12 @@ def _support_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """x[lo..hi], read as zero outside ``x``."""
+    """x[lo..hi] (lo <= hi), read as zero outside ``x``."""
     if lo >= 0 and hi < x.size:
         return x[lo:hi + 1]
     window = np.zeros(hi - lo + 1)
-    window[max(0, -lo):min(x.size, hi + 1) - lo] = x[max(0, lo):hi + 1]
+    start, stop = min(max(lo, 0), x.size), max(min(hi + 1, x.size), 0)
+    window[start - lo:stop - lo] = x[start:stop]
     return window
 
 

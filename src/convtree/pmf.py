@@ -2,8 +2,8 @@
 
 A :class:`Pmf` stores nonnegative mass over a contiguous range of integer
 outcomes; ``values[i]`` is the mass of outcome ``offset + i``. The offset is
-first-class because negation (used for subtracting random variables) reverses
-the vector and moves its support to negative outcomes.
+first-class: a variable's support may start at any integer, negative ones
+included, and the support of a sum starts at the sum of the offsets.
 
 Everything here is a pure function of immutable inputs: no operation mutates
 its arguments, so all of them are safe to call concurrently.
@@ -76,6 +76,8 @@ class Pmf:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Pmf":
+        if not isinstance(data, dict):
+            raise ValueError(f"PMF must be an object, got {type(data).__name__}")
         for key in ("offset", "values"):
             if key not in data:
                 raise ValueError(f"PMF object has no {key!r} key")
@@ -102,15 +104,6 @@ def normalize_sum(p: Pmf) -> Pmf:
 def normalize_max(p: Pmf) -> Pmf:
     """Scale so the largest value is exactly one."""
     return _divided(p, float(p.values.max()))
-
-
-def negate(p: Pmf) -> Pmf:
-    """Distribution of -X: reverse the vector and mirror the support.
-
-    Outcome ``i`` of the input maps to outcome ``-i`` of the output, so the
-    new offset is ``-(offset + len - 1)``.
-    """
-    return Pmf(p.values[::-1], -(p.offset + p.values.size - 1))
 
 
 def naive_convolve(left: Pmf, right: Pmf) -> Pmf:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fftconv import fast_convolve, fast_convolve_rows, padded_length
+from .fftconv import _window, fast_convolve, fast_convolve_rows, padded_length
 from .numeric import (
     PiecewiseConfig,
     _check_p,
@@ -28,22 +28,14 @@ from .numeric import (
     max_convolve_piecewise,
     p_norm_convolve,
 )
-from .pmf import (
-    DegenerateDistributionError,
-    Pmf,
-    naive_max_convolve,
-    normalize_max,
-    normalize_sum,
-)
+from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
 
 class InconsistentEvidenceError(ValueError):
     """The sum evidence rules out every outcome of some variable."""
 
 
-_NORMALIZERS = {"sum": normalize_sum, "max": normalize_max}
-
-# A narrowed message whose peak is this far below the pre-narrowing peak is
+# A message cut to a support whose peak is this far below the uncut peak is
 # treated as all-zero: FFT-backed operators leave ~1e-16 round-off where the
 # true value is zero, so an exact zero test would never fire for them.
 ZERO_MASS_REL_TOL = 1e-12
@@ -72,11 +64,8 @@ class ConvolutionOperator:
         default=None, kw_only=True)
 
     def __post_init__(self):
-        if self.normalization not in _NORMALIZERS:
+        if self.normalization not in ("sum", "max"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
-
-    def normalize(self, p: Pmf) -> Pmf:
-        return _NORMALIZERS[self.normalization](p)
 
 
 def standard_operator() -> ConvolutionOperator:
@@ -145,49 +134,22 @@ class TreeResult:
     sum_prior: Pmf
 
 
-def narrow_to_support(wide: Pmf, target: Pmf,
-                      normalization: str | None = None) -> Pmf:
-    """Slice ``wide`` to exactly the index range of ``target``.
-
-    Outcomes of the target not covered by ``wide`` are zero-filled: evidence
-    can legitimately exclude them. No overlap at all (or all-zero overlap
-    when normalizing) means the evidence is inconsistent with the target.
-    ``normalization`` is None, "sum" or "max".
-    """
-    if normalization is not None and normalization not in _NORMALIZERS:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    lo = target.offset - wide.offset
-    hi = lo + len(target)
-    if hi <= 0 or lo >= len(wide):
-        raise InconsistentEvidenceError(
-            "inconsistent evidence: no overlap with the target support"
-        )
-    out = np.zeros(len(target))
-    src_lo, src_hi = max(lo, 0), min(hi, len(wide))
-    out[src_lo - lo:src_hi - lo] = wide.values[src_lo:src_hi]
-    if normalization is None:
-        return Pmf(out, target.offset)
-    peak = out.max()
-    if peak <= ZERO_MASS_REL_TOL * wide.values.max():
-        raise InconsistentEvidenceError(
-            "inconsistent evidence: zero mass over the target support"
-        )
-    out /= out.sum() if normalization == "sum" else peak
-    return Pmf(out, target.offset)
-
-
 def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
                      operator: ConvolutionOperator) -> TreeResult:
-    """Run the forward/reverse passes; per variable, narrow the evidence
+    """Run the forward/reverse passes; per variable, cut the evidence
     message to the prior's support and fold the prior itself back in.
 
     Each layer of the tree is one (nodes, width) array, applied with one
     ``apply_rows`` call. Every prior is zero-padded on the right to the
     longest one, and when n is not a power of two the leaf layer is padded
     with point masses at zero (they do not change the sum); their outputs
-    are dropped. Each later layer is as wide as its widest node support. Raises DegenerateDistributionError for an all-zero prior
-    and InconsistentEvidenceError when the evidence excludes every reachable
-    outcome of some variable.
+    are dropped. Each later layer is as wide as its widest node support.
+    Every message is rescaled by its sum or its peak, per
+    ``operator.normalization``.
+
+    Raises DegenerateDistributionError for an all-zero prior or evidence,
+    and InconsistentEvidenceError when the evidence excludes every
+    reachable outcome of some variable.
     """
     if len(priors) < 1:
         raise ValueError("need at least one prior")
@@ -203,50 +165,56 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     # support), so each layer is cut to its longest reach: ragged priors
     # pay for their padding at the leaves only.
     reach = np.array([len(p) for p in priors] + [1] * (len(leaves) - len(priors)))
-    forward = [_normalized(leaves, normalization)]
+    forward = [_rescaled(leaves, normalization)]
     while len(forward[-1]) > 1:
         layer = forward[-1]
         reach = reach[0::2] + reach[1::2] - 1
         merged = apply_rows(layer[0::2], layer[1::2])[:, :reach.max()]
-        forward.append(_normalized(merged, normalization))
+        forward.append(_rescaled(merged, normalization))
     sum_prior = Pmf(forward[-1][0], sum(p.offset for p in priors))
+
+    # The root's message is the evidence over the sum's support, zero
+    # outside the evidence. Rebinding frees the uncut evidence.
+    messages = _rescaled(sum_likelihood.values[None], normalization)
+    lo = sum_prior.offset - sum_likelihood.offset
+    messages = _rescaled(_window(messages[0], lo, lo + len(sum_prior) - 1)[None],
+                         normalization, ZERO_MASS_REL_TOL * messages.max(axis=1))
 
     # Reverse: the message for a child is the parent's message minus the
     # sibling, i.e. convolution with the negated (reversed) sibling, cut
     # back down to the child's own support, which is the same window of
     # every row. Both children share the parent's message.
-    messages = narrow_to_support(operator.normalize(sum_likelihood), sum_prior,
-                                 normalization).values[None]
     for children in reversed(forward[:-1]):
         width = children.shape[1]
         siblings = children.reshape(len(messages), 2, width)[:, ::-1, ::-1]
         wide = apply_rows(messages[:, None], siblings).reshape(len(children), -1)
-        window = wide[:, width - 1:2 * width - 1]
-        peak = window.max(axis=1)
-        if np.any(peak <= ZERO_MASS_REL_TOL * wide.max(axis=1)):
-            raise InconsistentEvidenceError(
-                "inconsistent evidence: zero mass over the target support")
-        scale = window.sum(axis=1) if normalization == "sum" else peak
-        messages = window / scale[:, None]
+        messages = _rescaled(wide[:, width - 1:2 * width - 1], normalization,
+                             ZERO_MASS_REL_TOL * wide.max(axis=1))
 
     # Fold each leaf's own prior into its evidence message.
     messages, leaves = messages[:len(priors)], forward[0][:len(priors)]
-    product = messages * leaves
-    peak = product.max(axis=1)
-    if np.any(peak <= ZERO_MASS_REL_TOL * messages.max(axis=1) * leaves.max(axis=1)):
-        raise InconsistentEvidenceError(
-            "inconsistent evidence: no outcome of a prior survives the evidence")
-    product /= (product.sum(axis=1) if normalization == "sum" else peak)[:, None]
+    product = _rescaled(messages * leaves, normalization,
+                        ZERO_MASS_REL_TOL * messages.max(axis=1) * leaves.max(axis=1))
     return TreeResult([Pmf(row[:len(p)], p.offset) for row, p in zip(product, priors)],
                       sum_prior)
 
 
-def _normalized(rows: np.ndarray, normalization: str) -> np.ndarray:
-    """Each row divided by its sum or its peak, which must be positive."""
-    scale = rows.sum(axis=1) if normalization == "sum" else rows.max(axis=1)
-    if not np.all(scale > 0.0):
-        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    return rows / scale[:, None]
+def _rescaled(rows: np.ndarray, normalization: str,
+              floor: np.ndarray | None = None) -> np.ndarray:
+    """Each row divided by its sum ("sum") or its peak ("max").
+
+    Without ``floor`` every row must have mass, else
+    DegenerateDistributionError. With it, a row whose peak is at or below
+    its entry of ``floor`` holds only round-off: InconsistentEvidenceError.
+    """
+    peak = rows.max(axis=1)
+    if floor is None:
+        if not np.all(peak > 0.0):
+            raise DegenerateDistributionError("degenerate distribution: total mass is zero")
+    elif np.any(peak <= floor):
+        raise InconsistentEvidenceError(
+            "inconsistent evidence: zero mass over the target support")
+    return rows / (rows.sum(axis=1) if normalization == "sum" else peak)[:, None]
 
 
 def _per_pair_rows(apply: Callable[[Pmf, Pmf], Pmf], left: np.ndarray,

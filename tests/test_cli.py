@@ -186,6 +186,9 @@ def _usage_error(argv) -> str:
     ("s.json", '{"values": [1.0]}\n', "no 'offset' key"),
     ("s.json", '{"offset": 1.5, "values": [1.0]}\n', "offset must be an integer"),
     ("s.json", '{"offset": 7, "values": [1.0]}\n', "inconsistent evidence"),
+    ("s.json", "5\n", "must be an object, got int"),
+    ("s.json", "null\n", "must be an object, got NoneType"),
+    ("p.ndjson", "[1.0]\n", "must be an object, got list"),
 ])
 def test_tree_bad_input_is_a_usage_error(tmp_path, name, text, message):
     write_pmf_ndjson([Pmf([0.5, 0.5]), Pmf([0.9, 0.1])], tmp_path / "p.ndjson")
@@ -210,6 +213,7 @@ def test_tree_bad_input_is_a_usage_error(tmp_path, name, text, message):
       "--p-ladder", "4,inf", "--out", "o.json"], "invalid exponent"),
     (["tree", "--priors", "p.ndjson", "--sum", "s.json", "--p-ladder", "4,inf",
       "--out", "o.json"], "invalid exponent"),
+    (["demo", "subset-sum", "--n", "1", "--out-dir", "d"], "need n >= 2"),
 ])
 def test_every_subcommand_reports_bad_input(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -217,6 +221,9 @@ def test_every_subcommand_reports_bad_input(tmp_path, monkeypatch, argv, message
         write_pmf(Pmf([0.5, 1.0]), name)
     write_pmf_ndjson([Pmf([1.0]), Pmf([0.5, 1.0])], "p.ndjson")
     assert message in _usage_error(argv)
+    # no output file or directory is left behind
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "l.json", "p.ndjson", "r.json", "s.json"]
 
 
 @pytest.mark.parametrize("option, value", [

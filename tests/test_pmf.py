@@ -10,7 +10,6 @@ from convtree import (
     delta,
     naive_convolve,
     naive_max_convolve,
-    negate,
     normalize_max,
     normalize_sum,
     relative_absolute_error,
@@ -58,6 +57,13 @@ def test_from_dict_names_a_missing_key(key):
     data = Pmf([0.5, 1.0]).to_dict()
     del data[key]
     with pytest.raises(ValueError, match=f"no '{key}' key"):
+        Pmf.from_dict(data)
+
+
+@pytest.mark.parametrize("data, kind", [(5, "int"), (None, "NoneType"), ([1.0], "list"),
+                                        ("offset", "str")])
+def test_from_dict_rejects_a_non_object(data, kind):
+    with pytest.raises(ValueError, match=f"must be an object, got {kind}"):
         Pmf.from_dict(data)
 
 
@@ -132,31 +138,6 @@ def test_normalize_rejects_all_zero(normalize):
 
 
 # ---------------------------------------------------------------------------
-# Negation
-
-def test_negate_reverses_and_mirrors():
-    p = Pmf([1.0, 2.0, 3.0], offset=0)
-    q = negate(p)
-    assert_array_equal(q.values, [3.0, 2.0, 1.0])
-    assert q.offset == -2
-
-
-def test_negate_delta_at_zero_fixed_point():
-    d = delta(0)
-    nd = negate(d)
-    assert nd.offset == 0
-    assert_array_equal(nd.values, d.values)
-
-
-@given(mass_lists, st.integers(min_value=-5, max_value=5))
-def test_negate_is_involution(values, offset):
-    p = Pmf(values, offset)
-    q = negate(negate(p))
-    assert q.offset == p.offset
-    assert_array_equal(q.values, p.values)
-
-
-# ---------------------------------------------------------------------------
 # Naive convolution oracle
 
 def test_naive_convolve_binomial():
@@ -185,7 +166,8 @@ def test_naive_convolve_shape_and_offset():
 
 def test_autocorrelation_symmetric_about_zero():
     p = Pmf([0.1, 0.7, 0.2, 0.4], offset=3)
-    out = naive_convolve(p, negate(p))
+    mirrored = Pmf(p.values[::-1], -(p.offset + len(p) - 1))  # distribution of -X
+    out = naive_convolve(p, mirrored)
     assert out.offset == -(len(p) - 1)
     assert_allclose(out.values, out.values[::-1], atol=1e-15)
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 import convtree.fftconv as fftconv
 import convtree.pmf as pmf_module
@@ -16,7 +16,6 @@ from convtree import (
     delta,
     generate_subset_sum_instance,
     naive_max_operator,
-    narrow_to_support,
     normalize_sum,
     numeric_max_operator,
     operator_from_name,
@@ -95,6 +94,20 @@ def test_max_product_matches_enumeration(n, k):
 def test_tree_handles_nonzero_offsets():
     priors = random_priors(3, 3, seed=5, offsets=[-2, 4, 1])
     evidence = random_evidence(priors, seed=6)
+    assert_matches_brute_force(priors, evidence, standard_operator(), "sum", 1e-9)
+    assert_matches_brute_force(priors, evidence, naive_max_operator(), "max", 1e-12)
+
+
+@pytest.mark.parametrize("lo_pad, hi_pad", [(3, 4), (-2, 0), (0, -3), (-1, -2)],
+                         ids=["past-both-ends", "from-inside-low", "to-inside-high",
+                              "inside"])
+def test_evidence_beyond_or_within_reachable_sums(lo_pad, hi_pad):
+    # evidence reaching lo_pad outcomes below and hi_pad above the reachable
+    # sums (a negative pad starts or stops it inside them)
+    priors = random_priors(3, 3, seed=12, offsets=[1, -2, 0])
+    lo = sum(p.offset for p in priors) - lo_pad
+    hi = sum(p.offset + len(p) - 1 for p in priors) + hi_pad
+    evidence = Pmf(0.05 + np.random.default_rng(13).random(hi - lo + 1), lo)
     assert_matches_brute_force(priors, evidence, standard_operator(), "sum", 1e-9)
     assert_matches_brute_force(priors, evidence, naive_max_operator(), "max", 1e-12)
 
@@ -209,8 +222,8 @@ def test_positional_operator_has_no_layer_call():
 
 
 def test_tree_builds_no_pmf_per_message(monkeypatch):
-    # one validated Pmf per likelihood plus a few for the evidence and the
-    # root; none per layer row
+    # one validated Pmf per likelihood plus one for the root; none per
+    # layer row or for the evidence
     instance = generate_subset_sum_instance(256, 16, 0)
     calls = []
     as_values = pmf_module._as_values
@@ -221,7 +234,7 @@ def test_tree_builds_no_pmf_per_message(monkeypatch):
 
     monkeypatch.setattr(pmf_module, "_as_values", counting_as_values)
     convolution_tree(instance.priors, instance.sum_likelihood, standard_operator())
-    assert len(calls) <= 256 + 2 * 8 + 2
+    assert len(calls) == 256 + 1
 
 
 @pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric"])
@@ -271,6 +284,24 @@ def test_unreachable_evidence_raises():
         convolution_tree(priors, delta(10), standard_operator())
 
 
+def test_evidence_below_reachable_sums_raises():
+    priors = [Pmf([0.5, 0.5]), Pmf([0.5, 0.5])]  # sums reach 0..2
+    with pytest.raises(InconsistentEvidenceError, match="^inconsistent evidence"):
+        convolution_tree(priors, Pmf([1.0, 1.0, 1.0], -4), standard_operator())
+
+
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:1", "pnorm:4"])
+def test_all_zero_evidence_raises(name):
+    priors = [Pmf([0.5, 0.5]), Pmf([0.5, 0.5])]
+    with pytest.raises(DegenerateDistributionError):
+        convolution_tree(priors, Pmf([0.0, 0.0, 0.0]), operator_from_name(name))
+
+
+def test_unknown_normalization_rejected():
+    with pytest.raises(ValueError, match="unknown normalization 'Sum'"):
+        ConvolutionOperator("sum", standard_operator().apply, "Sum")
+
+
 def test_zero_mass_evidence_over_reachable_sums_raises():
     priors = [Pmf([0.5, 0.5]), Pmf([0.5, 0.5])]
     evidence = Pmf([0.0, 0.0, 0.0, 1.0])  # only sum=3 allowed, unreachable
@@ -281,41 +312,6 @@ def test_zero_mass_evidence_over_reachable_sums_raises():
 def test_empty_priors_rejected():
     with pytest.raises(ValueError):
         convolution_tree([], delta(0), standard_operator())
-
-
-# ---------------------------------------------------------------------------
-# narrow_to_support
-
-def test_narrow_plain_slice():
-    wide = Pmf(np.arange(1.0, 9.0), offset=-2)  # covers [-2, 5]
-    target = Pmf([1.0, 1.0, 1.0], offset=0)
-    out = narrow_to_support(wide, target)
-    assert out.offset == 0
-    assert_array_equal(out.values, [3.0, 4.0, 5.0])
-
-
-def test_narrow_identity_up_to_normalization():
-    wide = Pmf([2.0, 4.0, 2.0], offset=1)
-    target = Pmf([1.0, 1.0, 1.0], offset=1)
-    out = narrow_to_support(wide, target, normalization="max")
-    assert_allclose(out.values, [0.5, 1.0, 0.5], atol=1e-15)
-
-
-def test_narrow_zero_fills_missing_outcomes():
-    wide = Pmf([1.0, 2.0], offset=0)  # covers 0..1, target wants 0..2
-    target = Pmf([1.0, 1.0, 1.0], offset=0)
-    out = narrow_to_support(wide, target)
-    assert_array_equal(out.values, [1.0, 2.0, 0.0])
-
-
-def test_narrow_disjoint_raises():
-    with pytest.raises(InconsistentEvidenceError):
-        narrow_to_support(Pmf([1.0, 1.0], offset=0), Pmf([1.0], offset=5))
-
-
-def test_narrow_rejects_unknown_normalization():
-    with pytest.raises(ValueError, match="unknown normalization 'Sum'"):
-        narrow_to_support(Pmf([2.0, 4.0]), Pmf([1.0, 1.0]), normalization="Sum")
 
 
 # ---------------------------------------------------------------------------
