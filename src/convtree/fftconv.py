@@ -76,7 +76,7 @@ def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
 def _convolve_rows(left: np.ndarray, right: np.ndarray,
                    finish: Callable[[slice, np.ndarray], np.ndarray],
                    rungs: int = 1, powers: Callable[..., object] | None = None,
-                   ) -> np.ndarray:
+                   width: int | None = None) -> np.ndarray:
     """Linear convolutions of every row pair of ``left`` (..., a) and
     ``right`` (..., b), taken in the order given, whose leading axes
     broadcast; one stacked transform per block.
@@ -89,8 +89,10 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray,
     message against its two children, is transformed once. Per block,
     ``finish(rows, out)`` maps ``out``, a (rungs, *block, size) array whose
     rows start with their a + b - 1 output values clipped at zero, to that
-    block's (*block, a + b - 1) results; the results of all blocks are
-    returned as one (..., a + b - 1) array.
+    block's (*block, width) results, ``width`` being the number of output
+    columns the caller keeps (all a + b - 1 by default); the results of all
+    blocks are returned as one (..., width) array. The transform length
+    depends on a + b - 1 only.
 
     A plain one-pair call runs two 1-D transforms; with ``powers``, both
     operands' maps go straight into one zeroed (rungs, 2, size) stack.
@@ -98,12 +100,13 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray,
     lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
     a, b = left.shape[-1], right.shape[-1]
     size = fft_length(a + b - 1)
+    width = a + b - 1 if width is None else width
     shape = (lead or (1,)) + (a + b - 1,)
     left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
     rows_per_index = [math.prod(x.shape[1:-1]) for x in (left, right)]
     floats = (2 * sum(rows_per_index) + 3 * math.prod(shape[1:-1])) * rungs * size
     blocks = range(0, shape[0], max(1, BLOCK_FLOATS // floats))
-    result = None if len(blocks) == 1 else np.empty(shape)
+    result = None if len(blocks) == 1 else np.empty(shape[:-1] + (width,))
     for start in blocks:
         rows = slice(start, start + blocks.step)
         l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
@@ -132,7 +135,7 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray,
             result = done
         else:
             result[rows] = done
-    return result.reshape(lead + shape[-1:])
+    return result.reshape(lead + (width,))
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -217,9 +220,11 @@ def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
-                      refine_below: float | None = None) -> np.ndarray:
+                       refine_below: float | None = None,
+                       window: tuple[int, int] | None = None):
     """fast_convolve of every row pair of ``left`` (..., a) and ``right``
-    (..., b), whose leading axes broadcast: a (..., a + b - 1) array.
+    (..., b), whose leading axes broadcast: a (..., a + b - 1) array, or
+    with ``window`` its kept columns and row peaks (see ``_keep_window``).
 
     Each row is bit-identical to the one-pair call on that row pair.
     """
@@ -228,7 +233,17 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
     out = _convolve_rows(a, b, lambda rows, out: out[0, ..., :n_out])
     if refine_below is not None:
         _refine_rows(out, a, b, refine_below)
-    return out
+    return _keep_window(out, window)
+
+
+def _keep_window(out: np.ndarray, window: tuple[int, int] | None):
+    """``out`` itself without a window; with ``window=(lo, n)``, the kept
+    columns ``out[..., lo:lo + n]`` and each full row's peak
+    ``out.max(axis=-1)``: the keep-window contract of ``apply_rows``."""
+    if window is None:
+        return out
+    lo, n = window
+    return out[..., lo:lo + n], out.max(axis=-1)
 
 
 def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -20,7 +20,13 @@ from functools import partial
 
 import numpy as np
 
-from .fftconv import _canonical_rows, _convolve_rows, fast_convolve_rows, padded_length
+from .fftconv import (
+    _canonical_rows,
+    _convolve_rows,
+    _keep_window,
+    fast_convolve_rows,
+    padded_length,
+)
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
 DEFAULT_P_LADDER = (4.0, 32.0, 64.0)
@@ -78,22 +84,28 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
     return Pmf(_p_norm_rows(left.values, right.values, p), left.offset + right.offset)
 
 
-def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float) -> np.ndarray:
-    """p_norm_convolve of every row pair, through fast_convolve_rows.
+def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
+                 window: tuple[int, int] | None = None):
+    """p_norm_convolve of every row pair, through fast_convolve_rows; with
+    ``window``, the kept columns and each full row's peak.
 
     Inputs are divided by their maxima before the p-th power, so large
     values cannot overflow, and the output is scaled back; outputs below
     REFINE_BELOW of each row's peak are recomputed by direct summation.
+    The refine sees the full output, the root only the kept columns: the
+    root is monotone, so a row's peak is the root of its largest power sum.
     """
     p = _check_p(p)
     if p == 1.0:  # no power to overflow and no root to take
-        return fast_convolve_rows(left, right, refine_below=REFINE_BELOW)
+        return fast_convolve_rows(left, right, refine_below=REFINE_BELOW, window=window)
     (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
-    out = fast_convolve_rows(_ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0],
-                             refine_below=REFINE_BELOW)
+    sums = fast_convolve_rows(_ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0],
+                              refine_below=REFINE_BELOW)
+    out, peak = (sums, None) if window is None else _keep_window(sums, window)
+    scale = left_peak * right_peak
     out = np.power(out, 1.0 / p, out=out)
-    out *= (left_peak * right_peak)[..., None]
-    return out
+    out *= scale[..., None]
+    return out if window is None else (out, np.power(peak, 1.0 / p) * scale)
 
 
 def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
@@ -147,10 +159,12 @@ def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...],
 
 
 def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
-                         ladder: tuple[float, ...], tau: float) -> np.ndarray:
+                         ladder: tuple[float, ...], tau: float,
+                         window: tuple[int, int] | None = None):
     """Max-normalized p-norm estimate at every rung, stitched per index, of
     every row pair of ``left`` (..., a) and ``right`` (..., b), whose
-    leading axes broadcast.
+    leading axes broadcast; with ``window=(lo, n)``, only the kept columns
+    lo..lo+n-1 and each full row's peak.
 
     Both inputs of a pair are divided by their maxima before exponentiation
     so the dominant terms start at 1 and survive the p-th power; each rung's
@@ -161,27 +175,35 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
 
     All rungs of all rows ride the stacked transforms of _convolve_rows,
     and every step after them acts on each row alone, so each row is
-    bit-identical to the one-pair call.
+    bit-identical to the one-pair call. Each rung's peak is taken over its
+    whole transform; the divide, root and stitch run on the kept columns
+    only. Every stitched row peaks at exactly 1 (the top rung's root of its
+    own peak, which clears tau; no root of a value <= 1 exceeds 1), so a
+    full row's peak is its input scale.
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
     (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    scale = np.atleast_1d(a_peak * b_peak)
-    n_out = a.shape[-1] + b.shape[-1] - 1
+    peak = a_peak * b_peak
+    scale = np.atleast_1d(peak)
+    lo, n = window or (0, a.shape[-1] + b.shape[-1] - 1)
 
     def finish(rows, vms):
         stitched = None
         for vm, p in zip(vms, ladder):
-            vm /= vm.max(axis=-1, keepdims=True)
-            rung = np.power(vm, 1.0 / p, out=vm)
+            kept = vm[..., lo:lo + n]
+            kept /= vm.max(axis=-1, keepdims=True)
+            rung = np.power(kept, 1.0 / p, out=kept)
             if stitched is None:
                 stitched = rung  # smallest exponent is the fallback
             else:
                 np.copyto(stitched, rung, where=rung >= tau)
-        return stitched[..., :n_out] * scale[rows, ..., None]
+        return stitched * scale[rows, ..., None]
 
-    return _convolve_rows(a, b, finish, len(ladder), partial(_ladder_powers, ladder=ladder))
+    out = _convolve_rows(a, b, finish, len(ladder), partial(_ladder_powers, ladder=ladder),
+                         width=n)
+    return out if window is None else (out, peak)
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,

@@ -81,7 +81,27 @@ class Pmf:
         for key in ("offset", "values"):
             if key not in data:
                 raise ValueError(f"PMF object has no {key!r} key")
-        return cls(np.asarray(data["values"], dtype=float), data["offset"])
+        values = data["values"]
+        # numpy would raise TypeError on an object and coerce bools or
+        # numeric strings into masses
+        if not (isinstance(values, list) and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)):
+            raise ValueError("PMF 'values' must be an array of numbers")
+        return cls(np.asarray(values, dtype=float), data["offset"])
+
+    @classmethod
+    def _checked_rows(cls, rows: np.ndarray, like: list["Pmf"]) -> list["Pmf"]:
+        """Row j of the 2-D ``rows``, cut to the length of ``like[j]``, as a
+        Pmf at ``like[j].offset``; ``rows`` is validated once as a whole
+        instead of once per row."""
+        _as_values(rows.ravel())
+        pmfs = []
+        for row, p in zip(rows, like):
+            pmf = object.__new__(cls)
+            object.__setattr__(pmf, "values", row[:len(p)])
+            object.__setattr__(pmf, "offset", p.offset)
+            pmfs.append(pmf)
+        return pmfs
 
 
 def delta(outcome: int = 0, mass: float = 1.0) -> Pmf:

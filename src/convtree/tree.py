@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fftconv import _window, fast_convolve, fast_convolve_rows, padded_length
+from .fftconv import _keep_window, _window, fast_convolve, fast_convolve_rows, padded_length
 from .numeric import (
     PiecewiseConfig,
     _check_p,
@@ -53,14 +53,17 @@ class ConvolutionOperator:
     ``apply_rows``, if given, takes a (..., a) and a (..., b) array whose
     leading axes broadcast and returns the (..., a + b - 1) array whose
     every row is ``apply`` of that row pair, bit for bit; the tree then
-    makes one call per layer. Without it the tree calls ``apply`` once per
-    pair, on the same rows wrapped as Pmfs at offset 0.
+    makes one call per layer. Given a keep-window ``window=(lo, n)`` it
+    returns instead the pair ``(full[..., lo:lo + n], full.max(axis=-1))``,
+    bit for bit, so a kernel may skip work on the columns it drops; the
+    reverse layers use it. Without ``apply_rows`` the tree calls ``apply``
+    once per pair, on the same rows wrapped as Pmfs at offset 0.
     """
 
     name: str
     apply: Callable[[Pmf, Pmf], Pmf]
     normalization: str
-    apply_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+    apply_rows: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, kw_only=True)
 
     def __post_init__(self):
@@ -183,20 +186,21 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     # Reverse: the message for a child is the parent's message minus the
     # sibling, i.e. convolution with the negated (reversed) sibling, cut
     # back down to the child's own support, which is the same window of
-    # every row. Both children share the parent's message.
+    # every row; the operator computes only that window, plus each full
+    # row's peak for the zero-mass floor. Both children share the parent's
+    # message.
     for children in reversed(forward[:-1]):
         width = children.shape[1]
         siblings = children.reshape(len(messages), 2, width)[:, ::-1, ::-1]
-        wide = apply_rows(messages[:, None], siblings).reshape(len(children), -1)
-        messages = _rescaled(wide[:, width - 1:2 * width - 1], normalization,
-                             ZERO_MASS_REL_TOL * wide.max(axis=1))
+        kept, peak = apply_rows(messages[:, None], siblings, window=(width - 1, width))
+        messages = _rescaled(kept.reshape(len(children), width), normalization,
+                             ZERO_MASS_REL_TOL * peak.reshape(len(children)))
 
     # Fold each leaf's own prior into its evidence message.
     messages, leaves = messages[:len(priors)], forward[0][:len(priors)]
     product = _rescaled(messages * leaves, normalization,
                         ZERO_MASS_REL_TOL * messages.max(axis=1) * leaves.max(axis=1))
-    return TreeResult([Pmf(row[:len(p)], p.offset) for row, p in zip(product, priors)],
-                      sum_prior)
+    return TreeResult(Pmf._checked_rows(product, priors), sum_prior)
 
 
 def _rescaled(rows: np.ndarray, normalization: str,
@@ -218,15 +222,15 @@ def _rescaled(rows: np.ndarray, normalization: str,
 
 
 def _per_pair_rows(apply: Callable[[Pmf, Pmf], Pmf], left: np.ndarray,
-                   right: np.ndarray) -> np.ndarray:
+                   right: np.ndarray, window: tuple[int, int] | None = None):
     """``apply`` of every row pair, one call each in row order, for an
-    operator without ``apply_rows``."""
+    operator without ``apply_rows``; a window is cut from the full rows."""
     lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
     left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
     out = np.empty(lead + (left.shape[-1] + right.shape[-1] - 1,))
     for index in np.ndindex(lead):
         out[index] = apply(Pmf(left[index]), Pmf(right[index])).values
-    return out
+    return _keep_window(out, window)
 
 
 def tree_cost_estimate(n: int, k: int) -> float:

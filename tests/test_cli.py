@@ -189,6 +189,9 @@ def _usage_error(argv) -> str:
     ("s.json", "5\n", "must be an object, got int"),
     ("s.json", "null\n", "must be an object, got NoneType"),
     ("p.ndjson", "[1.0]\n", "must be an object, got list"),
+    ("p.ndjson", '{"offset": 0, "values": {"a": 1}}\n', "'values' must be an array"),
+    ("s.json", '{"offset": 1, "values": [true]}\n', "'values' must be an array"),
+    ("p.ndjson", '{"offset": 0, "values": ["1.5"]}\n', "'values' must be an array"),
 ])
 def test_tree_bad_input_is_a_usage_error(tmp_path, name, text, message):
     write_pmf_ndjson([Pmf([0.5, 0.5]), Pmf([0.9, 0.1])], tmp_path / "p.ndjson")

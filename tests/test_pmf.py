@@ -67,6 +67,20 @@ def test_from_dict_rejects_a_non_object(data, kind):
         Pmf.from_dict(data)
 
 
+@pytest.mark.parametrize("values", [{"a": 1}, [True, False], [1.0, True], ["1.5"],
+                                    [[1.0]], "1.0", 1.0, None])
+def test_from_dict_rejects_values_that_are_not_an_array_of_numbers(values):
+    # numpy would raise TypeError on an object and take bools or numeric
+    # strings for masses
+    with pytest.raises(ValueError, match="'values' must be an array of numbers"):
+        Pmf.from_dict({"offset": 0, "values": values})
+
+
+def test_from_dict_accepts_integer_masses():
+    assert_array_equal(Pmf.from_dict({"offset": 0, "values": [1, 0, 2]}).values,
+                       [1.0, 0.0, 2.0])
+
+
 @pytest.mark.parametrize("offset", [1.5, -0.25, True, False, "3", None,
                                     float("nan"), float("inf"), [1]])
 def test_from_dict_rejects_a_non_integer_offset(offset):

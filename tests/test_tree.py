@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import convtree.fftconv as fftconv
 import convtree.pmf as pmf_module
+import convtree.tree as tree_module
 from bruteforce import brute_force_tree, normalize_mode
 from convtree import (
     ConvolutionOperator,
@@ -204,9 +206,9 @@ def test_one_operator_call_per_layer():
     stock = standard_operator()
     calls = []
 
-    def apply_rows(left, right):
+    def apply_rows(left, right, window=None):
         calls.append(np.prod(np.broadcast_shapes(left.shape[:-1], right.shape[:-1])))
-        return stock.apply_rows(left, right)
+        return stock.apply_rows(left, right, window=window)
 
     operator = ConvolutionOperator("sum", stock.apply, "sum", apply_rows=apply_rows)
     priors = random_priors(5, 4, 2)
@@ -221,9 +223,62 @@ def test_positional_operator_has_no_layer_call():
         ConvolutionOperator("sum", operator.apply, "sum", None)
 
 
+def window_cases():
+    """(left, right, window) triples: a reverse layer's parent-against-
+    siblings layout, windows touching either end of the output, a peaked
+    pair that the p-norm refine rewrites, and a one-pair call."""
+    rng = np.random.default_rng(8)
+    w = 24
+    message, children = 0.05 + rng.random((3, 1, 2 * w - 1)), 0.05 + rng.random((3, 2, w))
+    peaked = np.exp(-40.0 * rng.random((4, 50)))
+    return [(message, children[:, ::-1, ::-1], (w - 1, w)),
+            (message, children, (0, w)),
+            (message, children, (2 * w - 2, w)),
+            (peaked, peaked[::-1], (30, 40)),
+            (0.05 + rng.random(9), 0.05 + rng.random(5), (0, 13))]
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
+@pytest.mark.parametrize("name", ["sum", "pnorm:1", "pnorm:4", "max-numeric", "per-pair"])
+def test_windowed_layer_call_is_the_full_calls_slice_and_peak(monkeypatch, block_floats,
+                                                              name):
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    if name == "per-pair":  # the fallback for an operator without apply_rows
+        apply_rows = partial(tree_module._per_pair_rows, naive_max_operator().apply)
+    else:
+        apply_rows = operator_from_name(name).apply_rows
+    for left, right, (lo, n) in window_cases():
+        full = apply_rows(left, right)
+        kept, peak = apply_rows(left, right, window=(lo, n))
+        assert kept.shape == full.shape[:-1] + (n,)
+        assert kept.tobytes() == full[..., lo:lo + n].tobytes()
+        assert np.shape(peak) == full.shape[:-1]
+        assert np.asarray(peak).tobytes() == full.max(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "must be finite"),
+                                          (-1.0, "must be nonnegative")])
+def test_operator_output_that_is_no_mass_still_raises(bad, message):
+    # the likelihood rows are validated once as a whole, not once per Pmf
+    stock = standard_operator()
+
+    def apply_rows(left, right, window=None):
+        if window is None:
+            return stock.apply_rows(left, right)
+        kept, peak = stock.apply_rows(left, right, window=window)
+        kept = kept.copy()
+        kept[..., 0] *= bad
+        return kept, peak
+
+    operator = ConvolutionOperator("sum", stock.apply, "sum", apply_rows=apply_rows)
+    priors = random_priors(5, 4, 3)
+    with pytest.raises(ValueError, match=message):
+        convolution_tree(priors, random_evidence(priors, 3), operator)
+
+
 def test_tree_builds_no_pmf_per_message(monkeypatch):
-    # one validated Pmf per likelihood plus one for the root; none per
-    # layer row or for the evidence
+    # one validation of all likelihood rows at once plus one for the root;
+    # none per likelihood, layer row or for the evidence
     instance = generate_subset_sum_instance(256, 16, 0)
     calls = []
     as_values = pmf_module._as_values
@@ -234,7 +289,7 @@ def test_tree_builds_no_pmf_per_message(monkeypatch):
 
     monkeypatch.setattr(pmf_module, "_as_values", counting_as_values)
     convolution_tree(instance.priors, instance.sum_likelihood, standard_operator())
-    assert len(calls) == 256 + 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric"])
