@@ -1,16 +1,16 @@
-"""FFT-backed standard convolution of rows, batched over many pairs.
+"""FFT convolution of the elementwise powers of rows, batched over pairs.
 
-This is the O(k log k) engine under every numerical max-convolution. Each
-transform is padded to the shortest 5-smooth length that holds the full
-output (``fft_length``). The kernel convolves every row pair of two arrays
-whose leading axes broadcast, in one stacked real FFT per block, so a
-convolution-tree layer costs a few numpy calls instead of several per
-pair; a one-pair call is its one-row case. Every row of a stacked
-transform is computed exactly as it would be alone, so each row of a
-batched result is bit-identical to the one-pair call on that row pair.
-Inputs are nonnegative, so any negative round-off in the
-inverse transform is clipped to zero before downstream fractional powers
-see it.
+The O(k log k) engine under every numerical max-convolution: one kernel
+convolves the powers of an exponent ladder, (1.0,) for standard
+convolution, (p,) for a p-norm, several rungs for the piecewise ladder.
+Each transform is padded to the shortest 5-smooth length that holds the
+full output (``fft_length``). Per block of row pairs (their leading axes
+broadcast), each operand's rows, every rung, take one stacked real FFT, so
+a tree layer costs a few numpy calls and a one-pair call is its one-row
+case, bit for bit: each row of a stacked transform is computed as it
+would be alone. Negative round-off is clipped to zero before fractional
+powers see it; the exact refine of small outputs (``_refine_rows``)
+belongs to the p-norm path.
 """
 
 from __future__ import annotations
@@ -73,34 +73,68 @@ def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
     return np.where(swap, right, left), np.where(swap, left, right)
 
 
-def _convolve_rows(left: np.ndarray, right: np.ndarray,
-                   finish: Callable[[slice, np.ndarray], np.ndarray],
-                   rungs: int = 1, powers: Callable[..., object] | None = None,
+def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...],
+                   out: np.ndarray | None = None) -> list[np.ndarray]:
+    """x**p for each ladder rung, sharing square chains between them.
+
+    Power-of-two rungs come from repeated squaring (p = 1 is x itself).
+    Climbing from x**q to x**p composes to exactly the squarings that would
+    start over from x, so each rung is bit-identical to computing it alone.
+    Other rungs use np.power. Given ``out`` (one slot per rung), rung r is
+    written to ``out[r]`` instead of a new array.
+    """
+    powers = []
+    climbed, climbed_p = x, 1
+    for r, p in enumerate(ladder):
+        dest = None if out is None else out[r]
+        exp = int(p)
+        if exp == p and exp & (exp - 1) == 0:
+            while climbed_p < exp:
+                climbed = np.square(climbed, out=dest)
+                climbed_p *= 2
+            if dest is not None and climbed is not dest:  # p = 1
+                np.copyto(dest, climbed)
+                climbed = dest
+            powers.append(climbed)
+        else:
+            powers.append(np.power(x, p, out=dest))
+    return powers
+
+
+def _spectra(x: np.ndarray, ladder: tuple[float, ...], size: int) -> np.ndarray:
+    """Real FFTs of the ladder powers of every row of ``x`` (..., n),
+    zero-padded to ``size``: a (rungs, ..., size // 2 + 1) array from one
+    transform of one zeroed (rungs, rows, size) stack."""
+    rows = x.reshape(-1, x.shape[-1])
+    stack = np.zeros((len(ladder), len(rows), size))
+    _ladder_powers(rows, ladder, out=stack[..., :x.shape[-1]])
+    return scipy.fft.rfft(stack).reshape(len(ladder), *x.shape[:-1], -1)
+
+
+def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...] = (1.0,),
+                   finish: Callable[[slice, np.ndarray], np.ndarray] | None = None,
                    width: int | None = None) -> np.ndarray:
-    """Linear convolutions of every row pair of ``left`` (..., a) and
-    ``right`` (..., b), taken in the order given, whose leading axes
-    broadcast; one stacked transform per block.
+    """Linear convolutions of the elementwise p-th powers of every row pair
+    of ``left`` (..., a) and ``right`` (..., b), taken in the order given,
+    whose leading axes broadcast, for each exponent p of ``ladder``.
 
-    ``powers(x, out=...)`` writes ``rungs`` elementwise maps of an operand
-    into ``out[0..rungs-1]``, and each map is convolved; without it the
-    operands themselves are, as one rung. The leading axis is cut into
-    blocks of at most BLOCK_FLOATS live floats (one index at least), so a
-    row shared through broadcasting within a block, such as a parent
-    message against its two children, is transformed once. Per block,
-    ``finish(rows, out)`` maps ``out``, a (rungs, *block, size) array whose
-    rows start with their a + b - 1 output values clipped at zero, to that
-    block's (*block, width) results, ``width`` being the number of output
-    columns the caller keeps (all a + b - 1 by default); the results of all
-    blocks are returned as one (..., width) array. The transform length
-    depends on a + b - 1 only.
-
-    A plain one-pair call runs two 1-D transforms; with ``powers``, both
-    operands' maps go straight into one zeroed (rungs, 2, size) stack.
+    The leading axis is cut into blocks of at most BLOCK_FLOATS live floats
+    (one index at least). Per block, each operand takes one transform of
+    every rung of its rows (``_spectra``), so a row shared through
+    broadcasting within a block, such as a parent message against its two
+    children, is transformed once. Then ``finish(rows, out)`` maps ``out``,
+    a (rungs, *block, size) array whose rows start with their a + b - 1
+    output values clipped at zero, to that block's (*block, width) results,
+    ``width`` being the number of output columns the caller keeps (all
+    a + b - 1 by default); without ``finish`` they are the first rung's
+    outputs. The results of all blocks are returned as one (..., width)
+    array. The transform length depends on a + b - 1 only.
     """
     lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
     a, b = left.shape[-1], right.shape[-1]
     size = fft_length(a + b - 1)
     width = a + b - 1 if width is None else width
+    rungs = len(ladder)
     shape = (lead or (1,)) + (a + b - 1,)
     left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
     rows_per_index = [math.prod(x.shape[1:-1]) for x in (left, right)]
@@ -110,26 +144,16 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray,
     for start in blocks:
         rows = slice(start, start + blocks.step)
         l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
-        if powers is None:
-            if l.size == a and r.size == b:
-                product = scipy.fft.rfft(l.ravel(), size) * scipy.fft.rfft(r.ravel(), size)
-            else:
-                product = scipy.fft.rfft(l, size) * scipy.fft.rfft(r, size)
-            out = scipy.fft.irfft(product, size)[None]
-        else:
-            l2, r2 = l.reshape(-1, a), r.reshape(-1, b)
-            stack = np.zeros((rungs, len(l2) + len(r2), size))
-            powers(l2, out=stack[:, :len(l2), :a])
-            powers(r2, out=stack[:, len(l2):, :b])
-            spectra = scipy.fft.rfft(stack)
-            del stack
-            product = (spectra[:, :len(l2)].reshape(rungs, *l.shape[:-1], -1)
-                       * spectra[:, len(l2):].reshape(rungs, *r.shape[:-1], -1))
-            del spectra
-            out = scipy.fft.irfft(product, size)
+        # the right operand first: in a reverse layer it holds two rows per
+        # parent row, so its stack is freed before the left one is built
+        right_spectra = _spectra(r, ladder, size)
+        product = _spectra(l, ladder, size) * right_spectra
+        del right_spectra
+        out = scipy.fft.irfft(product, size)
         del product
         np.maximum(out, 0.0, out=out)
-        done = finish(rows, out.reshape(rungs, -1, *shape[1:-1], size))
+        out = out.reshape(rungs, -1, *shape[1:-1], size)
+        done = out[0, ..., :width] if finish is None else finish(rows, out)
         del out
         if result is None:
             result = done
@@ -220,7 +244,6 @@ def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
-                       refine_below: float | None = None,
                        window: tuple[int, int] | None = None):
     """fast_convolve of every row pair of ``left`` (..., a) and ``right``
     (..., b), whose leading axes broadcast: a (..., a + b - 1) array, or
@@ -229,11 +252,7 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
     Each row is bit-identical to the one-pair call on that row pair.
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
-    n_out = a.shape[-1] + b.shape[-1] - 1
-    out = _convolve_rows(a, b, lambda rows, out: out[0, ..., :n_out])
-    if refine_below is not None:
-        _refine_rows(out, a, b, refine_below)
-    return _keep_window(out, window)
+    return _keep_window(_convolve_rows(a, b), window)
 
 
 def _keep_window(out: np.ndarray, window: tuple[int, int] | None):
@@ -259,13 +278,11 @@ def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray,
         _refine_small_values(out[index], a[index], b[index], rel_threshold)
 
 
-def fast_convolve(left: Pmf, right: Pmf, refine_below: float | None = None) -> Pmf:
+def fast_convolve(left: Pmf, right: Pmf) -> Pmf:
     """Standard convolution via real FFT; the one-row fast_convolve_rows.
 
-    Matches naive_convolve to ~1e-15 of the peak. When ``refine_below`` is
-    given, outputs under that fraction of the peak are recomputed exactly by
-    direct summation (used by the p-norm path, where the 1/p root would blow
-    round-off noise up to order one).
+    Matches naive_convolve to ~1e-15 of the peak: outputs far below the
+    peak carry that absolute round-off (``p_norm_convolve`` at p = 1 is
+    the same convolution with those outputs recomputed exactly).
     """
-    return Pmf(fast_convolve_rows(left.values, right.values, refine_below),
-               left.offset + right.offset)
+    return Pmf(fast_convolve_rows(left.values, right.values), left.offset + right.offset)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .fftconv import (
     _canonical_rows,
     _convolve_rows,
     _keep_window,
-    fast_convolve_rows,
+    _ladder_powers,
+    _refine_rows,
     padded_length,
 )
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
@@ -86,21 +86,25 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
 
 def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
                  window: tuple[int, int] | None = None):
-    """p_norm_convolve of every row pair, through fast_convolve_rows; with
-    ``window``, the kept columns and each full row's peak.
+    """p_norm_convolve of every row pair; with ``window``, the kept columns
+    and each full row's peak.
 
     Inputs are divided by their maxima before the p-th power, so large
-    values cannot overflow, and the output is scaled back; outputs below
+    values cannot overflow, and the output is scaled back. The powered
+    operands are put in canonical order and convolved, and outputs below
     REFINE_BELOW of each row's peak are recomputed by direct summation.
     The refine sees the full output, the root only the kept columns: the
     root is monotone, so a row's peak is the root of its largest power sum.
     """
     p = _check_p(p)
-    if p == 1.0:  # no power to overflow and no root to take
-        return fast_convolve_rows(left, right, refine_below=REFINE_BELOW, window=window)
-    (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
-    sums = fast_convolve_rows(_ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0],
-                              refine_below=REFINE_BELOW)
+    if p != 1.0:  # p = 1 has no power to overflow and no root to take
+        (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
+        left, right = _ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0]
+    a, b = _canonical_rows(left, right)
+    sums = _convolve_rows(a, b)
+    _refine_rows(sums, a, b, REFINE_BELOW)
+    if p == 1.0:
+        return _keep_window(sums, window)
     out, peak = (sums, None) if window is None else _keep_window(sums, window)
     scale = left_peak * right_peak
     out = np.power(out, 1.0 / p, out=out)
@@ -128,34 +132,6 @@ def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     peak = x.max(axis=-1)
     return x / np.where(peak == 0.0, 1.0, peak)[..., None], peak
-
-
-def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...],
-                   out: np.ndarray | None = None) -> list[np.ndarray]:
-    """x**p for each ladder rung, sharing square chains between them.
-
-    Power-of-two rungs come from repeated squaring (p = 1 is x itself).
-    Climbing from x**q to x**p composes to exactly the squarings that would
-    start over from x, so each rung is bit-identical to computing it alone.
-    Other rungs use np.power. Given ``out`` (one slot per rung), rung r is
-    written to ``out[r]`` instead of a new array.
-    """
-    powers = []
-    climbed, climbed_p = x, 1
-    for r, p in enumerate(ladder):
-        dest = None if out is None else out[r]
-        exp = int(p)
-        if exp == p and exp & (exp - 1) == 0:
-            while climbed_p < exp:
-                climbed = np.square(climbed, out=dest)
-                climbed_p *= 2
-            if dest is not None and climbed is not dest:  # p = 1
-                np.copyto(dest, climbed)
-                climbed = dest
-            powers.append(climbed)
-        else:
-            powers.append(np.power(x, p, out=dest))
-    return powers
 
 
 def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
@@ -201,8 +177,7 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
                 np.copyto(stitched, rung, where=rung >= tau)
         return stitched * scale[rows, ..., None]
 
-    out = _convolve_rows(a, b, finish, len(ladder), partial(_ladder_powers, ladder=ladder),
-                         width=n)
+    out = _convolve_rows(a, b, ladder, finish, width=n)
     return out if window is None else (out, peak)
 
 

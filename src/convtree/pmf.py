@@ -22,7 +22,10 @@ class DegenerateDistributionError(ValueError):
 
 
 def _as_values(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
+    try:
+        v = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError("values must be finite") from None
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-D array")
     # min/max reductions cover NaN, infinities and negatives in two passes
@@ -87,7 +90,7 @@ class Pmf:
         if not (isinstance(values, list) and all(
                 isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)):
             raise ValueError("PMF 'values' must be an array of numbers")
-        return cls(np.asarray(values, dtype=float), data["offset"])
+        return cls(values, data["offset"])
 
     @classmethod
     def _checked_rows(cls, rows: np.ndarray, like: list["Pmf"]) -> list["Pmf"]:

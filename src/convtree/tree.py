@@ -94,8 +94,9 @@ def numeric_max_operator(config: PiecewiseConfig | None = None) -> ConvolutionOp
 def p_norm_operator(p: float) -> ConvolutionOperator:
     """Addition on the continuum between sum-product (p=1) and max-product."""
     p = _check_p(p)
+    # repr round-trips the exponent bit for bit; whole exponents read pnorm:2
     return ConvolutionOperator(
-        f"pnorm:{p:g}", lambda l, r: p_norm_convolve(l, r, p), "max",
+        f"pnorm:{repr(p).removesuffix('.0')}", lambda l, r: p_norm_convolve(l, r, p), "max",
         apply_rows=partial(_p_norm_rows, p=p),
     )
 

@@ -192,6 +192,8 @@ def _usage_error(argv) -> str:
     ("p.ndjson", '{"offset": 0, "values": {"a": 1}}\n', "'values' must be an array"),
     ("s.json", '{"offset": 1, "values": [true]}\n', "'values' must be an array"),
     ("p.ndjson", '{"offset": 0, "values": ["1.5"]}\n', "'values' must be an array"),
+    pytest.param("p.ndjson", '{"offset": 0, "values": [1%s]}\n' % ("0" * 400),
+                 "values must be finite", id="p.ndjson-401-digit integer-values must be finite"),
 ])
 def test_tree_bad_input_is_a_usage_error(tmp_path, name, text, message):
     write_pmf_ndjson([Pmf([0.5, 0.5]), Pmf([0.9, 0.1])], tmp_path / "p.ndjson")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from convtree import (
     max_convolve_piecewise,
     naive_convolve,
     naive_max_convolve,
+    p_norm_convolve,
     padded_length,
     pair_counts,
 )
+from convtree.numeric import REFINE_BELOW, _p_norm_rows
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -115,7 +119,7 @@ def test_refine_recomputes_tiny_outputs_exactly():
     a[-1] = 1e-13
     left = Pmf(a)
     plain = fast_convolve(left, left)
-    refined = fast_convolve(left, left, refine_below=1e-6)
+    refined = p_norm_convolve(left, left, 1.0)
     # structural zeros and the 1e-26 cross term are exact after refinement
     assert refined.values[1] == 0.0
     assert refined.values[63] == 2e-13
@@ -127,7 +131,7 @@ def test_refine_recomputes_tiny_outputs_exactly():
 
 
 def test_refine_handles_all_zero_input():
-    out = fast_convolve(Pmf([0.0, 0.0]), Pmf([0.0, 0.0, 0.0]), refine_below=1e-6)
+    out = p_norm_convolve(Pmf([0.0, 0.0]), Pmf([0.0, 0.0, 0.0]), 1.0)
     assert_array_equal(out.values, np.zeros(4))
 
 
@@ -152,7 +156,7 @@ def test_refine_matches_per_index_direct_sums(left, right):
     left, right = Pmf(left), Pmf(right)
     expected = fast_convolve(left, right).values.copy()
     refine_per_index(expected, left.values, right.values, 1e-6)
-    assert_refined_like_oracle(fast_convolve(left, right, refine_below=1e-6).values,
+    assert_refined_like_oracle(p_norm_convolve(left, right, 1.0).values,
                                expected)
 
 
@@ -160,7 +164,7 @@ def test_refine_matches_per_index_with_an_all_zero_operand():
     left, right = Pmf([0.0, 0.0, 0.0]), Pmf([0.5, 1e-300, 1.0])
     expected = fast_convolve(left, right).values.copy()
     refine_per_index(expected, left.values, right.values, 1e-6)
-    got = fast_convolve(left, right, refine_below=1e-6).values
+    got = p_norm_convolve(left, right, 1.0).values
     assert_array_equal(got, expected)
     assert_array_equal(got, np.zeros(5))
 
@@ -238,38 +242,56 @@ def row_cases():
             (np.exp(-40.0 * rng.random((4, 50))), np.exp(-40.0 * rng.random((4, 50))))]
 
 
-@pytest.mark.parametrize("refine_below", [None, 1e-6])
+@pytest.mark.parametrize("refine_below", [None, REFINE_BELOW])
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
 def test_fast_convolve_many_is_bit_identical_to_one_pair_calls(
         monkeypatch, refine_below, block_floats):
-    # many row pairs through fast_convolve_rows; small blocks cut the
-    # leading axis into several transforms
+    # many row pairs through fast_convolve_rows, or, refined below
+    # REFINE_BELOW of each row's peak, through the p-norm rows at p = 1
+    # and p = 4; small blocks cut the leading axis into several transforms
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
-    for left, right in row_cases():
-        got = fftconv.fast_convolve_rows(left, right, refine_below)
-        lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
-        assert got.shape == lead + (left.shape[-1] + right.shape[-1] - 1,)
-        left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
-        for index in np.ndindex(lead):
-            one = fast_convolve(Pmf(left[index]), Pmf(right[index]), refine_below)
-            assert got[index].tobytes() == one.values.tobytes()
+    if refine_below is None:
+        kernels = [(fftconv.fast_convolve_rows, fast_convolve)]
+    else:
+        kernels = [(partial(_p_norm_rows, p=p), partial(p_norm_convolve, p=p))
+                   for p in (1.0, 4.0)]
+    for many, one_pair in kernels:
+        for left, right in row_cases():
+            got = many(left, right)
+            lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
+            assert got.shape == lead + (left.shape[-1] + right.shape[-1] - 1,)
+            left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
+            for index in np.ndindex(lead):
+                one = one_pair(Pmf(left[index]), Pmf(right[index]))
+                assert got[index].tobytes() == one.values.tobytes()
 
 
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 1])
 def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
-    rows = []
+    shapes = []
     rfft = fftconv.scipy.fft.rfft
 
     def counting_rfft(x, *args, **kwargs):
-        rows.append(x.size // x.shape[-1])
+        shapes.append(x.shape)
         return rfft(x, *args, **kwargs)
 
     monkeypatch.setattr(fftconv.scipy.fft, "rfft", counting_rfft)
     rng = np.random.default_rng(4)
     message, siblings = rng.random((1, 1, 63)), rng.random((1, 2, 32))
     fftconv.fast_convolve_rows(message, siblings)
-    assert sum(rows) == 3
+    assert sum(np.prod(shape[:-1]) for shape in shapes) == 3  # rows transformed
+    # a one-pair call is the one-row case of the same path: one transform
+    # per operand of its zero-padded (rungs, rows, size) stack, every
+    # ladder rung in that one call
+    left, right = Pmf(rng.random(64)), Pmf(rng.random(64))
+    size = fft_length(64 + 64 - 1)
+    shapes.clear()
+    fast_convolve(left, right)
+    assert shapes == [(1, 1, size)] * 2
+    shapes.clear()
+    max_convolve_piecewise(left, right)
+    assert shapes == [(3, 1, size)] * 2
 
 
 def test_fast_convolve_many_of_nothing():

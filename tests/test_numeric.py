@@ -95,9 +95,8 @@ def test_large_values_do_not_overflow():
 def test_max_normalized_inputs_keep_their_bits():
     # a peak of exactly 1.0 is neither divided out nor multiplied back
     left, right = (normalize_max(x) for x in random_pair(64, 9))
-    powered = fast_convolve(Pmf(np.square(np.square(left.values))),
-                            Pmf(np.square(np.square(right.values))),
-                            refine_below=1e-6)
+    powered = p_norm_convolve(Pmf(np.square(np.square(left.values))),
+                              Pmf(np.square(np.square(right.values))), 1.0)
     out = p_norm_convolve(left, right, 4.0)
     assert out.values.tobytes() == np.power(powered.values, 0.25).tobytes()
 

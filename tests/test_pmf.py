@@ -35,7 +35,8 @@ def test_pmf_basic_fields():
     assert_array_equal(p.outcomes, [-3, -2])
 
 
-@pytest.mark.parametrize("bad", [[], [-1.0], [np.nan], [np.inf], [[1.0, 2.0]]])
+# 10**400 is an integer too large for a float, so not finite either
+@pytest.mark.parametrize("bad", [[], [-1.0], [np.nan], [np.inf], [[1.0, 2.0]], [0.5, 10**400]])
 def test_pmf_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
         Pmf(bad)

@@ -172,9 +172,15 @@ def test_p_norm_operator_interpolates():
         assert_allclose(normalize_sum(got).values, expected.values, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:2"])
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:2",
+                                  "pnorm:2.50000001", "pnorm:1234567"])
 def test_operator_from_name_round_trip(name):
-    assert operator_from_name(name).name == name
+    operator = operator_from_name(name)
+    assert operator.name == name
+    if name.startswith("pnorm:"):  # and so does the exponent, bit for bit
+        p = float(name.removeprefix("pnorm:"))
+        assert p_norm_operator(p).name == name
+        assert operator.apply_rows.keywords == {"p": p}
 
 
 # ---------------------------------------------------------------------------
