@@ -163,9 +163,10 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         rel_threshold: float) -> None:
+                         rel_threshold: float, window: tuple[int, int] | None = None) -> None:
     """Recompute outputs at or below rel_threshold * max(out) by direct
-    summation, in place.
+    summation, in place; with ``window=(lo, n)``, those in the kept columns
+    ``out[lo:lo + n]``.
 
     FFT round-off is absolute (~1e-16 of the peak), so outputs far below the
     peak can be pure noise; the direct sum is exact there. On peaked inputs
@@ -182,6 +183,13 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
        REFINE_RUN_CAP outputs; each piece is one
        ``np.convolve(mode="valid")`` over the slices of both operands it
        needs.
+
+    Steps 1-3 read the whole row, so the pieces do not depend on
+    ``window``; a window only skips the direct sums of pieces that do not
+    reach into it. Every kept output is then the same sum over the same
+    piece as without a window, bit for bit, and the row's peak is
+    untouched. Small outputs outside the window are left at zero or at
+    their direct sum, both far below the peak.
 
     Cost: at most one FFT; plus, in C, about the sum of the trimmed overlaps
     of the small outputs that have nonzero terms (a piece of R outputs
@@ -204,17 +212,21 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     index = index[(index >= shift) & (index < shift + a.size + b.size - 1)] - shift
     if not (a.all() and b.all()):
         index = index[_support_counts(a, b)[index] > 0.5]
-    if index.size == 0:
-        return
-    starts = np.flatnonzero(np.diff(index) > _RUN_GAP + 1) + 1
-    runs = (piece for run in np.split(index, starts)
-            for piece in np.split(run, range(REFINE_RUN_CAP, run.size, REFINE_RUN_CAP)))
-    for run in runs:
-        first, last = int(run[0]), int(run[-1])
-        # b[lo..hi] holds every b term of outputs first..last
-        lo, hi = max(0, first - a.size + 1), min(b.size - 1, last)
-        sums = np.convolve(_window(a, first - hi, last - lo), b[lo:hi + 1], mode="valid")
-        out[shift + run] = sums[run - first]
+    lo, n = window or (0, out.size)
+    keep_first, keep_last = lo - shift, lo + n - 1 - shift  # in trimmed indices
+    bounds = [0, *(np.flatnonzero(np.diff(index) > _RUN_GAP + 1) + 1).tolist(), index.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        run = index[start:stop]
+        for cut in range(0, run.size, REFINE_RUN_CAP):
+            piece = run[cut:cut + REFINE_RUN_CAP]
+            first, last = int(piece[0]), int(piece[-1])
+            if last < keep_first or first > keep_last:
+                continue
+            # b[b_lo..b_hi] holds every b term of outputs first..last
+            b_lo, b_hi = max(0, first - a.size + 1), min(b.size - 1, last)
+            sums = np.convolve(_window(a, first - b_hi, last - b_lo), b[b_lo:b_hi + 1],
+                               mode="valid")
+            out[shift + piece] = sums[piece - first]
 
 
 def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -266,16 +278,19 @@ def _keep_window(out: np.ndarray, window: tuple[int, int] | None):
 
 
 def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 rel_threshold: float) -> None:
-    """_refine_small_values of each row of ``out`` that has a small output."""
+                 rel_threshold: float, window: tuple[int, int] | None = None) -> None:
+    """_refine_small_values of each row of ``out`` that has a small output;
+    with ``window=(lo, n)``, of each row that has one in the kept columns
+    ``out[..., lo:lo + n]``, small meaning against the full row's peak."""
     if out.ndim == 1:
-        _refine_small_values(out, a, b, rel_threshold)
+        _refine_small_values(out, a, b, rel_threshold, window)
         return
+    lo, n = window or (0, out.shape[-1])
     peak = out.max(axis=-1, keepdims=True)
-    small = ((out <= peak * rel_threshold) & (peak > 0.0)).any(axis=-1)
+    small = ((out[..., lo:lo + n] <= peak * rel_threshold) & (peak > 0.0)).any(axis=-1)
     a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
     for index in map(tuple, np.argwhere(small)):
-        _refine_small_values(out[index], a[index], b[index], rel_threshold)
+        _refine_small_values(out[index], a[index], b[index], rel_threshold, window)
 
 
 def fast_convolve(left: Pmf, right: Pmf) -> Pmf:

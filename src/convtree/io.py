@@ -6,6 +6,7 @@ import csv
 import json
 from typing import Iterable
 
+from .numeric import _p_label
 from .pmf import Pmf
 
 SPEED_CSV_HEADER = ("k", "method", "replicate", "wall_seconds")
@@ -48,8 +49,10 @@ def write_speed_csv(records: Iterable, path) -> None:
 
 
 def write_accuracy_csv(rows: Iterable[tuple], path) -> None:
+    """One row per harness.accuracy_sweep_rows row, in ACCURACY_CSV_HEADER
+    order; p is spelled as in the ``pnorm:<p>`` operator name."""
     _write_csv(path, ACCURACY_CSV_HEADER,
-               ([k, f"{p:g}", index, repr(float(exact_value)), repr(float(err))]
+               ([k, _p_label(p), index, repr(float(exact_value)), repr(float(err))]
                 for k, p, index, exact_value, err in rows))
 
 

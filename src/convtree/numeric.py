@@ -46,6 +46,12 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _p_label(p: float) -> str:
+    """p spelled so it reads back bit for bit: ``repr`` of the float, with
+    whole exponents as integers (2.0 reads 2, 2.50000001 keeps its digits)."""
+    return repr(float(p)).removesuffix(".0")
+
+
 @dataclass(frozen=True)
 class PiecewiseConfig:
     """Ascending exponent ladder plus the trust threshold tau.
@@ -93,8 +99,10 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
     values cannot overflow, and the output is scaled back. The powered
     operands are put in canonical order and convolved, and outputs below
     REFINE_BELOW of each row's peak are recomputed by direct summation.
-    The refine sees the full output, the root only the kept columns: the
-    root is monotone, so a row's peak is the root of its largest power sum.
+    The refine and the root act on the kept columns only: the refine reads
+    the whole row to find and cut its small outputs but sums only the
+    pieces that reach into the window, and a row's peak, never small, is
+    the root of its largest power sum, since the root is monotone.
     """
     p = _check_p(p)
     if p != 1.0:  # p = 1 has no power to overflow and no root to take
@@ -102,7 +110,7 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
         left, right = _ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0]
     a, b = _canonical_rows(left, right)
     sums = _convolve_rows(a, b)
-    _refine_rows(sums, a, b, REFINE_BELOW)
+    _refine_rows(sums, a, b, REFINE_BELOW, window)
     if p == 1.0:
         return _keep_window(sums, window)
     out, peak = (sums, None) if window is None else _keep_window(sums, window)

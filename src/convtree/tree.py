@@ -24,6 +24,7 @@ from .numeric import (
     PiecewiseConfig,
     _check_p,
     _ladder_max_convolve,
+    _p_label,
     _p_norm_rows,
     max_convolve_piecewise,
     p_norm_convolve,
@@ -94,9 +95,8 @@ def numeric_max_operator(config: PiecewiseConfig | None = None) -> ConvolutionOp
 def p_norm_operator(p: float) -> ConvolutionOperator:
     """Addition on the continuum between sum-product (p=1) and max-product."""
     p = _check_p(p)
-    # repr round-trips the exponent bit for bit; whole exponents read pnorm:2
     return ConvolutionOperator(
-        f"pnorm:{repr(p).removesuffix('.0')}", lambda l, r: p_norm_convolve(l, r, p), "max",
+        f"pnorm:{_p_label(p)}", lambda l, r: p_norm_convolve(l, r, p), "max",
         apply_rows=partial(_p_norm_rows, p=p),
     )
 

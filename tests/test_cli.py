@@ -10,6 +10,7 @@ from convtree import (
     generate_uniform_pair,
     max_convolve_piecewise,
     naive_max_convolve,
+    p_norm_operator,
 )
 from convtree.cli import main
 from convtree.io import read_pmf, read_pmf_ndjson, write_pmf, write_pmf_ndjson
@@ -154,6 +155,21 @@ def test_bench_accuracy_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "p", "index", "exact_value", "rel_abs_error"]
     assert len(rows) == 1 + 2 * 2 * 15
+
+
+@pytest.mark.parametrize("p_list, labels", [("2.50000001,2.5", ["2.50000001", "2.5"]),
+                                            ("2,4", ["2", "4"])])
+def test_bench_accuracy_csv_spells_p_like_the_operator_name(tmp_path, p_list, labels):
+    # six significant digits would write both exponents of the first sweep
+    # as 2.5; the operator-name spelling reads back bit for bit
+    out = tmp_path / "acc.csv"
+    assert main(["bench", "accuracy", "--k-list", "4", "--p-list", p_list,
+                 "--replicates", "1", "--seed", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        column = [row[1] for row in list(csv.reader(fh))[1:]]
+    assert column == [labels[0]] * 7 + [labels[1]] * 7
+    assert [p_norm_operator(float(p)).name for p in p_list.split(",")] == [
+        f"pnorm:{label}" for label in labels]
 
 
 def test_demo_writes_files(tmp_path):

@@ -9,18 +9,23 @@ from numpy.testing import assert_allclose, assert_array_equal
 import convtree.fftconv as fftconv
 from bruteforce import refine_per_index
 from convtree import (
+    ConvolutionOperator,
     Pmf,
+    convolution_tree,
     delta,
     fast_convolve,
     fft_length,
+    generate_subset_sum_instance,
     max_convolve_auto,
     max_convolve_piecewise,
     naive_convolve,
     naive_max_convolve,
+    operator_from_name,
     p_norm_convolve,
     padded_length,
     pair_counts,
 )
+from convtree.fftconv import _canonical_rows
 from convtree.numeric import REFINE_BELOW, _p_norm_rows
 
 
@@ -169,8 +174,9 @@ def test_refine_matches_per_index_with_an_all_zero_operand():
     assert_array_equal(got, np.zeros(5))
 
 
-def refine_calls(out, a, b):
-    """Refine ``out`` in place; the number of direct-sum calls it made."""
+def refine_calls(out, a, b, window=None, refine=fftconv._refine_small_values):
+    """Refine ``out`` in place (``refine`` may also be ``_refine_rows``);
+    the number of direct-sum calls it made."""
     calls = []
     convolve = np.convolve
 
@@ -180,7 +186,7 @@ def refine_calls(out, a, b):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fftconv.np, "convolve", counting_convolve)
-        fftconv._refine_small_values(out, a, b, 1e-6)
+        refine(out, a, b, 1e-6, window)
     return len(calls)
 
 
@@ -198,6 +204,71 @@ def test_refine_merges_runs_across_small_gaps():
     assert_refined_like_oracle(got, expected)
     untouched = np.setdiff1d(np.arange(69), small)
     assert_array_equal(got[untouched], 1.0)
+
+
+def test_refine_cuts_a_long_run_into_capped_pieces():
+    rng = np.random.default_rng(15)
+    a, b = rng.random(400), rng.random(200)
+    row = np.ones(599)
+    row[40:40 + 2 * fftconv.REFINE_RUN_CAP + 1] = 1e-9  # one run
+    expected, got = row.copy(), row.copy()
+    refine_per_index(expected, a, b, 1e-6)
+    assert refine_calls(got, a, b) == 3
+    assert_refined_like_oracle(got, expected)
+
+
+def test_windowed_refine_skips_a_row_small_only_outside_its_window():
+    rng = np.random.default_rng(16)
+    a, b = 0.5 + rng.random(50), 0.5 + rng.random(20)
+    a[:5] *= 1e-9
+    a[-5:] *= 1e-9  # outputs 0..4 and 64..68 are small
+    row = fast_convolve(Pmf(a), Pmf(b)).values
+    full, got = row.copy(), row.copy()
+    assert refine_calls(full, a, b) == 2
+    assert refine_calls(got, a, b, window=(10, 40)) == 0
+    assert got[10:50].tobytes() == full[10:50].tobytes()
+    assert got.max() == full.max()
+    rows = np.stack([row, row])
+    assert refine_calls(rows, a, b, window=(10, 40), refine=fftconv._refine_rows) == 0
+    assert rows.tobytes() == np.stack([row, row]).tobytes()  # no row visited
+
+
+def test_windowed_refine_sums_a_piece_cut_by_the_window_whole():
+    rng = np.random.default_rng(17)
+    a, b = 0.5 + rng.random(50), 0.5 + rng.random(20)
+    a[:3] *= 1e-9
+    a[10:40] *= 1e-9
+    a[47:] *= 1e-9  # runs of small outputs 0..2, 29..39 and 66..68
+    row = fast_convolve(Pmf(a), Pmf(b)).values
+    full, got = row.copy(), row.copy()
+    assert refine_calls(full, a, b) == 3
+    assert refine_calls(got, a, b, window=(34, 20)) == 1  # the run 29..39
+    assert got[29:54].tobytes() == full[29:54].tobytes()  # all of it, 29..33 too
+    assert got.max() == full.max()
+
+
+def test_windowed_reverse_layer_makes_fewer_direct_sums():
+    # the calls a pnorm:1 solve at (32, 256) makes with a keep-window
+    instance = generate_subset_sum_instance(32, 256, 0)
+    stock = operator_from_name("pnorm:1")
+    layers = []
+
+    def recording_rows(left, right, window=None):
+        if window is not None:
+            layers.append((left, right, window))
+        return stock.apply_rows(left, right, window=window)
+
+    convolution_tree(instance.priors, instance.sum_likelihood,
+                     ConvolutionOperator("pnorm:1", stock.apply, "max", apply_rows=recording_rows))
+    assert len(layers) == 5
+    for left, right, (lo, n) in layers:
+        a, b = _canonical_rows(left, right)
+        full = fftconv._convolve_rows(a, b)
+        windowed = full.copy()
+        full_sums = refine_calls(full, a, b, refine=fftconv._refine_rows)
+        assert refine_calls(windowed, a, b, (lo, n), fftconv._refine_rows) < full_sums
+        assert windowed[..., lo:lo + n].tobytes() == full[..., lo:lo + n].tobytes()
+        assert windowed.max(axis=-1).tobytes() == full.max(axis=-1).tobytes()
 
 
 def test_refine_leaves_a_row_without_small_outputs_alone():

@@ -232,16 +232,28 @@ def test_positional_operator_has_no_layer_call():
 def window_cases():
     """(left, right, window) triples: a reverse layer's parent-against-
     siblings layout, windows touching either end of the output, a peaked
-    pair that the p-norm refine rewrites, and a one-pair call."""
+    pair that the p-norm refine rewrites, a one-pair call, and a peaked
+    reverse layer whose runs of small outputs cross both window edges, so
+    the refine sums pieces that reach out of the window."""
     rng = np.random.default_rng(8)
     w = 24
     message, children = 0.05 + rng.random((3, 1, 2 * w - 1)), 0.05 + rng.random((3, 2, w))
     peaked = np.exp(-40.0 * rng.random((4, 50)))
-    return [(message, children[:, ::-1, ::-1], (w - 1, w)),
-            (message, children, (0, w)),
-            (message, children, (2 * w - 2, w)),
-            (peaked, peaked[::-1], (30, 40)),
-            (0.05 + rng.random(9), 0.05 + rng.random(5), (0, 13))]
+    cases = [(message, children[:, ::-1, ::-1], (w - 1, w)),
+             (message, children, (0, w)),
+             (message, children, (2 * w - 2, w)),
+             (peaked, peaked[::-1], (30, 40)),
+             (0.05 + rng.random(9), 0.05 + rng.random(5), (0, 13))]
+
+    def bump(width, shape):
+        # a Gaussian of sigma 1.2 centred within one column of the middle
+        centre = (width - 1) / 2 + rng.uniform(-1.0, 1.0, shape)
+        return np.exp(-0.5 * ((np.arange(width) - centre) / 1.2) ** 2)
+
+    # every output row is small from its first column to a few past w - 1,
+    # and from a few before 2w - 2 to its last
+    message, children = bump(2 * w - 1, (3, 1, 1)), bump(w, (3, 2, 1))
+    return cases + [(message, children[:, ::-1, ::-1], (w - 1, w))]
 
 
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
