@@ -34,7 +34,6 @@ from .pmf import (
     delta,
     naive_convolve,
     naive_max_convolve,
-    normalize_max,
     normalize_sum,
     relative_absolute_error,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "naive_convolve",
     "naive_max_convolve",
     "naive_max_operator",
-    "normalize_max",
     "normalize_sum",
     "numeric_max_operator",
     "operator_from_name",

@@ -11,6 +11,10 @@ case, bit for bit: each row of a stacked transform is computed as it
 would be alone. Negative round-off is clipped to zero before fractional
 powers see it; the exact refine of small outputs (``_refine_rows``)
 belongs to the p-norm path.
+
+Every row kernel takes a keep-window ``(lo, n)`` and returns the kept
+columns of its full rows and each full row's peak (``_keep_window``); a
+one-pair function is its kernel over the full window (``_one_pair``).
 """
 
 from __future__ import annotations
@@ -61,7 +65,9 @@ def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
     """
     if left.shape[-1] != right.shape[-1]:
         return (left, right) if left.shape[-1] > right.shape[-1] else (right, left)
-    if left.size == right.size == left.shape[-1]:  # one pair
+    # One pair: comparing bytes skips the uint8 views and gathers below,
+    # about 30 us of a 55-65 us one-pair fast_convolve at k = 64 (2 vCPUs).
+    if left.size == right.size == left.shape[-1]:
         return (left, right) if left.tobytes() <= right.tobytes() else (right, left)
     lb, rb = (np.ascontiguousarray(x).view(np.uint8) for x in (left, right))
     differ = lb != rb
@@ -163,10 +169,10 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         rel_threshold: float, window: tuple[int, int] | None = None) -> None:
-    """Recompute outputs at or below rel_threshold * max(out) by direct
-    summation, in place; with ``window=(lo, n)``, those in the kept columns
-    ``out[lo:lo + n]``.
+                         rel_threshold: float, window: tuple[int, int]):
+    """Recompute the outputs in the kept columns ``out[lo:lo + n]``
+    (``window=(lo, n)``) at or below rel_threshold * max(out) by direct
+    summation, in place.
 
     FFT round-off is absolute (~1e-16 of the peak), so outputs far below the
     peak can be pure noise; the direct sum is exact there. On peaked inputs
@@ -185,9 +191,9 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
        needs.
 
     Steps 1-3 read the whole row, so the pieces do not depend on
-    ``window``; a window only skips the direct sums of pieces that do not
-    reach into it. Every kept output is then the same sum over the same
-    piece as without a window, bit for bit, and the row's peak is
+    ``window``; it only skips the direct sums of pieces that do not reach
+    into it. Every kept output is then the same sum over the same piece
+    as under the full window, bit for bit, and the row's peak is
     untouched. Small outputs outside the window are left at zero or at
     their direct sum, both far below the peak.
 
@@ -212,7 +218,7 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     index = index[(index >= shift) & (index < shift + a.size + b.size - 1)] - shift
     if not (a.all() and b.all()):
         index = index[_support_counts(a, b)[index] > 0.5]
-    lo, n = window or (0, out.size)
+    lo, n = window
     keep_first, keep_last = lo - shift, lo + n - 1 - shift  # in trimmed indices
     bounds = [0, *(np.flatnonzero(np.diff(index) > _RUN_GAP + 1) + 1).tolist(), index.size]
     for start, stop in zip(bounds, bounds[1:]):
@@ -256,10 +262,10 @@ def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
-                       window: tuple[int, int] | None = None):
+                       window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """fast_convolve of every row pair of ``left`` (..., a) and ``right``
-    (..., b), whose leading axes broadcast: a (..., a + b - 1) array, or
-    with ``window`` its kept columns and row peaks (see ``_keep_window``).
+    (..., b), whose leading axes broadcast, cut to the keep-window
+    ``window=(lo, n)``: the kept columns and row peaks (``_keep_window``).
 
     Each row is bit-identical to the one-pair call on that row pair.
     """
@@ -267,25 +273,33 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
     return _keep_window(_convolve_rows(a, b), window)
 
 
-def _keep_window(out: np.ndarray, window: tuple[int, int] | None):
-    """``out`` itself without a window; with ``window=(lo, n)``, the kept
-    columns ``out[..., lo:lo + n]`` and each full row's peak
-    ``out.max(axis=-1)``: the keep-window contract of ``apply_rows``."""
-    if window is None:
-        return out
+def _keep_window(out: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The kept columns ``out[..., lo:lo + n]`` of ``window=(lo, n)`` and
+    each full row's peak ``out.max(axis=-1)``: what every row kernel
+    returns."""
     lo, n = window
     return out[..., lo:lo + n], out.max(axis=-1)
 
 
+def _one_pair(kernel: Callable, left: Pmf, right: Pmf, *args) -> Pmf:
+    """The row kernel ``kernel(left, right, *args, window=...)`` of one pair
+    over its full window, as a Pmf at the summed offset."""
+    out, _ = kernel(left.values, right.values, *args, window=(0, len(left) + len(right) - 1))
+    return Pmf(out, left.offset + right.offset)
+
+
 def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 rel_threshold: float, window: tuple[int, int] | None = None) -> None:
-    """_refine_small_values of each row of ``out`` that has a small output;
-    with ``window=(lo, n)``, of each row that has one in the kept columns
-    ``out[..., lo:lo + n]``, small meaning against the full row's peak."""
+                 rel_threshold: float, window: tuple[int, int]):
+    """_refine_small_values of each row of ``out`` that has a small output
+    in the kept columns ``out[..., lo:lo + n]`` (``window=(lo, n)``), small
+    meaning against the full row's peak."""
+    # One pair: _refine_small_values finds its small outputs itself; the
+    # scan and index loop below add 22-38 us to a 67-80 us one-pair
+    # p_norm_convolve at k = 64 (2 vCPUs).
     if out.ndim == 1:
         _refine_small_values(out, a, b, rel_threshold, window)
         return
-    lo, n = window or (0, out.shape[-1])
+    lo, n = window
     peak = out.max(axis=-1, keepdims=True)
     small = ((out[..., lo:lo + n] <= peak * rel_threshold) & (peak > 0.0)).any(axis=-1)
     a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
@@ -300,4 +314,4 @@ def fast_convolve(left: Pmf, right: Pmf) -> Pmf:
     peak carry that absolute round-off (``p_norm_convolve`` at p = 1 is
     the same convolution with those outputs recomputed exactly).
     """
-    return Pmf(fast_convolve_rows(left.values, right.values), left.offset + right.offset)
+    return _one_pair(fast_convolve_rows, left, right)

@@ -24,6 +24,7 @@ from .fftconv import (
     _convolve_rows,
     _keep_window,
     _ladder_powers,
+    _one_pair,
     _refine_rows,
     padded_length,
 )
@@ -87,13 +88,13 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
 
     and is elementwise nonincreasing in p.
     """
-    return Pmf(_p_norm_rows(left.values, right.values, p), left.offset + right.offset)
+    return _one_pair(_p_norm_rows, left, right, p)
 
 
 def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
-                 window: tuple[int, int] | None = None):
-    """p_norm_convolve of every row pair; with ``window``, the kept columns
-    and each full row's peak.
+                 window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """p_norm_convolve of every row pair, cut to the keep-window
+    ``window=(lo, n)``: the kept columns and each full row's peak.
 
     Inputs are divided by their maxima before the p-th power, so large
     values cannot overflow, and the output is scaled back. The powered
@@ -111,13 +112,13 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
     a, b = _canonical_rows(left, right)
     sums = _convolve_rows(a, b)
     _refine_rows(sums, a, b, REFINE_BELOW, window)
+    out, peak = _keep_window(sums, window)
     if p == 1.0:
-        return _keep_window(sums, window)
-    out, peak = (sums, None) if window is None else _keep_window(sums, window)
+        return out, peak
     scale = left_peak * right_peak
     out = np.power(out, 1.0 / p, out=out)
     out *= scale[..., None]
-    return out if window is None else (out, np.power(peak, 1.0 / p) * scale)
+    return out, np.power(peak, 1.0 / p) * scale
 
 
 def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
@@ -126,8 +127,7 @@ def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
     The one-rung case of the piecewise ladder. Scale-equivariant by
     construction: scaling either input by c scales the output by c.
     """
-    return Pmf(_ladder_max_convolve(left.values, right.values, (_check_p(p),), DEFAULT_TAU),
-               left.offset + right.offset)
+    return _one_pair(_ladder_max_convolve, left, right, (_check_p(p),), DEFAULT_TAU)
 
 
 def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,11 +144,11 @@ def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
                          ladder: tuple[float, ...], tau: float,
-                         window: tuple[int, int] | None = None):
+                         window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Max-normalized p-norm estimate at every rung, stitched per index, of
     every row pair of ``left`` (..., a) and ``right`` (..., b), whose
-    leading axes broadcast; with ``window=(lo, n)``, only the kept columns
-    lo..lo+n-1 and each full row's peak.
+    leading axes broadcast, cut to the keep-window ``window=(lo, n)``: the
+    kept columns lo..lo+n-1 and each full row's peak.
 
     Both inputs of a pair are divided by their maxima before exponentiation
     so the dominant terms start at 1 and survive the p-th power; each rung's
@@ -171,7 +171,7 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
     peak = a_peak * b_peak
     scale = np.atleast_1d(peak)
-    lo, n = window or (0, a.shape[-1] + b.shape[-1] - 1)
+    lo, n = window
 
     def finish(rows, vms):
         stitched = None
@@ -185,8 +185,7 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
                 np.copyto(stitched, rung, where=rung >= tau)
         return stitched * scale[rows, ..., None]
 
-    out = _convolve_rows(a, b, ladder, finish, width=n)
-    return out if window is None else (out, peak)
+    return _convolve_rows(a, b, ladder, finish, width=n), peak
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,
@@ -202,8 +201,7 @@ def max_convolve_piecewise(left: Pmf, right: Pmf,
     """
     if config is None:
         config = PiecewiseConfig()
-    return Pmf(_ladder_max_convolve(left.values, right.values, config.p_ladder, config.tau),
-               left.offset + right.offset)
+    return _one_pair(_ladder_max_convolve, left, right, config.p_ladder, config.tau)
 
 
 def max_convolve_auto(left: Pmf, right: Pmf,

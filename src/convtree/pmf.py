@@ -112,21 +112,12 @@ def delta(outcome: int = 0, mass: float = 1.0) -> Pmf:
     return Pmf(np.array([mass], dtype=float), outcome)
 
 
-def _divided(p: Pmf, scale: float) -> Pmf:
-    """``p`` divided by its positive sum or peak ``scale``."""
-    if scale <= 0.0:
-        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    return Pmf(p.values / scale, p.offset)
-
-
 def normalize_sum(p: Pmf) -> Pmf:
     """Scale so the values sum to one."""
-    return _divided(p, float(p.values.sum()))
-
-
-def normalize_max(p: Pmf) -> Pmf:
-    """Scale so the largest value is exactly one."""
-    return _divided(p, float(p.values.max()))
+    total = float(p.values.sum())
+    if total <= 0.0:
+        raise DegenerateDistributionError("degenerate distribution: total mass is zero")
+    return Pmf(p.values / total, p.offset)
 
 
 def naive_convolve(left: Pmf, right: Pmf) -> Pmf:

@@ -19,16 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fftconv import _keep_window, _window, fast_convolve, fast_convolve_rows, padded_length
-from .numeric import (
-    PiecewiseConfig,
-    _check_p,
-    _ladder_max_convolve,
-    _p_label,
-    _p_norm_rows,
-    max_convolve_piecewise,
-    p_norm_convolve,
-)
+from .fftconv import _keep_window, _one_pair, _window, fast_convolve_rows, padded_length
+from .numeric import PiecewiseConfig, _check_p, _ladder_max_convolve, _p_label, _p_norm_rows
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
 
@@ -51,20 +43,21 @@ class ConvolutionOperator:
     for averaging semantics (sum-product) or "max" for best-case semantics
     (max-product); it fixes how every tree message is rescaled.
 
-    ``apply_rows``, if given, takes a (..., a) and a (..., b) array whose
-    leading axes broadcast and returns the (..., a + b - 1) array whose
-    every row is ``apply`` of that row pair, bit for bit; the tree then
-    makes one call per layer. Given a keep-window ``window=(lo, n)`` it
-    returns instead the pair ``(full[..., lo:lo + n], full.max(axis=-1))``,
-    bit for bit, so a kernel may skip work on the columns it drops; the
-    reverse layers use it. Without ``apply_rows`` the tree calls ``apply``
-    once per pair, on the same rows wrapped as Pmfs at offset 0.
+    ``apply_rows(left, right, window=(lo, n))``, if given, takes a (..., a)
+    and a (..., b) array whose leading axes broadcast and returns the pair
+    ``(full[..., lo:lo + n], full.max(axis=-1))``, bit for bit, where
+    every row of ``full`` is ``apply`` of that row pair: a kernel may skip
+    work on the columns it drops. The tree makes one call per layer, the
+    forward layers keeping their longest reach ``(0, reach)`` and the
+    reverse layers each child's window ``(w - 1, w)``. Without
+    ``apply_rows`` the tree calls ``apply`` once per pair, on the same rows
+    wrapped as Pmfs at offset 0.
     """
 
     name: str
     apply: Callable[[Pmf, Pmf], Pmf]
     normalization: str
-    apply_rows: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]] | None = field(
+    apply_rows: Callable[..., tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, kw_only=True)
 
     def __post_init__(self):
@@ -72,10 +65,16 @@ class ConvolutionOperator:
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
+def _from_rows(name: str, apply_rows: Callable[..., tuple[np.ndarray, np.ndarray]],
+               normalization: str) -> ConvolutionOperator:
+    """The operator whose ``apply`` is the one-pair case of ``apply_rows``."""
+    return ConvolutionOperator(name, partial(_one_pair, apply_rows), normalization,
+                               apply_rows=apply_rows)
+
+
 def standard_operator() -> ConvolutionOperator:
     """Sum-product addition: FFT convolution, messages normalized by sum."""
-    return ConvolutionOperator("sum", fast_convolve, "sum",
-                               apply_rows=fast_convolve_rows)
+    return _from_rows("sum", fast_convolve_rows, "sum")
 
 
 def naive_max_operator() -> ConvolutionOperator:
@@ -86,19 +85,14 @@ def naive_max_operator() -> ConvolutionOperator:
 def numeric_max_operator(config: PiecewiseConfig | None = None) -> ConvolutionOperator:
     """Fast numerical max-product addition (piecewise exponent ladder)."""
     cfg = config if config is not None else PiecewiseConfig()
-    return ConvolutionOperator(
-        "max-numeric", lambda l, r: max_convolve_piecewise(l, r, cfg), "max",
-        apply_rows=partial(_ladder_max_convolve, ladder=cfg.p_ladder, tau=cfg.tau),
-    )
+    return _from_rows("max-numeric",
+                      partial(_ladder_max_convolve, ladder=cfg.p_ladder, tau=cfg.tau), "max")
 
 
 def p_norm_operator(p: float) -> ConvolutionOperator:
     """Addition on the continuum between sum-product (p=1) and max-product."""
     p = _check_p(p)
-    return ConvolutionOperator(
-        f"pnorm:{_p_label(p)}", lambda l, r: p_norm_convolve(l, r, p), "max",
-        apply_rows=partial(_p_norm_rows, p=p),
-    )
+    return _from_rows(f"pnorm:{_p_label(p)}", partial(_p_norm_rows, p=p), "max")
 
 
 OPERATOR_NAMES = "sum | max-naive | max-numeric | pnorm:<p>"
@@ -166,14 +160,14 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
 
     # Forward: pair up each layer until a single root (the prior of the sum).
     # A row holds only round-off past its reach (the length of its node's
-    # support), so each layer is cut to its longest reach: ragged priors
+    # support), so each layer keeps only its longest reach: ragged priors
     # pay for their padding at the leaves only.
     reach = np.array([len(p) for p in priors] + [1] * (len(leaves) - len(priors)))
     forward = [_rescaled(leaves, normalization)]
     while len(forward[-1]) > 1:
         layer = forward[-1]
         reach = reach[0::2] + reach[1::2] - 1
-        merged = apply_rows(layer[0::2], layer[1::2])[:, :reach.max()]
+        merged, _ = apply_rows(layer[0::2], layer[1::2], window=(0, reach.max()))
         forward.append(_rescaled(merged, normalization))
     sum_prior = Pmf(forward[-1][0], sum(p.offset for p in priors))
 
@@ -181,7 +175,7 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     # outside the evidence. Rebinding frees the uncut evidence.
     messages = _rescaled(sum_likelihood.values[None], normalization)
     lo = sum_prior.offset - sum_likelihood.offset
-    messages = _rescaled(_window(messages[0], lo, lo + len(sum_prior) - 1)[None],
+    messages = _rescaled(_window(messages[0], lo, lo + len(sum_prior) - 1)[np.newaxis],
                          normalization, ZERO_MASS_REL_TOL * messages.max(axis=1))
 
     # Reverse: the message for a child is the parent's message minus the
@@ -223,9 +217,9 @@ def _rescaled(rows: np.ndarray, normalization: str,
 
 
 def _per_pair_rows(apply: Callable[[Pmf, Pmf], Pmf], left: np.ndarray,
-                   right: np.ndarray, window: tuple[int, int] | None = None):
+                   right: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """``apply`` of every row pair, one call each in row order, for an
-    operator without ``apply_rows``; a window is cut from the full rows."""
+    operator without ``apply_rows``; the window is cut from the full rows."""
     lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
     left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
     out = np.empty(lead + (left.shape[-1] + right.shape[-1] - 1,))

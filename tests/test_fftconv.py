@@ -175,8 +175,9 @@ def test_refine_matches_per_index_with_an_all_zero_operand():
 
 
 def refine_calls(out, a, b, window=None, refine=fftconv._refine_small_values):
-    """Refine ``out`` in place (``refine`` may also be ``_refine_rows``);
-    the number of direct-sum calls it made."""
+    """Refine ``out`` in place (``refine`` may also be ``_refine_rows``)
+    over ``window``, all of a row by default; the number of direct-sum
+    calls it made."""
     calls = []
     convolve = np.convolve
 
@@ -186,7 +187,7 @@ def refine_calls(out, a, b, window=None, refine=fftconv._refine_small_values):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fftconv.np, "convolve", counting_convolve)
-        refine(out, a, b, 1e-6, window)
+        refine(out, a, b, 1e-6, window or (0, out.shape[-1]))
     return len(calls)
 
 
@@ -248,13 +249,14 @@ def test_windowed_refine_sums_a_piece_cut_by_the_window_whole():
 
 
 def test_windowed_reverse_layer_makes_fewer_direct_sums():
-    # the calls a pnorm:1 solve at (32, 256) makes with a keep-window
+    # the reverse-layer calls (parent messages against sibling pairs, a
+    # 3-D left operand) of a pnorm:1 solve at (32, 256)
     instance = generate_subset_sum_instance(32, 256, 0)
     stock = operator_from_name("pnorm:1")
     layers = []
 
-    def recording_rows(left, right, window=None):
-        if window is not None:
+    def recording_rows(left, right, window):
+        if left.ndim == 3:
             layers.append((left, right, window))
         return stock.apply_rows(left, right, window=window)
 
@@ -328,7 +330,7 @@ def test_fast_convolve_many_is_bit_identical_to_one_pair_calls(
                    for p in (1.0, 4.0)]
     for many, one_pair in kernels:
         for left, right in row_cases():
-            got = many(left, right)
+            got, _ = many(left, right, window=(0, left.shape[-1] + right.shape[-1] - 1))
             lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
             assert got.shape == lead + (left.shape[-1] + right.shape[-1] - 1,)
             left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
@@ -350,7 +352,7 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     monkeypatch.setattr(fftconv.scipy.fft, "rfft", counting_rfft)
     rng = np.random.default_rng(4)
     message, siblings = rng.random((1, 1, 63)), rng.random((1, 2, 32))
-    fftconv.fast_convolve_rows(message, siblings)
+    fftconv.fast_convolve_rows(message, siblings, window=(0, 94))
     assert sum(np.prod(shape[:-1]) for shape in shapes) == 3  # rows transformed
     # a one-pair call is the one-row case of the same path: one transform
     # per operand of its zero-padded (rungs, rows, size) stack, every
@@ -366,8 +368,9 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
 
 
 def test_fast_convolve_many_of_nothing():
-    out = fftconv.fast_convolve_rows(np.empty((0, 3)), np.empty((0, 5)))
+    out, peak = fftconv.fast_convolve_rows(np.empty((0, 3)), np.empty((0, 5)), window=(0, 7))
     assert out.shape == (0, 7)
+    assert peak.shape == (0,)
 
 
 def test_refine_cost_stays_near_the_overlaps_of_its_outputs():
@@ -389,6 +392,6 @@ def test_refine_cost_stays_near_the_overlaps_of_its_outputs():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fftconv.np, "convolve", counting_convolve)
-        fftconv._refine_small_values(out, a, b, 1e-6)
+        fftconv._refine_small_values(out, a, b, 1e-6, (0, out.size))
     assert small.size > 10000
     assert sum(products) <= 1.1 * overlaps

@@ -18,7 +18,6 @@ from convtree import (
     max_convolve_normalized,
     max_convolve_piecewise,
     naive_max_convolve,
-    normalize_max,
     numeric_max_operator,
     p_norm_convolve,
     p_norm_operator,
@@ -94,7 +93,7 @@ def test_large_values_do_not_overflow():
 
 def test_max_normalized_inputs_keep_their_bits():
     # a peak of exactly 1.0 is neither divided out nor multiplied back
-    left, right = (normalize_max(x) for x in random_pair(64, 9))
+    left, right = (Pmf(x.values / x.values.max()) for x in random_pair(64, 9))
     powered = p_norm_convolve(Pmf(np.square(np.square(left.values))),
                               Pmf(np.square(np.square(right.values))), 1.0)
     out = p_norm_convolve(left, right, 4.0)
@@ -212,7 +211,8 @@ def test_batched_pairs_are_bit_identical_to_one_pair_calls(
         monkeypatch, block_floats, operator, one_pair):
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
     for left, right in row_cases():
-        got = operator.apply_rows(left, right)
+        got, _ = operator.apply_rows(left, right,
+                                     window=(0, left.shape[-1] + right.shape[-1] - 1))
         lead = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
         assert got.shape == lead + (left.shape[-1] + right.shape[-1] - 1,)
         left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
@@ -224,7 +224,7 @@ def test_batched_pairs_are_bit_identical_to_one_pair_calls(
 def test_batched_piecewise_rejects_a_degenerate_operand():
     left, right = np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([[0.5], [1.0]])
     with pytest.raises(DegenerateDistributionError):
-        numeric_max_operator().apply_rows(left, right)
+        numeric_max_operator().apply_rows(left, right, window=(0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from convtree import (
     delta,
     naive_convolve,
     naive_max_convolve,
-    normalize_max,
     normalize_sum,
     relative_absolute_error,
 )
@@ -135,21 +134,9 @@ def test_normalize_sum(values, expected):
     assert abs(out.values.sum() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("values,expected", [
-    ([0.2, 0.4], [0.5, 1.0]),
-    ([1.0], [1.0]),
-    ([3.0, 1.0, 2.0], [1.0, 1 / 3, 2 / 3]),
-])
-def test_normalize_max(values, expected):
-    out = normalize_max(Pmf(values))
-    assert_allclose(out.values, expected, atol=1e-15)
-    assert out.values.max() == 1.0
-
-
-@pytest.mark.parametrize("normalize", [normalize_sum, normalize_max])
-def test_normalize_rejects_all_zero(normalize):
+def test_normalize_rejects_all_zero():
     with pytest.raises(DegenerateDistributionError):
-        normalize(Pmf([0.0, 0.0]))
+        normalize_sum(Pmf([0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

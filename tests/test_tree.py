@@ -209,17 +209,25 @@ def test_layer_calls_are_bit_identical_to_per_pair_calls(n, name):
 
 
 def test_one_operator_call_per_layer():
+    # each call as (rows, full output width a + b - 1, keep-window): on
+    # ragged priors a forward layer keeps its longest reach, fewer columns
+    # than its full rows, and a reverse layer the children's (w - 1, w)
     stock = standard_operator()
     calls = []
 
-    def apply_rows(left, right, window=None):
-        calls.append(np.prod(np.broadcast_shapes(left.shape[:-1], right.shape[:-1])))
+    def apply_rows(left, right, window):
+        rows = np.prod(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]))
+        calls.append((rows, left.shape[-1] + right.shape[-1] - 1, window))
         return stock.apply_rows(left, right, window=window)
 
     operator = ConvolutionOperator("sum", stock.apply, "sum", apply_rows=apply_rows)
-    priors = random_priors(5, 4, 2)
+    rng = np.random.default_rng(2)
+    priors = [Pmf(0.05 + rng.random(k)) for k in (2, 9, 3, 4, 5)]
     convolution_tree(priors, random_evidence(priors, 2), operator)
-    assert calls == [4, 2, 1, 2, 4, 8]  # forward leaves-first, reverse root-first
+    # forward leaves-first, reaches (10, 6, 5, 1), (15, 5) and (19,);
+    # reverse root-first, into children of widths 15, 10 and 9
+    assert calls == [(4, 17, (0, 10)), (2, 19, (0, 15)), (1, 29, (0, 19)),
+                     (2, 33, (14, 15)), (4, 24, (9, 10)), (8, 18, (8, 9))]
 
 
 def test_positional_operator_has_no_layer_call():
@@ -266,26 +274,28 @@ def test_windowed_layer_call_is_the_full_calls_slice_and_peak(monkeypatch, block
     else:
         apply_rows = operator_from_name(name).apply_rows
     for left, right, (lo, n) in window_cases():
-        full = apply_rows(left, right)
+        full, full_peak = apply_rows(left, right,
+                                     window=(0, left.shape[-1] + right.shape[-1] - 1))
         kept, peak = apply_rows(left, right, window=(lo, n))
         assert kept.shape == full.shape[:-1] + (n,)
         assert kept.tobytes() == full[..., lo:lo + n].tobytes()
         assert np.shape(peak) == full.shape[:-1]
-        assert np.asarray(peak).tobytes() == full.max(axis=-1).tobytes()
+        for got in (peak, full_peak):
+            assert np.asarray(got).tobytes() == full.max(axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("bad, message", [(np.nan, "must be finite"),
                                           (-1.0, "must be nonnegative")])
 def test_operator_output_that_is_no_mass_still_raises(bad, message):
-    # the likelihood rows are validated once as a whole, not once per Pmf
+    # the likelihood rows are validated once as a whole, not once per Pmf;
+    # only the reverse layers (windows past column 0) are corrupted
     stock = standard_operator()
 
-    def apply_rows(left, right, window=None):
-        if window is None:
-            return stock.apply_rows(left, right)
+    def apply_rows(left, right, window):
         kept, peak = stock.apply_rows(left, right, window=window)
-        kept = kept.copy()
-        kept[..., 0] *= bad
+        if window[0] > 0:
+            kept = kept.copy()
+            kept[..., 0] *= bad
         return kept, peak
 
     operator = ConvolutionOperator("sum", stock.apply, "sum", apply_rows=apply_rows)
