@@ -28,9 +28,14 @@ from .tree import OPERATOR_NAMES, convolution_tree, operator_from_name
 
 
 def _list_of(convert):
-    """argparse type: comma-separated ``convert`` values, e.g. ``4,32,64``."""
+    """argparse type: comma-separated ``convert`` values, e.g. ``4,32,64``.
+    An empty list or an empty item is a usage error."""
     def parse(text: str) -> list:
-        return [convert(tok) for tok in text.split(",") if tok]
+        tokens = text.split(",")
+        if "" in tokens:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated values with none empty, got {text!r}")
+        return [convert(tok) for tok in tokens]
     parse.__name__ = f"{convert.__name__} list"
     return parse
 
@@ -123,9 +128,8 @@ def _cmd_maxconv(args) -> int:
 def _cmd_tree(args) -> int:
     priors = io.read_pmf_ndjson(args.priors)
     evidence = io.read_pmf(args.sum)
-    # only max-numeric reads --p-ladder/--tau
-    config = _piecewise_config(args) if args.op == "max-numeric" else None
-    operator = operator_from_name(args.op, config)
+    # --p-ladder/--tau are checked for every operator; only max-numeric reads them
+    operator = operator_from_name(args.op, _piecewise_config(args))
     result = convolution_tree(priors, evidence, operator)
     with open(args.out, "w") as fh:
         json.dump({

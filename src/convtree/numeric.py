@@ -26,6 +26,7 @@ from .fftconv import (
     _ladder_powers,
     _one_pair,
     _refine_rows,
+    _root,
     padded_length,
 )
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
@@ -116,7 +117,7 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
     if p == 1.0:
         return out, peak
     scale = left_peak * right_peak
-    out = np.power(out, 1.0 / p, out=out)
+    out = _root(out, p)
     out *= scale[..., None]
     return out, np.power(peak, 1.0 / p) * scale
 
@@ -164,6 +165,16 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     only. Every stitched row peaks at exactly 1 (the top rung's root of its
     own peak, which clears tau; no root of a value <= 1 exceeds 1), so a
     full row's peak is its input scale.
+
+    The rows arrive unclipped, and no root sees a zero (``_root`` says
+    why). A rung's raw peak equals its clipped one, since every rung peaks
+    at about 1. The fallback's kept columns are clipped at zero and rooted
+    by ``_root``. Every upper rung's kept values are instead clamped up to
+    its floor 0.5 * tau**p: a value below it roots to about
+    tau * 0.5**(1/p), below tau by far more than the root's round-off, so
+    no index ever took it and none takes the floor. Where the floor
+    underflows to 0, or p is so large that the root of the floor is within
+    round-off of tau, the floor is 0 and the clamp is the clip.
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
     (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
@@ -172,17 +183,22 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     peak = a_peak * b_peak
     scale = np.atleast_1d(peak)
     lo, n = window
+    upper = ladder[1:]
+    # The floor's root, tau * 0.5**(1/p), lies about ln2/p below tau: over
+    # 1e6 ulps up to p = 2**32, but within round-off by p = 1e16. Rungs
+    # above 2**32 are only clipped.
+    floors = np.array([0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in upper])
+    floors = floors.reshape((-1,) + (1,) * (scale.ndim + 1))
 
     def finish(rows, vms):
-        stitched = None
-        for vm, p in zip(vms, ladder):
-            kept = vm[..., lo:lo + n]
-            kept /= vm.max(axis=-1, keepdims=True)
-            rung = np.power(kept, 1.0 / p, out=kept)
-            if stitched is None:
-                stitched = rung  # smallest exponent is the fallback
-            else:
-                np.copyto(stitched, rung, where=rung >= tau)
+        kept = vms[..., lo:lo + n]
+        kept /= vms.max(axis=-1, keepdims=True)
+        np.maximum(kept[1:], floors, out=kept[1:])
+        np.maximum(kept[0], 0.0, out=kept[0])
+        stitched = _root(kept[0], ladder[0])  # smallest exponent is the fallback
+        for rung, p in zip(kept[1:], upper):
+            rung = np.power(rung, 1.0 / p, out=rung)
+            np.copyto(stitched, rung, where=rung >= tau)
         return stitched * scale[rows, ..., None]
 
     return _convolve_rows(a, b, ladder, finish, width=n), peak
@@ -209,8 +225,10 @@ def max_convolve_auto(left: Pmf, right: Pmf,
     """Exact naive max-convolution on small problems, piecewise otherwise.
 
     Naive when its k_L * k_R products are no more than the transform work
-    size * max(1, log2 size), size being the padded FFT length; the log is
-    floored at 1 so length-1 problems still take the naive path.
+    size * max(1, log2 size), size being ``padded_length`` of the output
+    (the next power of two), not the 5-smooth ``fft_length`` the
+    transforms run at; the log is floored at 1 so length-1 problems still
+    take the naive path.
     """
     size = padded_length(len(left) + len(right) - 1)
     if len(left) * len(right) <= size * max(1.0, math.log2(size)):

@@ -114,12 +114,16 @@ def test_tree_unknown_operator_exits(tmp_path, op):
               "--op", op, "--out", str(tmp_path / "o.json")])
 
 
-def test_tree_sum_ignores_ladder_options(tmp_path):
+@pytest.mark.parametrize("op", ["sum", "max-naive", "pnorm:2"])
+def test_tree_checks_ladder_options_whatever_the_op(tmp_path, op):
     write_pmf_ndjson([Pmf([0.5, 0.5]), Pmf([0.9, 0.1])], tmp_path / "p.ndjson")
     write_pmf(Pmf([1.0], offset=1), tmp_path / "s.json")
-    assert main(["tree", "--priors", str(tmp_path / "p.ndjson"),
-                 "--sum", str(tmp_path / "s.json"), "--op", "sum",
-                 "--p-ladder", "4", "--tau", "2", "--out", str(tmp_path / "o.json")]) == 0
+    argv = ["tree", "--priors", str(tmp_path / "p.ndjson"), "--sum", str(tmp_path / "s.json"),
+            "--op", op, "--out", str(tmp_path / "o.json")]
+    assert "tau must lie in" in _usage_error(argv + ["--tau", "7"])
+    assert "invalid exponent" in _usage_error(argv + ["--p-ladder", "4,inf"])
+    assert not (tmp_path / "o.json").exists()
+    assert main(argv + ["--p-ladder", "2,8", "--tau", "0.5"]) == 0
 
 
 @pytest.mark.parametrize("option, message", [
@@ -258,3 +262,24 @@ def test_bench_accuracy_bad_input_writes_no_file(tmp_path, option, value):
     out.write_bytes(b"k,p\r\n8,2\r\n")  # an earlier result stays as it was
     _usage_error(argv)
     assert out.read_bytes() == b"k,p\r\n8,2\r\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "speed", "--k-list", ",", "--out", "s.csv"],
+    ["bench", "speed", "--k-list", "", "--out", "s.csv"],
+    ["bench", "accuracy", "--p-list", ",", "--out", "a.csv"],
+    ["bench", "accuracy", "--k-list", "8,", "--out", "a.csv"],
+    ["maxconv", "--left", "l.json", "--right", "r.json", "--p-ladder", "4,,64",
+     "--out", "o.json"],
+    ["tree", "--priors", "p.ndjson", "--sum", "s.json", "--p-ladder", ",4,64",
+     "--out", "o.json"],
+    ["demo", "subset-sum", "--modes", "sum-product,", "--out-dir", "d"],
+], ids=["k-list-comma", "k-list-blank", "p-list-comma", "trailing-comma", "inner-empty",
+        "leading-comma", "modes"])
+def test_empty_list_item_is_an_argparse_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "none empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

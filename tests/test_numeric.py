@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
+import convtree.numeric as numeric
 from convtree import (
     DegenerateDistributionError,
     PiecewiseConfig,
@@ -308,6 +309,123 @@ def test_piecewise_median_error_small():
     keep = scaled >= 1e-3
     err = np.abs(est.values[keep] - exact.values[keep]) / exact.values[keep]
     assert np.median(err) <= 0.1
+
+
+def peaked_pair(k, seed):
+    """Two discretized Gaussians on k bins, sigma in [2, 8]: most outputs of
+    every rung are exact zeros after the clip."""
+    rng = np.random.default_rng(seed)
+    bins = np.arange(k)
+    pair = []
+    for _ in range(2):
+        mean, sigma = rng.uniform(0.0, k - 1.0), rng.uniform(2.0, 8.0)
+        dens = np.exp(-0.5 * ((bins - mean) / sigma) ** 2)
+        pair.append(dens / dens.sum())
+    return pair
+
+
+def comb_pair():
+    """Rows with interior zeros, so many outputs have no nonzero term."""
+    rng = np.random.default_rng(5)
+    left, right = np.zeros(301), np.zeros(200)
+    left[::7], right[::5] = 0.1 + rng.random(43), 0.1 + rng.random(40)
+    return left, right
+
+
+def per_rung_ladder(left, right, ladder, tau, window):
+    """The ladder kernel as it was before upper rungs were clamped to their
+    floors: clip every output at zero, divide each rung by its peak, root
+    every kept column with np.power and stitch where the root clears tau."""
+    a, b = fftconv._canonical_rows(np.asarray(left, dtype=float),
+                                   np.asarray(right, dtype=float))
+    (a, a_peak), (b, b_peak) = numeric._max_normalized(a), numeric._max_normalized(b)
+    scale = np.atleast_1d(a_peak * b_peak)
+    lo, n = window
+
+    def finish(rows, vms):
+        np.maximum(vms, 0.0, out=vms)
+        stitched = None
+        for vm, p in zip(vms, ladder):
+            kept = vm[..., lo:lo + n]
+            kept /= vm.max(axis=-1, keepdims=True)
+            rung = np.power(kept, 1.0 / p, out=kept)
+            if stitched is None:
+                stitched = rung
+            else:
+                np.copyto(stitched, rung, where=rung >= tau)
+        return stitched * scale[rows, ..., None]
+
+    return fftconv._convolve_rows(a, b, ladder, finish, width=n), a_peak * b_peak
+
+
+def reverse_layer_rows():
+    """A parent message per row against its two children's siblings, as a
+    reverse tree layer lays them out, with zeros inside and around, and the
+    reverse layer's keep-window."""
+    rng = np.random.default_rng(11)
+    w = 40
+    messages = rng.random((3, 1, 2 * w - 1)) ** 8
+    messages[:, :, 30:50] = 0.0
+    siblings = peaked_pair(w, 3)[0] * (rng.random((3, 2, w)) < 0.7)
+    siblings[:, :, 0] += 0.01
+    return messages, siblings, (w - 1, w)
+
+
+LADDER, TAU = numeric.DEFAULT_P_LADDER, numeric.DEFAULT_TAU
+# (left, right, keep-window or None for the full one), ladder, tau
+LADDER_CASES = {
+    "peaked-8192": (lambda: (*peaked_pair(8192, 0), None), LADDER, TAU),
+    "comb": (lambda: (*comb_pair(), None), LADDER, TAU),
+    "tau-1": (lambda: (*peaked_pair(512, 1), None), LADDER, 1.0),
+    "sqrt-rung": (lambda: (*peaked_pair(512, 2), None), (2.0, 64.0), TAU),
+    "one-rung": (lambda: (*peaked_pair(512, 3), None), (16.0,), TAU),
+    "floor-underflows": (lambda: (*comb_pair(), None), (4.0, 1500.0), TAU),
+    "floor-root-rounds-to-tau": (lambda: (*peaked_pair(512, 4), None), (4.0, 1e300), 1.0),
+    "reverse-window": (reverse_layer_rows, LADDER, TAU),
+}
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
+@pytest.mark.parametrize("case", LADDER_CASES)
+def test_ladder_is_bit_identical_to_the_per_rung_finish(monkeypatch, block_floats, case):
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    make, ladder, tau = LADDER_CASES[case]
+    left, right, window = make()
+    full = (0, left.shape[-1] + right.shape[-1] - 1)
+    window = window or full
+    want, want_peak = per_rung_ladder(left, right, ladder, tau, window)
+    if len(ladder) == 1:
+        got = max_convolve_normalized(Pmf(left), Pmf(right), ladder[0]).values
+        assert got.tobytes() == want.tobytes()
+        return
+    config = PiecewiseConfig(ladder, tau)
+    got, peak = numeric_max_operator(config).apply_rows(left, right, window=window)
+    assert got.tobytes() == want.tobytes()
+    assert peak.tobytes() == want_peak.tobytes()
+    if window == full:
+        one = max_convolve_piecewise(Pmf(left), Pmf(right), config).values
+        assert one.tobytes() == want.tobytes()
+
+
+def test_no_root_sees_a_zero(monkeypatch):
+    # np.power takes several times as long on 0.0 as on other doubles
+    roots = []
+    power = np.power
+
+    def spy(x, y, *args, **kwargs):
+        if np.ndim(y) == 0 and y < 1.0:
+            roots.append(int(np.count_nonzero(np.asarray(x) == 0.0)))
+        return power(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", spy)
+    left, right = peaked_pair(8192, 0)
+    assert (max_convolve_piecewise(Pmf(left), Pmf(right)).values == 0.0).any()
+    left, right = comb_pair()
+    got, _ = p_norm_operator(4.0).apply_rows(left, np.stack([right, right[::-1]]),
+                                             window=(0, 500))
+    assert (got == 0.0).any()
+    assert len(roots) >= 4
+    assert roots == [0] * len(roots)
 
 
 # ---------------------------------------------------------------------------
