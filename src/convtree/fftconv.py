@@ -8,8 +8,10 @@ full output (``fft_length``). Per block of row pairs (their leading axes
 broadcast), each operand's rows, every rung, take one stacked real FFT, so
 a tree layer costs a few numpy calls and a one-pair call is its one-row
 case, bit for bit: each row of a stacked transform is computed as it
-would be alone. The exact refine of small outputs (``_refine_rows``)
-belongs to the p-norm path.
+would be alone. Every forward transform in the package is one
+``_spectra`` call and every inverse one is in ``_convolve_rows``, the
+support counts of the exact refine of small outputs (``_refine_rows``,
+which belongs to the p-norm path) included.
 
 Negative round-off never reaches a fractional power, and neither does an
 exact zero: on numpy 2.4.6 (AVX-512 dispatch) ``np.power(x, 1/p)`` takes
@@ -272,10 +274,7 @@ def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:
 def _support_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The number of nonzero terms a[l] * b[m - l] of every output m, from
     one FFT convolution of the 0/1 support indicators."""
-    size = fft_length(a.size + b.size - 1)
-    spectrum = (scipy.fft.rfft((a != 0.0).astype(float), size)
-                * scipy.fft.rfft((b != 0.0).astype(float), size))
-    return np.rint(scipy.fft.irfft(spectrum, size)[:a.size + b.size - 1])
+    return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float)))
 
 
 def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -117,11 +117,11 @@ def run_speed_bench(k_list: Sequence[int] = SPEED_K_LIST, replicates: int = 5,
     """Time naive vs. piecewise-numeric max-convolution on random pairs."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    # warm the FFT plan cache so replicate 0 is not charged for it
-    warm_l, warm_r = generate_uniform_pair(16, (seed, 16, 0))
-    max_convolve_piecewise(warm_l, warm_r)
     records = []
     for k in k_list:
+        # one untimed call per length, so replicate 0 is not charged for
+        # that length's first-call cost (its FFT plan above all)
+        max_convolve_piecewise(*generate_uniform_pair(k, (seed, k, 0)))
         for rep in range(replicates):
             left, right = generate_uniform_pair(k, (seed, k, rep))
             t0 = time.perf_counter()

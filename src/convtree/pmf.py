@@ -114,10 +114,14 @@ def delta(outcome: int = 0, mass: float = 1.0) -> Pmf:
 
 def normalize_sum(p: Pmf) -> Pmf:
     """Scale so the values sum to one."""
-    total = float(p.values.sum())
+    values = p.values
+    peak = values.max()
+    if peak > np.finfo(float).max / values.size:  # the sum could overflow
+        values = values / peak
+    total = float(values.sum())
     if total <= 0.0:
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    return Pmf(p.values / total, p.offset)
+    return Pmf(values / total, p.offset)
 
 
 def naive_convolve(left: Pmf, right: Pmf) -> Pmf:

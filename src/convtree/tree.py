@@ -39,9 +39,12 @@ class ConvolutionOperator:
     """Pairwise addition rule for the tree plus its normalization convention.
 
     ``apply`` must return the full-support result (length k_L + k_R - 1,
-    offsets summed) and commute up to round-off. ``normalization`` is "sum"
-    for averaging semantics (sum-product) or "max" for best-case semantics
-    (max-product); it fixes how every tree message is rescaled.
+    offsets summed), commute up to round-off and be positively homogeneous
+    (scaling an operand scales the result), so the tree may rescale its
+    messages freely. ``normalization`` is "sum" for averaging semantics
+    (sum-product) or "max" for best-case semantics (max-product); it fixes
+    only how the tree's outputs are scaled: each likelihood and the sum
+    prior sum to 1 ("sum") or peak at 1 ("max").
 
     ``apply_rows(left, right, window=(lo, n))``, if given, takes a (..., a)
     and a (..., b) array whose leading axes broadcast and returns the pair
@@ -142,8 +145,10 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     longest one, and when n is not a power of two the leaf layer is padded
     with point masses at zero (they do not change the sum); their outputs
     are dropped. Each later layer is as wide as its widest node support.
-    Every message is rescaled by its sum or its peak, per
-    ``operator.normalization``.
+    Every row the tree holds, and every row it passes to the operator, is
+    divided by its peak, whatever the operator; ``operator.normalization``
+    is read once, on the way out, and a "sum" operator's outputs are then
+    divided by their sums.
 
     Raises DegenerateDistributionError for an all-zero prior or evidence,
     and InconsistentEvidenceError when the evidence excludes every
@@ -152,7 +157,6 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     if len(priors) < 1:
         raise ValueError("need at least one prior")
     apply_rows = operator.apply_rows or partial(_per_pair_rows, operator.apply)
-    normalization = operator.normalization
     leaves = np.zeros((padded_length(len(priors)), max(len(p) for p in priors)))
     leaves[len(priors):, 0] = 1.0  # padding leaves: point masses at zero
     for row, prior in zip(leaves, priors):
@@ -163,48 +167,50 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     # support), so each layer keeps only its longest reach: ragged priors
     # pay for their padding at the leaves only.
     reach = np.array([len(p) for p in priors] + [1] * (len(leaves) - len(priors)))
-    forward = [_rescaled(leaves, normalization)]
+    forward = [_rescaled(leaves)]
     while len(forward[-1]) > 1:
         layer = forward[-1]
         reach = reach[0::2] + reach[1::2] - 1
         merged, _ = apply_rows(layer[0::2], layer[1::2], window=(0, reach.max()))
-        forward.append(_rescaled(merged, normalization))
-    sum_prior = Pmf(forward[-1][0], sum(p.offset for p in priors))
+        forward.append(_rescaled(merged))
+    root = forward[-1]
 
     # The root's message is the evidence over the sum's support, zero
     # outside the evidence. Rebinding frees the uncut evidence.
-    messages = _rescaled(sum_likelihood.values[None], normalization)
-    lo = sum_prior.offset - sum_likelihood.offset
-    messages = _rescaled(_window(messages[0], lo, lo + len(sum_prior) - 1)[np.newaxis],
-                         normalization, ZERO_MASS_REL_TOL * messages.max(axis=1))
+    offset = sum(p.offset for p in priors)
+    messages = _rescaled(sum_likelihood.values[None])
+    lo = offset - sum_likelihood.offset
+    messages = _rescaled(_window(messages[0], lo, lo + root.shape[1] - 1)[np.newaxis],
+                         ZERO_MASS_REL_TOL)
 
     # Reverse: the message for a child is the parent's message minus the
     # sibling, i.e. convolution with the negated (reversed) sibling, cut
     # back down to the child's own support, which is the same window of
     # every row; the operator computes only that window, plus each full
-    # row's peak for the zero-mass floor. Both children share the parent's
-    # message.
+    # row's peak for the zero-mass floor (a sum or p-norm row peaks above
+    # 1 before the cut, and FFT round-off scales with that peak). Both
+    # children share the parent's message.
     for children in reversed(forward[:-1]):
         width = children.shape[1]
         siblings = children.reshape(len(messages), 2, width)[:, ::-1, ::-1]
         kept, peak = apply_rows(messages[:, None], siblings, window=(width - 1, width))
-        messages = _rescaled(kept.reshape(len(children), width), normalization,
+        messages = _rescaled(kept.reshape(len(children), width),
                              ZERO_MASS_REL_TOL * peak.reshape(len(children)))
 
     # Fold each leaf's own prior into its evidence message.
-    messages, leaves = messages[:len(priors)], forward[0][:len(priors)]
-    product = _rescaled(messages * leaves, normalization,
-                        ZERO_MASS_REL_TOL * messages.max(axis=1) * leaves.max(axis=1))
-    return TreeResult(Pmf._checked_rows(product, priors), sum_prior)
+    product = _rescaled(messages[:len(priors)] * forward[0][:len(priors)], ZERO_MASS_REL_TOL)
+    if operator.normalization == "sum":
+        product, root = (rows / rows.sum(axis=1)[:, None] for rows in (product, root))
+    return TreeResult(Pmf._checked_rows(product, priors), Pmf(root[0], offset))
 
 
-def _rescaled(rows: np.ndarray, normalization: str,
-              floor: np.ndarray | None = None) -> np.ndarray:
-    """Each row divided by its sum ("sum") or its peak ("max").
+def _rescaled(rows: np.ndarray, floor: np.ndarray | float | None = None) -> np.ndarray:
+    """Each row divided by its peak, so that it peaks at exactly 1.0.
 
     Without ``floor`` every row must have mass, else
     DegenerateDistributionError. With it, a row whose peak is at or below
-    its entry of ``floor`` holds only round-off: InconsistentEvidenceError.
+    its entry of ``floor`` (or ``floor`` itself, a scalar) holds only
+    round-off: InconsistentEvidenceError.
     """
     peak = rows.max(axis=1)
     if floor is None:
@@ -213,7 +219,7 @@ def _rescaled(rows: np.ndarray, normalization: str,
     elif np.any(peak <= floor):
         raise InconsistentEvidenceError(
             "inconsistent evidence: zero mass over the target support")
-    return rows / (rows.sum(axis=1) if normalization == "sum" else peak)[:, None]
+    return rows / peak[:, None]
 
 
 def _per_pair_rows(apply: Callable[[Pmf, Pmf], Pmf], left: np.ndarray,

@@ -365,6 +365,12 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     shapes.clear()
     max_convolve_piecewise(left, right)
     assert shapes == [(3, 1, size)] * 2
+    # so are the support counts of the p-norm refine: a comb pair's zero
+    # outputs carry round-off, and its trimmed operands keep their gaps
+    comb = Pmf(np.tile([1.0, 0.0], 32)[:-1])
+    shapes.clear()
+    p_norm_convolve(comb, comb, 4.0)
+    assert shapes == [(1, 1, fft_length(63 + 63 - 1))] * 4
 
 
 def test_fast_convolve_many_of_nothing():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import convtree.harness as harness
 from bruteforce import brute_force_tree, normalize_mode
 from convtree import (
     accuracy_sweep_rows,
@@ -104,6 +105,25 @@ def test_speed_bench_record_layout(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "method", "replicate", "wall_seconds"]
     assert len(rows) == 1 + len(records)
+
+
+def test_speed_bench_warms_each_length_before_timing_it(monkeypatch):
+    calls = []
+
+    def spy(method, function):
+        def call(left, right):
+            calls.append((method, len(left)))
+            return function(left, right)
+        return call
+
+    for method, name in (("naive", "naive_max_convolve"),
+                         ("numeric", "max_convolve_piecewise")):
+        monkeypatch.setattr(harness, name, spy(method, getattr(harness, name)))
+    records = run_speed_bench(k_list=(8, 32), replicates=2, seed=1)
+    assert len(records) == 2 * 2 * 2
+    for k in (8, 32):
+        assert calls.index(("numeric", k)) < calls.index(("naive", k))
+        assert calls.count(("numeric", k)) == 2 + 1
 
 
 def test_numeric_beats_naive_at_2048():

@@ -126,6 +126,7 @@ def test_delta():
     ([2.0, 2.0], [0.5, 0.5]),
     ([1.0], [1.0]),
     ([1.0, 3.0], [0.25, 0.75]),
+    ([1e308, 1e308], [0.5, 0.5]),  # the sum overflows, the peak does not
 ])
 def test_normalize_sum(values, expected):
     out = normalize_sum(Pmf(values, offset=7))

@@ -146,6 +146,22 @@ def test_sum_prior_is_normalized():
     assert result.sum_prior.values.max() == 1.0
 
 
+def test_sum_tree_on_priors_whose_sums_overflow():
+    # each prior's row sum overflows to inf; its peak does not
+    priors = [Pmf([1e308, 1e308]), Pmf([1e308, 5e307])]
+    result = convolution_tree(priors, Pmf([1.0, 1.0, 1.0]), standard_operator())
+    assert_allclose(result.likelihoods[0].values, [0.5, 0.5], rtol=0, atol=1e-15)
+    assert_allclose(result.likelihoods[1].values, [2 / 3, 1 / 3], rtol=0, atol=1e-15)
+    assert_allclose(result.sum_prior.values, [1 / 3, 1 / 2, 1 / 6], rtol=0, atol=1e-15)
+
+
+def test_sum_tree_on_evidence_whose_sum_overflows():
+    priors = [Pmf([0.5, 0.5]), Pmf([0.5, 0.5])]
+    result = convolution_tree(priors, Pmf([1e308] * 3), standard_operator())
+    for got in result.likelihoods:
+        assert_allclose(got.values, [0.5, 0.5], rtol=0, atol=1e-15)
+
+
 def test_numeric_max_agrees_with_naive_max_argmax():
     # flat random instances have meaningless argmaxes; use a peaked one
     from convtree import generate_subset_sum_instance
@@ -205,6 +221,33 @@ def test_layer_calls_are_bit_identical_to_per_pair_calls(n, name):
     for got, one in zip([*batched.likelihoods, batched.sum_prior],
                         [*single.likelihoods, single.sum_prior]):
         assert got.offset == one.offset
+        assert got.values.tobytes() == one.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:4"])
+def test_every_row_the_tree_passes_in_peaks_at_one(name):
+    # one scale for every message, whatever the operator's normalization;
+    # ragged priors at offsets, none of them peaking at 1 themselves
+    stock = operator_from_name(name)
+    stock_rows = stock.apply_rows or partial(tree_module._per_pair_rows, stock.apply)
+    peaks = []
+
+    def apply_rows(left, right, window):
+        peaks.extend(np.concatenate([left.max(axis=-1).ravel(), right.max(axis=-1).ravel()]))
+        return stock_rows(left, right, window=window)
+
+    operator = ConvolutionOperator(name, stock.apply, stock.normalization,
+                                   apply_rows=apply_rows)
+    rng = np.random.default_rng(11)
+    priors = [Pmf(3.0 * rng.random(int(rng.integers(2, 9))), int(rng.integers(-3, 4)))
+              for _ in range(7)]
+    unscaled = random_evidence(priors, 11)
+    evidence = Pmf(5.0 * unscaled.values, unscaled.offset)
+    spied = convolution_tree(priors, evidence, operator)
+    assert len(peaks) > 0 and set(peaks) == {1.0}
+    plain = convolution_tree(priors, evidence, stock)
+    for got, one in zip([*spied.likelihoods, spied.sum_prior],
+                        [*plain.likelihoods, plain.sum_prior]):
         assert got.values.tobytes() == one.values.tobytes()
 
 
