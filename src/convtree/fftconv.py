@@ -8,10 +8,13 @@ full output (``fft_length``). Per block of row pairs (their leading axes
 broadcast), each operand's rows, every rung, take one stacked real FFT, so
 a tree layer costs a few numpy calls and a one-pair call is its one-row
 case, bit for bit: each row of a stacked transform is computed as it
-would be alone. Every forward transform in the package is one
-``_spectra`` call and every inverse one is in ``_convolve_rows``, the
-support counts of the exact refine of small outputs (``_refine_rows``,
-which belongs to the p-norm path) included.
+would be alone. Every transform runs on ``numpy.fft``, which since numpy
+2.0 is the C++ pocketfft that ``scipy.fft`` runs, with the same bits;
+scipy is not imported, since its import alone would take about three
+quarters of the package's load time. Every forward transform in the
+package is one ``_spectra`` call and every inverse one is in
+``_convolve_rows``, the support counts of the exact refine of small
+outputs (``_refine_rows``, which belongs to the p-norm path) included.
 
 Negative round-off never reaches a fractional power, and neither does an
 exact zero: on numpy 2.4.6 (AVX-512 dispatch) ``np.power(x, 1/p)`` takes
@@ -30,10 +33,10 @@ one-pair function is its kernel over the full window (``_one_pair``).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .pmf import Pmf
 
@@ -56,10 +59,27 @@ def padded_length(n_out: int) -> int:
     return 1 << max(0, (n_out - 1).bit_length())
 
 
+@lru_cache(maxsize=256)
 def fft_length(n_out: int) -> int:
     """Transform length for an n_out-point linear convolution: the next
-    5-smooth number (2^a 3^b 5^c) >= n_out, never above padded_length."""
-    return scipy.fft.next_fast_len(n_out, real=True)
+    5-smooth number (2^a 3^b 5^c) >= n_out, never above padded_length.
+
+    Each odd part 3^b 5^c below the best length so far takes the smallest
+    power of two that lifts it to n_out or more: the next power of two of
+    ceil(n_out / odd), one bit_length. A process uses few lengths, so each
+    is searched once (about 8 us on a 2-vCPU Xeon VM).
+    """
+    best = padded_length(n_out)
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            length = odd << (-(-n_out // odd) - 1).bit_length()
+            if length < best:
+                best = length
+            odd *= 3
+        fives *= 5
+    return best
 
 
 def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +144,7 @@ def _spectra(x: np.ndarray, ladder: tuple[float, ...], size: int) -> np.ndarray:
     rows = x.reshape(-1, x.shape[-1])
     stack = np.zeros((len(ladder), len(rows), size))
     _ladder_powers(rows, ladder, out=stack[..., :x.shape[-1]])
-    return scipy.fft.rfft(stack).reshape(len(ladder), *x.shape[:-1], -1)
+    return np.fft.rfft(stack).reshape(len(ladder), *x.shape[:-1], -1)
 
 
 def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...] = (1.0,),
@@ -166,7 +186,7 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
         right_spectra = _spectra(r, ladder, size)
         product = _spectra(l, ladder, size) * right_spectra
         del right_spectra
-        out = scipy.fft.irfft(product, size)
+        out = np.fft.irfft(product, size)
         del product
         out = out.reshape(rungs, -1, *shape[1:-1], size)
         if finish is None:

@@ -135,11 +135,14 @@ def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row divided by its maximum, and those maxima.
 
     A row whose maximum is 1.0 (or 0, all-zero) is divided by 1.0, which
-    keeps its bits, so tree messages, which arrive max-normalized, are
-    unchanged.
+    keeps its bits. Tree messages all peak at exactly 1.0, so when every
+    row does, ``x`` itself is returned rather than a copy of it; no kernel
+    writes to its operands.
     """
     x = np.asarray(x, dtype=float)
     peak = x.max(axis=-1)
+    if np.all(peak == 1.0):
+        return x, peak
     return x / np.where(peak == 0.0, 1.0, peak)[..., None], peak
 
 

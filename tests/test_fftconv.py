@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,59 @@ def test_fft_length_is_5_smooth_and_at_most_padded():
                 size //= factor
         assert size == 1, n
     assert fft_length(12286) == 12288  # the tree-wide reverse step: not 16384
+
+
+def tree_output_lengths(n, k):
+    """a + b - 1 of every operator call of an n-leaf tree over k bins."""
+    widths = [k]
+    while n > 1:
+        widths.append(2 * widths[-1] - 1)
+        n //= 2
+    return ([2 * w - 1 for w in widths[:-1]]
+            + [parent + child - 1 for child, parent in zip(widths, widths[1:])])
+
+
+def test_fft_length_is_scipy_next_fast_len():
+    scipy_fft = pytest.importorskip("scipy.fft")
+    search = fft_length.__wrapped__  # uncached, so every n runs the search
+    for n in range(1, (1 << 17) + 1):
+        assert search(n) == scipy_fft.next_fast_len(n, real=True), n
+    # the benchmark trees and pairs, the baseline grid, and a sweep up to 3 * 2^18
+    lengths = [2 * 8192 - 1, *range(1 << 17, 3 << 18, 97), 3 << 18]
+    for n, k in [(1024, 64), (64, 4096), (32, 256), (1024, 256), (4096, 64), (256, 1024)]:
+        lengths += tree_output_lengths(n, k)
+    for n in lengths:
+        assert fft_length(n) == scipy_fft.next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1, 1)])
+def test_numpy_fft_has_scipy_fft_bits(shape):
+    # every transform runs on numpy.fft on the premise that it is the
+    # pocketfft scipy.fft runs; a numpy whose bits diverge fails here
+    scipy_fft = pytest.importorskip("scipy.fft")
+    size = fft_length(1400)  # 1440 = 2^5 * 3^2 * 5
+    assert size == 1440
+    rng = np.random.default_rng(6)
+    stack = np.zeros(shape + (size,))
+    stack[..., :700] = rng.random(shape + (700,))
+    spectrum = np.fft.rfft(stack)
+    assert spectrum.tobytes() == scipy_fft.rfft(stack).tobytes()
+    product = spectrum * np.fft.rfft(stack[::-1])
+    assert np.fft.irfft(product, size).tobytes() == scipy_fft.irfft(product, size).tobytes()
+
+
+def test_import_loads_no_scipy():
+    # scipy's import would be most of the package's load time; nothing
+    # the package or its CLI imports may pull it in
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, convtree, convtree.cli, convtree.io; "
+            "assert convtree.__file__.startswith(sys.argv[1]), convtree.__file__; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, str(src)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("kl,kr,expected", [
@@ -343,13 +400,13 @@ def test_fast_convolve_many_is_bit_identical_to_one_pair_calls(
 def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
     shapes = []
-    rfft = fftconv.scipy.fft.rfft
+    rfft = fftconv.np.fft.rfft
 
     def counting_rfft(x, *args, **kwargs):
         shapes.append(x.shape)
         return rfft(x, *args, **kwargs)
 
-    monkeypatch.setattr(fftconv.scipy.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(fftconv.np.fft, "rfft", counting_rfft)
     rng = np.random.default_rng(4)
     message, siblings = rng.random((1, 1, 63)), rng.random((1, 2, 32))
     fftconv.fast_convolve_rows(message, siblings, window=(0, 94))

@@ -101,6 +101,28 @@ def test_max_normalized_inputs_keep_their_bits():
     assert out.values.tobytes() == np.power(powered.values, 0.25).tobytes()
 
 
+def test_peak_one_operands_are_neither_copied_nor_written():
+    # tree messages peak at exactly 1.0: _max_normalized hands them on as
+    # they are, so every kernel must leave its operands untouched
+    rng = np.random.default_rng(12)
+    left, right = rng.random((3, 40)), rng.random((3, 2, 25))
+    left /= left.max(axis=-1, keepdims=True)
+    right /= right.max(axis=-1, keepdims=True)
+    same, peak = numeric._max_normalized(left)
+    assert same is left
+    assert_array_equal(peak, 1.0)
+    kernels = [p_norm_operator(4.0).apply_rows, numeric_max_operator().apply_rows]
+    expected = [kernel(left.copy()[:, None], right.copy(), window=(5, 30))
+                for kernel in kernels]
+    before = left.tobytes(), right.tobytes()
+    left.flags.writeable = right.flags.writeable = False  # a write raises
+    for kernel, (want_out, want_peak) in zip(kernels, expected):
+        out, peak = kernel(left[:, None], right, window=(5, 30))
+        assert out.tobytes() == want_out.tobytes()
+        assert peak.tobytes() == want_peak.tobytes()
+    assert (left.tobytes(), right.tobytes()) == before
+
+
 def test_delta_pair_any_p():
     for p in (1.0, 3.5, 64.0):
         out = p_norm_convolve(delta(0), delta(0), p)
