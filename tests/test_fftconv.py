@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from convtree import (
     fft_length,
     generate_subset_sum_instance,
     max_convolve_auto,
+    max_convolve_normalized,
     max_convolve_piecewise,
     naive_convolve,
     naive_max_convolve,
@@ -30,7 +32,13 @@ from convtree import (
     pair_counts,
 )
 from convtree.fftconv import _canonical_rows
-from convtree.numeric import REFINE_BELOW, _p_norm_rows
+from convtree.numeric import (
+    DEFAULT_P_LADDER,
+    DEFAULT_TAU,
+    REFINE_BELOW,
+    _ladder_max_convolve,
+    _p_norm_rows,
+)
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -458,3 +466,133 @@ def test_refine_cost_stays_near_the_overlaps_of_its_outputs():
         fftconv._refine_small_values(out, a, b, 1e-6, (0, out.size))
     assert small.size > 10000
     assert sum(products) <= 1.1 * overlaps
+
+
+# ---------------------------------------------------------------------------
+# Transform workspace
+
+def _bytes(result) -> bytes:
+    """The bytes of a kernel's (kept, peak) pair or of a Pmf."""
+    if isinstance(result, Pmf):
+        return result.values.tobytes() + str(result.offset).encode()
+    return b"|".join(np.asarray(x).tobytes() for x in result)
+
+
+def workspace_calls():
+    """Every row kernel on large rows (buffers above KEEP_BYTES), small
+    rows, rows cut into several blocks, large rows again and small rows
+    again, then every one-pair function in the same order: (label, call)
+    pairs."""
+    rng = np.random.default_rng(31)
+    ladder = partial(_ladder_max_convolve, ladder=DEFAULT_P_LADDER, tau=DEFAULT_TAU)
+    kernels = {"fast": fftconv.fast_convolve_rows,
+               "pnorm1": partial(_p_norm_rows, p=1.0),
+               "pnorm4": partial(_p_norm_rows, p=4.0),
+               "ladder": ladder}
+    huge = rng.random((1, 100_000)), rng.random((1, 100_000))  # a 1.6 MB stack
+    small = rng.random((3, 40)), rng.random((3, 40))
+    rows = {"huge": huge,
+            "small": small,
+            "blocks": (rng.random((24, 2000)), rng.random((24, 2000))),
+            # parent messages against sibling pairs, as a reverse layer lays them out
+            "reverse": (rng.random((40, 1, 1999)) ** 8, rng.random((40, 2, 1000))),
+            "into-left": (rng.random((5, 2, 60)), rng.random((5, 1, 20))),
+            "neither": (rng.random((4, 1, 50)), rng.random((1, 3, 30))),
+            # the p-norm refine takes the support counts of its comb rows
+            "comb": (np.tile([1.0, 0.0], 32)[:-1], np.tile([1.0, 0.0], 32)[:-1]),
+            "huge-again": huge,
+            "small-again": small}
+    calls = []
+    for name, (left, right) in rows.items():
+        window = (0, left.shape[-1] + right.shape[-1] - 1)
+        for kernel, fn in kernels.items():
+            calls.append((f"{kernel}-{name}", partial(fn, left, right, window=window)))
+    pairs = {"big": (Pmf(rng.random(1 << 15)), Pmf(rng.random(1 << 15))),  # a 1.5 MiB stack
+             "small": (Pmf(rng.random(64)), Pmf(rng.random(50), 3)),
+             "comb": (Pmf(np.tile([1.0, 0.0], 32)[:-1]), Pmf(np.tile([1.0, 0.0], 40)[:-1]))}
+    pairs["big-again"] = pairs["big"]
+    one_pair = {"fast": fast_convolve,
+                "pnorm1": partial(p_norm_convolve, p=1.0),
+                "pnorm4": partial(p_norm_convolve, p=4.0),
+                "normalized": partial(max_convolve_normalized, p=8.0),
+                "piecewise": max_convolve_piecewise}
+    for name, (left, right) in pairs.items():
+        for function, fn in one_pair.items():
+            calls.append((f"{function}-pair-{name}", partial(fn, left, right)))
+    return calls
+
+
+def test_no_result_aliases_the_workspace():
+    # each call returns what it returns from a fresh workspace, and no later
+    # call, larger, smaller or cut into blocks, changes an earlier result
+    calls = workspace_calls()
+    want = {}
+    for label, call in calls:
+        fftconv._workspace.buffers.clear()
+        want[label] = _bytes(call())
+    got = []
+    for label, call in calls:
+        got.append((label, call()))
+        for earlier, result in got:
+            assert _bytes(result) == want[earlier], (earlier, label)
+
+
+def test_rows_that_neither_operand_spans_are_one_pair_calls():
+    # the product of (4, 1) rows against (1, 3) rows has its own buffer
+    rng = np.random.default_rng(33)
+    left, right = rng.random((4, 1, 50)), rng.random((1, 3, 30))
+    got, _ = fftconv.fast_convolve_rows(left, right, window=(0, 79))
+    for i, j in np.ndindex(4, 3):
+        one = fast_convolve(Pmf(left[i, 0]), Pmf(right[0, j])).values
+        assert got[i, j].tobytes() == one.tobytes()
+
+
+def test_workspace_keeps_no_buffer_above_the_cap():
+    rng = np.random.default_rng(41)
+    small = Pmf(rng.random(64)), Pmf(rng.random(64))
+    big = Pmf(rng.random(1 << 15)), Pmf(rng.random(1 << 15))  # a 1.5 MiB stack
+    buffers = fftconv._workspace.buffers
+    max_convolve_piecewise(*small)
+    kept = dict(buffers)
+    assert kept and all(buf.nbytes <= fftconv.KEEP_BYTES for buf in kept.values())
+    max_convolve_piecewise(*small)
+    assert all(buffers[role] is buf for role, buf in kept.items())  # reused
+    max_convolve_piecewise(*big)
+    assert not buffers  # dropped, and the call's own buffers were not kept
+    max_convolve_piecewise(*small)
+    assert buffers and all(buf.nbytes <= fftconv.KEEP_BYTES for buf in buffers.values())
+
+
+def test_concurrent_calls_return_the_serial_bits():
+    # each thread has its own workspace; every worker loops over inputs of
+    # its own sizes, so a shared buffer would mix them up
+    rng = np.random.default_rng(43)
+    operator = operator_from_name("max-numeric")
+    jobs = []
+    for k, (n, tree_k) in zip((300, 512, 777, 1000), ((8, 64), (8, 96), (16, 48), (4, 128))):
+        left, right = Pmf(rng.random(k)), Pmf(rng.random(k - 37))
+        instance = generate_subset_sum_instance(n, tree_k, k)
+        calls = [partial(max_convolve_piecewise, left, right),
+                 partial(p_norm_convolve, left, right, 4.0),
+                 partial(convolution_tree, instance.priors, instance.sum_likelihood, operator)]
+        jobs.append(calls)
+
+    def digest(calls):
+        results = [call() for call in calls]
+        return [_bytes(r) if isinstance(r, Pmf)
+                else b"".join(_bytes(p) for p in [*r.likelihoods, r.sum_prior])
+                for r in results]
+
+    serial = [digest(calls) for calls in jobs]
+
+    def worker(calls, want):
+        return all(digest(calls) == want for _ in range(25))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(worker, calls, want) for calls, want in zip(jobs, serial)]
+            assert all(future.result(timeout=120) for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
