@@ -19,8 +19,15 @@ from typing import Callable
 
 import numpy as np
 
-from .fftconv import _keep_window, _one_pair, _window, fast_convolve_rows, padded_length
-from .numeric import PiecewiseConfig, _check_p, _ladder_max_convolve, _p_label, _p_norm_rows
+from .fftconv import _keep_window, _one_pair, fast_convolve_rows, padded_length
+from .numeric import (
+    PiecewiseConfig,
+    _check_p,
+    _ladder_max_convolve,
+    _p_label,
+    _p_norm_rows,
+    _window,
+)
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
 

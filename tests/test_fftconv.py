@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
+import convtree.numeric as numeric
 from bruteforce import refine_per_index
 from convtree import (
     ConvolutionOperator,
@@ -239,7 +240,7 @@ def test_refine_matches_per_index_with_an_all_zero_operand():
     assert_array_equal(got, np.zeros(5))
 
 
-def refine_calls(out, a, b, window=None, refine=fftconv._refine_small_values):
+def refine_calls(out, a, b, window=None, refine=numeric._refine_small_values):
     """Refine ``out`` in place (``refine`` may also be ``_refine_rows``)
     over ``window``, all of a row by default; the number of direct-sum
     calls it made."""
@@ -251,8 +252,8 @@ def refine_calls(out, a, b, window=None, refine=fftconv._refine_small_values):
         return convolve(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fftconv.np, "convolve", counting_convolve)
-        refine(out, a, b, 1e-6, window or (0, out.shape[-1]))
+        patch.setattr(numeric.np, "convolve", counting_convolve)
+        refine(out, a, b, window or (0, out.shape[-1]))
     return len(calls)
 
 
@@ -262,7 +263,7 @@ def test_refine_merges_runs_across_small_gaps():
     row = np.ones(69)
     # gaps of 8 and 7 indices merge, gaps of 9 and 29 do not: three runs
     small = [0, 1, 2, 11, 19, 20, 30, 60, 68]
-    assert fftconv._RUN_GAP == 8
+    assert numeric._RUN_GAP == 8
     row[small] = 1e-9
     expected, got = row.copy(), row.copy()
     refine_per_index(expected, a, b, 1e-6)
@@ -276,7 +277,7 @@ def test_refine_cuts_a_long_run_into_capped_pieces():
     rng = np.random.default_rng(15)
     a, b = rng.random(400), rng.random(200)
     row = np.ones(599)
-    row[40:40 + 2 * fftconv.REFINE_RUN_CAP + 1] = 1e-9  # one run
+    row[40:40 + 2 * numeric.REFINE_RUN_CAP + 1] = 1e-9  # one run
     expected, got = row.copy(), row.copy()
     refine_per_index(expected, a, b, 1e-6)
     assert refine_calls(got, a, b) == 3
@@ -295,7 +296,7 @@ def test_windowed_refine_skips_a_row_small_only_outside_its_window():
     assert got[10:50].tobytes() == full[10:50].tobytes()
     assert got.max() == full.max()
     rows = np.stack([row, row])
-    assert refine_calls(rows, a, b, window=(10, 40), refine=fftconv._refine_rows) == 0
+    assert refine_calls(rows, a, b, window=(10, 40), refine=numeric._refine_rows) == 0
     assert rows.tobytes() == np.stack([row, row]).tobytes()  # no row visited
 
 
@@ -332,8 +333,8 @@ def test_windowed_reverse_layer_makes_fewer_direct_sums():
         a, b = _canonical_rows(left, right)
         full = fftconv._convolve_rows(a, b)
         windowed = full.copy()
-        full_sums = refine_calls(full, a, b, refine=fftconv._refine_rows)
-        assert refine_calls(windowed, a, b, (lo, n), fftconv._refine_rows) < full_sums
+        full_sums = refine_calls(full, a, b, refine=numeric._refine_rows)
+        assert refine_calls(windowed, a, b, (lo, n), numeric._refine_rows) < full_sums
         assert windowed[..., lo:lo + n].tobytes() == full[..., lo:lo + n].tobytes()
         assert windowed.max(axis=-1).tobytes() == full.max(axis=-1).tobytes()
 
@@ -444,6 +445,22 @@ def test_fast_convolve_many_of_nothing():
     assert peak.shape == (0,)
 
 
+@pytest.mark.parametrize("kernel", [
+    fftconv.fast_convolve_rows,
+    partial(_p_norm_rows, p=1.0),
+    partial(_p_norm_rows, p=4.0),
+    partial(_ladder_max_convolve, ladder=DEFAULT_P_LADDER, tau=DEFAULT_TAU),
+], ids=["fast", "pnorm1", "pnorm4", "ladder"])
+@pytest.mark.parametrize("left_shape,right_shape", [
+    ((3, 0, 5), (3, 0, 4)), ((0, 5), (0, 4)), ((0, 2, 5), (0, 1, 4)),
+])
+def test_rows_with_an_empty_leading_axis_are_empty(kernel, left_shape, right_shape):
+    lead = np.broadcast_shapes(left_shape[:-1], right_shape[:-1])
+    out, peak = kernel(np.empty(left_shape), np.empty(right_shape), window=(0, 8))
+    assert out.shape == lead + (8,)
+    assert peak.shape == lead
+
+
 def test_refine_cost_stays_near_the_overlaps_of_its_outputs():
     # dense, smooth tails: two runs of about 6000 small outputs, each with
     # thousands of nonzero terms
@@ -462,8 +479,8 @@ def test_refine_cost_stays_near_the_overlaps_of_its_outputs():
         return convolve(x, y, mode)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fftconv.np, "convolve", counting_convolve)
-        fftconv._refine_small_values(out, a, b, 1e-6, (0, out.size))
+        patch.setattr(numeric.np, "convolve", counting_convolve)
+        numeric._refine_small_values(out, a, b, (0, out.size))
     assert small.size > 10000
     assert sum(products) <= 1.1 * overlaps
 
@@ -538,7 +555,7 @@ def test_no_result_aliases_the_workspace():
 
 
 def test_rows_that_neither_operand_spans_are_one_pair_calls():
-    # the product of (4, 1) rows against (1, 3) rows has its own buffer
+    # (4, 1) rows against (1, 3) rows: the right operand is broadcast to (4, 3)
     rng = np.random.default_rng(33)
     left, right = rng.random((4, 1, 50)), rng.random((1, 3, 30))
     got, _ = fftconv.fast_convolve_rows(left, right, window=(0, 79))
