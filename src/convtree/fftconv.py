@@ -63,7 +63,7 @@ KEEP_BYTES = 1 << 20
 
 def padded_length(n_out: int) -> int:
     """Next power of two >= n_out."""
-    return 1 << max(0, (n_out - 1).bit_length())
+    return 1 << (max(n_out, 1) - 1).bit_length()
 
 
 @lru_cache(maxsize=256)

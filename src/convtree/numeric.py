@@ -11,14 +11,11 @@ of valid (l, m-l) pairs at index m. Larger p is closer to the max but loses
 small values to underflow; the piecewise ladder picks, per index, the result
 of the largest exponent whose (max-normalized) value is still trustworthy.
 
-Negative round-off never reaches a fractional power, and neither does an
-exact zero: on numpy 2.4.6 (AVX-512 dispatch) ``np.power(x, 1/p)`` takes
-about 15 ns on 0.0 and about 4.3 ns on any other double, and after the
-clip about half of each rung of a peaked k = 8192 pair is exact zeros.
-The p-norm receives its power sums clipped at zero and roots them with
-``_root``, which keeps zeros off np.power. The piecewise ladder receives
-its rows unclipped: it clips and roots its fallback rung the same way and
-clamps its upper rungs up to a floor instead.
+No kept column is rooted at or below zero: ``_root``, which roots the
+p-norm and the ladder's fallback rung, reads such values as zero and keeps
+them off np.power, which is several times slower on 0.0 (``_root`` says
+by how much). Each upper rung is rooted only above its floor, far enough
+below tau that the stitch takes nothing at or under it.
 """
 
 from __future__ import annotations
@@ -135,14 +132,17 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
 
 
 def _root(x: np.ndarray, p: float) -> np.ndarray:
-    """x**(1/p) of a nonnegative array, in place, with exact zeros kept off
-    np.power (which takes about 3.5 times as long on 0.0 as on any other
-    double): zeros are raised to 1, rooted to exactly 1 and lowered back
-    to 0, and every other value is left unchanged by adding and subtracting
-    0. Returns ``x``."""
-    zero = x == 0.0
+    """x**(1/p), in place, reading every value at or below zero (negative
+    round-off, -0.0, 0.0) as zero. No such value reaches np.power: on
+    numpy 2.4.6 (AVX-512 dispatch) it takes about 15 ns on 0.0 against
+    about 4.3 ns on any other double. They are raised to 1 (the maximum
+    of x and the mask, which leaves a positive value as it is), rooted to
+    exactly 1 and lowered back to 0.0 by subtracting the mask. Zeros that
+    interleave with round-off would make a masked np.power slower than
+    these passes. Returns ``x``."""
+    zero = x <= 0.0
     if zero.any():
-        x += zero
+        np.maximum(x, zero, out=x)
         np.power(x, 1.0 / p, out=x)
         x -= zero
         return x
@@ -304,15 +304,10 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     own peak, which clears tau; no root of a value <= 1 exceeds 1), so a
     full row's peak is its input scale.
 
-    The rows arrive unclipped, and no root sees a zero (``_root`` says
-    why). A rung's raw peak equals its clipped one, since every rung peaks
-    at about 1. The fallback's kept columns are clipped at zero and rooted
-    by ``_root``. Every upper rung's kept values are instead clamped up to
-    its floor 0.5 * tau**p: a value below it roots to about
-    tau * 0.5**(1/p), below tau by far more than the root's round-off, so
-    no index ever took it and none takes the floor. Where the floor
-    underflows to 0, or p is so large that the root of the floor is within
-    round-off of tau, the floor is 0 and the clamp is the clip.
+    The rows arrive unclipped. A rung's raw peak equals its clipped one,
+    since every rung peaks at about 1. The fallback's kept columns go from
+    that division straight into ``_root``; each upper rung roots only its
+    values above its floor (defined below): no index could take the rest.
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
     (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
@@ -321,22 +316,22 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     peak = a_peak * b_peak
     scale = np.atleast_1d(peak)
     lo, n = window
-    upper = ladder[1:]
-    # The floor's root, tau * 0.5**(1/p), lies about ln2/p below tau: over
-    # 1e6 ulps up to p = 2**32, but within round-off by p = 1e16. Rungs
-    # above 2**32 are only clipped.
-    floors = np.array([0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in upper])
-    floors = floors.reshape((-1,) + (1,) * (scale.ndim + 1))
+    # A value at or below its rung's floor 0.5 * tau**p would root to at
+    # most tau * 0.5**(1/p), about ln2/p below tau: over 1e6 ulps up to
+    # p = 2**32, so no index takes it. Left unrooted, it is below tau
+    # itself, so still none does. By p = 1e16 that gap is within
+    # round-off, so rungs above 2**32 leave only nonpositive values
+    # unrooted.
+    floors = [0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in ladder[1:]]
 
     def finish(rows, vms):
         kept = vms[..., lo:lo + n]
         kept /= vms.max(axis=-1, keepdims=True)
-        np.maximum(kept[1:], floors, out=kept[1:])
-        np.maximum(kept[0], 0.0, out=kept[0])
         stitched = _root(kept[0], ladder[0])  # smallest exponent is the fallback
-        for rung, p in zip(kept[1:], upper):
-            rung = np.power(rung, 1.0 / p, out=rung)
-            np.copyto(stitched, rung, where=rung >= tau)
+        take = np.empty(stitched.shape, bool)  # every mask, so one allocation per call
+        for rung, p, floor in zip(kept[1:], ladder[1:], floors):
+            np.power(rung, 1.0 / p, out=rung, where=np.greater(rung, floor, out=take))
+            np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
         return stitched * scale[rows, ..., None]
 
     return _convolve_rows(a, b, ladder, finish, width=n), peak

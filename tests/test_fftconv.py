@@ -43,7 +43,7 @@ from convtree.numeric import (
 
 
 @pytest.mark.parametrize("n,expected", [
-    (1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (4096, 4096), (4097, 8192),
+    (1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (4096, 4096), (4097, 8192), (0, 1),
 ])
 def test_padded_length(n, expected):
     assert padded_length(n) == expected
@@ -58,6 +58,7 @@ def test_fft_length_is_5_smooth_and_at_most_padded():
                 size //= factor
         assert size == 1, n
     assert fft_length(12286) == 12288  # the tree-wide reverse step: not 16384
+    assert fft_length(0) == 1
 
 
 def tree_output_lengths(n, k):
@@ -439,12 +440,6 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     assert shapes == [(1, 1, fft_length(63 + 63 - 1))] * 4
 
 
-def test_fast_convolve_many_of_nothing():
-    out, peak = fftconv.fast_convolve_rows(np.empty((0, 3)), np.empty((0, 5)), window=(0, 7))
-    assert out.shape == (0, 7)
-    assert peak.shape == (0,)
-
-
 @pytest.mark.parametrize("kernel", [
     fftconv.fast_convolve_rows,
     partial(_p_norm_rows, p=1.0),
@@ -452,12 +447,13 @@ def test_fast_convolve_many_of_nothing():
     partial(_ladder_max_convolve, ladder=DEFAULT_P_LADDER, tau=DEFAULT_TAU),
 ], ids=["fast", "pnorm1", "pnorm4", "ladder"])
 @pytest.mark.parametrize("left_shape,right_shape", [
-    ((3, 0, 5), (3, 0, 4)), ((0, 5), (0, 4)), ((0, 2, 5), (0, 1, 4)),
+    ((3, 0, 5), (3, 0, 4)), ((0, 5), (0, 4)), ((0, 2, 5), (0, 1, 4)), ((0, 3), (0, 5)),
 ])
 def test_rows_with_an_empty_leading_axis_are_empty(kernel, left_shape, right_shape):
     lead = np.broadcast_shapes(left_shape[:-1], right_shape[:-1])
-    out, peak = kernel(np.empty(left_shape), np.empty(right_shape), window=(0, 8))
-    assert out.shape == lead + (8,)
+    n = left_shape[-1] + right_shape[-1] - 1
+    out, peak = kernel(np.empty(left_shape), np.empty(right_shape), window=(0, n))
+    assert out.shape == lead + (n,)
     assert peak.shape == lead
 
 
@@ -513,7 +509,7 @@ def workspace_calls():
             "blocks": (rng.random((24, 2000)), rng.random((24, 2000))),
             # parent messages against sibling pairs, as a reverse layer lays them out
             "reverse": (rng.random((40, 1, 1999)) ** 8, rng.random((40, 2, 1000))),
-            "into-left": (rng.random((5, 2, 60)), rng.random((5, 1, 20))),
+            "right-broadcast": (rng.random((5, 2, 60)), rng.random((5, 1, 20))),
             "neither": (rng.random((4, 1, 50)), rng.random((1, 3, 30))),
             # the p-norm refine takes the support counts of its comb rows
             "comb": (np.tile([1.0, 0.0], 32)[:-1], np.tile([1.0, 0.0], 32)[:-1]),

@@ -436,7 +436,7 @@ def test_no_root_sees_a_zero(monkeypatch):
 
     def spy(x, y, *args, **kwargs):
         if np.ndim(y) == 0 and y < 1.0:
-            roots.append(int(np.count_nonzero(np.asarray(x) == 0.0)))
+            roots.append(int(np.count_nonzero(np.asarray(x)[kwargs.get("where", True)] == 0.0)))
         return power(x, y, *args, **kwargs)
 
     monkeypatch.setattr(np, "power", spy)
@@ -448,6 +448,43 @@ def test_no_root_sees_a_zero(monkeypatch):
     assert (got == 0.0).any()
     assert len(roots) >= 4
     assert roots == [0] * len(roots)
+
+
+def test_upper_rungs_root_only_above_their_floors(monkeypatch):
+    # a value at or below 0.5 * tau**p cannot clear tau, so it is not rooted
+    rooted = []
+    power = np.power
+
+    def spy(x, y, *args, **kwargs):
+        if "where" in kwargs:
+            x = np.asarray(x)
+            rooted.append((1.0 / y, x.size, x[kwargs["where"]]))
+        return power(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", spy)
+    left, right = peaked_pair(8192, 0)
+    max_convolve_piecewise(Pmf(left), Pmf(right))
+    assert [round(p) for p, _, _ in rooted] == list(LADDER[1:])
+    for p, size, values in rooted:
+        assert (values > 0.5 * TAU ** p).all()
+        assert values.size < size / 2
+
+
+def test_root_reads_nonpositive_values_as_zero(monkeypatch):
+    seen = []
+    power = np.power
+
+    def spy(x, y, *args, **kwargs):
+        seen.append(np.asarray(x).copy())
+        return power(x, y, *args, **kwargs)
+
+    values = np.array([-1e-17, -0.0, 0.0, 0.3, 1e-300, 1.0, -2e-16, 0.7])
+    want = power(values[values > 0.0], 1.0 / 4.0)
+    monkeypatch.setattr(np, "power", spy)
+    got = numeric._root(values.copy(), 4.0)
+    assert got[values <= 0.0].tobytes() == np.zeros(4).tobytes()  # +0.0, not -0.0
+    assert got[values > 0.0].tobytes() == want.tobytes()
+    assert len(seen) == 1 and (seen[0] > 0.0).all()
 
 
 # ---------------------------------------------------------------------------
