@@ -13,21 +13,39 @@ would be alone. Every transform runs on ``numpy.fft``, which since numpy
 scipy is not imported, since its import alone would take about three
 quarters of the package's load time. Every forward transform in the
 package is one ``_spectra`` call and every inverse one is in
-``_convolve_rows``.
+``_transform``.
+
+A row pair whose mass sits on short spans is transformed over those spans
+alone (span transforms). Each operand row's span runs from its first to
+its last nonzero value, as the kernel receives it: powered (``pnorm:<p>``)
+and in canonical order. When the spans convolve to at most half of the
+pair's a + b - 1 outputs, the pair is transformed at the ``fft_length`` of
+its span output, with both spans placed at column 0, and its outputs are
+written back to their full-row columns, with exact 0.0 in every other one.
+Pairs that share a transform length share one stacked transform. Dense
+pairs, every pair of a tree over dense priors among them, form one group
+at ``fft_length(a + b - 1)`` with the layout and bits of whole-row
+transforms. The rule reads each pair on its own, so each row keeps the
+bits of its one-pair call, and ``finish``, the keep-window, the row peaks
+and the p-norm refine see full rows as before. A row can span at most
+half of itself only if it is zero at one of its two quarter-in columns,
+so dense layers read those two columns and scan nothing
+(``_maybe_narrow``).
 
 The transforms run in three buffers that each thread keeps from call to
 call (``_scratch``): a zero-padded stack of powers, which also takes the
 inverse transform, and one spectra buffer per operand; the product is
-taken in place in the right operand's spectra. Fresh ones per call cost
-more than the transforms on small problems, since glibc can hand such
-blocks back as fresh pages: a ``max-numeric`` solve at n = 32, k = 256
-took about 2,200 minor faults and 16.4 ms with them, against 11.5 ms
-with none (2-vCPU VM). Only buffers of at most KEEP_BYTES (1 MiB) are
-kept: a call that needs a larger one drops the kept ones and allocates
-its own, because holding large blocks keeps glibc's mmap threshold low
-and makes the rest of the process fault instead. Nothing the kernel
-returns aliases a kept buffer, and each thread has its own, so every
-operation stays safe to call concurrently.
+taken in place in the right operand's spectra. A call with span pairs
+keeps a fourth, the full-row output its groups are written to. Fresh
+buffers per call cost more than the transforms on small problems, since
+glibc can hand such blocks back as fresh pages: a ``max-numeric`` solve
+at n = 32, k = 256 took about 2,200 minor faults and 16.4 ms with them,
+against 11.5 ms with none (2-vCPU VM). Only buffers of at most
+KEEP_BYTES (1 MiB) are kept: a call that needs a larger one drops the
+kept ones and allocates its own, because holding large blocks keeps
+glibc's mmap threshold low and makes the rest of the process fault
+instead. Nothing the kernel returns aliases a kept buffer, and each
+thread has its own, so every operation stays safe to call concurrently.
 
 Every row kernel takes a keep-window ``(lo, n)`` and returns the kept
 columns of its full rows and each full row's peak (``_keep_window``); a
@@ -203,16 +221,23 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     the number of output columns the caller keeps (all a + b - 1 by
     default). Without ``finish`` the results are the first rung's outputs
     clipped at zero. The results of all blocks are returned as one
-    (..., width) array, empty when a leading axis is. The transform length
-    depends on a + b - 1 only.
+    (..., width) array, empty when a leading axis is.
 
-    The transforms run in three buffers of the calling thread's workspace
+    A pair whose nonzero spans convolve to at most half of a + b - 1
+    outputs (``_pair_spans``) is transformed over its spans alone, at the
+    length of its span output, and its row of ``out`` holds exact zeros
+    outside that output (``_span_transform``). Every other pair is
+    transformed whole, at ``fft_length(a + b - 1)``. The rule reads each
+    pair on its own, so every row is bit-identical to its one-pair call.
+
+    The transforms run in the buffers of the calling thread's workspace
     (``_scratch``, which keeps no buffer above KEEP_BYTES; the module
     docstring says why): one stack, which holds each operand's zero-padded
-    powers in turn and then the inverse transform, and one spectra buffer
-    per operand. The product is taken in place in the right operand's
+    powers in turn and then the inverse transform, one spectra buffer per
+    operand, and, when a block has a span pair, the ``out`` its groups
+    are written to. The product is taken in place in the right operand's
     spectra, so a right operand whose leading shape is not the product's
-    is first broadcast to it. ``out`` is a view of the stack, which
+    is first broadcast to it. ``out`` is a view of the workspace, which
     ``finish`` may overwrite but must not return or keep: nothing returned
     aliases the workspace, so a later call, such as the support counts
     that ``numeric._refine_rows`` takes of a result, cannot change a
@@ -231,26 +256,32 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
     if right.shape[:-1] != shape[:-1]:
         right = np.broadcast_to(right, shape[:-1] + (b,))
-    # rows per leading index of the left operand and of the product (and right)
+    spans = _pair_spans(left, right, size)
+    if spans is not None:  # span groups gather their rows pair by pair
+        left = np.broadcast_to(left, shape[:-1] + (a,))
+    # rows per leading index of the left operand and of the product (and
+    # right); span pairs are written to one more product-sized buffer
     l_per, p_per = math.prod(left.shape[1:-1]), math.prod(shape[1:-1])
-    floats = (2 * (l_per + p_per) + 3 * p_per) * rungs * size
+    floats = (2 * (l_per + p_per) + (3 if spans is None else 4) * p_per) * rungs * size
     blocks = range(0, shape[0], max(1, BLOCK_FLOATS // floats))
     # rows of the left operand and of the product in the first, largest block
     step = min(blocks.step, shape[0])
     l_rows, p_rows = (1 if left.shape[0] == 1 else step) * l_per, step * p_per
     half = size // 2 + 1
-    buffers = _scratch({"stack": rungs * p_rows * size,
-                        "left": 2 * rungs * l_rows * half,  # floats of complex spectra
-                        "right": 2 * rungs * p_rows * half})
+    roles = {"stack": rungs * p_rows * size,
+             "left": 2 * rungs * l_rows * half,  # floats of complex spectra
+             "right": 2 * rungs * p_rows * half}
+    if spans is not None:
+        roles["out"] = rungs * p_rows * size
+    buffers = _scratch(roles)
     result = None if finish is not None and len(blocks) == 1 else np.empty(shape[:-1] + (width,))
     for start in blocks:
         rows = slice(start, start + blocks.step)
         l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
-        right_spectra = _spectra(r, ladder, size, buffers["stack"], buffers["right"])
-        left_spectra = _spectra(l, ladder, size, buffers["stack"], buffers["left"])
-        product = np.multiply(left_spectra, right_spectra, out=right_spectra)
-        out = np.fft.irfft(product, size, out=np.ndarray(product.shape[:-1] + (size,),
-                                                         np.float64, buffers["stack"]))
+        if spans is None or np.all(spans[-1, rows] == size):
+            out = _transform(l, r, ladder, size, buffers)
+        else:
+            out = _span_transform(l, r, spans[:, rows], ladder, size, buffers)
         if finish is None:
             np.maximum(out[0, ..., :width], 0.0, out=result[rows])
         elif result is None:
@@ -258,6 +289,126 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
         else:
             result[rows] = finish(rows, out)
     return result.reshape(lead + (width,))
+
+
+def _transform(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...], size: int,
+               buffers: dict[str, np.ndarray]) -> np.ndarray:
+    """The (rungs, *lead, size) inverse transform of the product of the
+    ``size``-point spectra of every rung of ``left`` (..., a) and ``right``
+    (*lead, b), ``left`` broadcasting to ``right``: each row's a + b - 1
+    linear convolution outputs, then round-off. It lies in
+    ``buffers["stack"]``."""
+    right_spectra = _spectra(right, ladder, size, buffers["stack"], buffers["right"])
+    left_spectra = _spectra(left, ladder, size, buffers["stack"], buffers["left"])
+    product = np.multiply(left_spectra, right_spectra, out=right_spectra)
+    return np.fft.irfft(product, size, out=np.ndarray(product.shape[:-1] + (size,),
+                                                      np.float64, buffers["stack"]))
+
+
+def _maybe_narrow(x: np.ndarray) -> np.ndarray | bool:
+    """Whether each row of ``x`` (..., n) may span at most half of it, from
+    four of its columns; False when no row may.
+
+    Such a row is zero at one of its two quarter-in columns, which lie
+    more than n / 2 apart, and at one of its end columns. A layer whose
+    rows are all nonzero at their quarter-in columns is read no further.
+    """
+    n = x.shape[-1]
+    quarter = (n - 1) // 4
+    inner = x[..., quarter::max(n - 1 - 2 * quarter, 1)]  # the two quarter-in columns
+    if np.count_nonzero(inner) == inner.size:  # half the cost of inner.all()
+        return False
+    return ((x[..., 0] == 0.0) | (x[..., -1] == 0.0)) & ~inner.all(axis=-1)
+
+
+def _spans(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first column and the length of the nonzero span of each row of
+    ``x`` (..., n) selected by the mask ``rows``, and (0, n) for every
+    other row and for an all-zero one."""
+    start, length = np.zeros(rows.shape, np.intp), np.full(rows.shape, x.shape[-1], np.intp)
+    nonzero = x[rows] != 0.0
+    start[rows] = first = nonzero.argmax(axis=-1)
+    length[rows] -= first + nonzero[:, ::-1].argmax(axis=-1)
+    return start, length
+
+
+def _pair_spans(left: np.ndarray, right: np.ndarray, size: int) -> np.ndarray | None:
+    """The transform of every row pair of ``left`` (..., a) and ``right``
+    (*lead, b), ``left`` broadcasting to ``right``: a (5, *lead) int array
+    of the left row's span start and length (``_spans``), the right row's,
+    and the pair's transform length. None when every pair is dense.
+
+    A pair whose spans sa, sb convolve to at most half of its outputs,
+    sa + sb - 1 <= (a + b - 1) / 2, is a span pair, transformed at
+    ``fft_length(sa + sb - 1)``; every other pair is dense, transformed at
+    ``size``. Only the rows that may be narrow (``_maybe_narrow``) are
+    scanned for their spans, and only in pairs that can qualify: every
+    other row is taken whole, and a pair with a whole row b can qualify
+    only if its other row, of sa >= 1, is longer (sa <= (a - b + 1) / 2).
+    Half is well above the round-off zeros at the ends of tree messages (up
+    to about a quarter of a row in ``max-numeric`` solves at n = 1024,
+    k = 64), so the layers of such trees stay dense.
+    """
+    a, b = left.shape[-1], right.shape[-1]
+    l_maybe, r_maybe = _maybe_narrow(left), _maybe_narrow(right)
+    if l_maybe is False and r_maybe is False:  # np.any(False) alone costs about 5 us
+        return None
+    lead = right.shape[:-1]
+    possible = np.broadcast_to(l_maybe & (r_maybe | (a > b)) | r_maybe & (b > a), lead)
+    if not possible.any():
+        return None
+    spans = np.empty((5,) + lead, np.intp)
+    spans[0], spans[1] = _spans(np.broadcast_to(left, lead + (a,)), possible & l_maybe)
+    spans[2], spans[3] = _spans(right, possible & r_maybe)
+    outputs = spans[1] + spans[3] - 1
+    narrow = 2 * outputs <= a + b - 1
+    if not narrow.any():
+        return None
+    spans[4] = size
+    for n in set(outputs[narrow].tolist()):  # a process's first np.unique costs about 11 ms
+        spans[4][narrow & (outputs == n)] = fft_length(n)
+    return spans
+
+
+def _span_transform(left: np.ndarray, right: np.ndarray, spans: np.ndarray,
+                    ladder: tuple[float, ...], size: int,
+                    buffers: dict[str, np.ndarray]) -> np.ndarray:
+    """``_transform`` of a block of row pairs ``left`` (*lead, a) and
+    ``right`` (*lead, b) with span pairs (``spans``, from
+    ``_pair_spans``), in ``buffers["out"]``. Pairs that share a transform
+    length share one stacked transform. A dense pair's row is its
+    ``_transform`` row. A span pair is transformed with both spans placed
+    at column 0, and its span output is written to the columns where the
+    full row has it, with exact zeros in every other column."""
+    lead = right.shape[:-1]
+    out = np.ndarray((len(ladder), math.prod(lead), size), np.float64, buffers["out"])
+    l_start, l_len, r_start, r_len, length = spans.reshape(5, -1)
+    for n in set(length.tolist()):
+        pairs = np.flatnonzero(length == n)
+        index = np.unravel_index(pairs, lead)
+        if n == size:
+            out[:, pairs] = _transform(left[index], right[index], ladder, size, buffers)
+            continue
+        out[:, pairs] = 0.0
+        conv = _transform(_gathered(left, index, l_start[pairs], l_len[pairs]),
+                          _gathered(right, index, r_start[pairs], r_len[pairs]),
+                          ladder, n, buffers)
+        firsts, counts = (l_start + r_start)[pairs], (l_len + r_len - 1)[pairs]
+        for pair, row, first, count in zip(pairs.tolist(), conv.swapaxes(0, 1),
+                                           firsts.tolist(), counts.tolist()):
+            out[:, pair, first:first + count] = row[:, :count]
+    return out.reshape((len(ladder),) + lead + (size,))
+
+
+def _gathered(x: np.ndarray, index: tuple[np.ndarray, ...], start: np.ndarray,
+              length: np.ndarray) -> np.ndarray:
+    """The rows ``x[index]`` cut to their spans (``start``, ``length``),
+    each placed at column 0 and zero-padded to the longest."""
+    rows = np.zeros((len(start), length.max()))
+    for row, i, first, count in zip(rows, zip(*(i.tolist() for i in index)),
+                                    start.tolist(), length.tolist()):
+        row[:count] = x[i][first:first + count]
+    return rows
 
 
 def fast_convolve_rows(left: np.ndarray, right: np.ndarray,

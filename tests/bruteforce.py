@@ -67,3 +67,24 @@ def refine_per_index(out, a, b, rel_threshold):
         lo = max(0, m - b.size + 1)
         hi = min(a.size - 1, m)
         out[m] = float(np.dot(a[lo:hi + 1], b[m - hi:m - lo + 1][::-1]))
+
+
+def narrow_rows(rng, shape, width):
+    """Rows of ``width`` columns that are exact zeros outside a short span,
+    in turn: a discretized Gaussian of sigma 0.5 to 1.5 at a random centre
+    (exp underflows to 0.0 about 38.6 sigma from it), a short prior
+    zero-padded on the right, and a run of random values at a random place.
+    A Gaussian spans at most 116 columns and a run at most width // 16, so
+    two such rows of width 400 or more convolve to under half their full
+    output: span transforms (``fftconv._pair_spans``)."""
+    rows = np.zeros(tuple(shape) + (width,))
+    bins = np.arange(width)
+    for i, row in enumerate(rows.reshape(-1, width)):
+        if i % 3 == 0:
+            sigma = rng.uniform(0.5, 1.5)
+            row[:] = np.exp(-0.5 * ((bins - rng.uniform(0.0, width - 1.0)) / sigma) ** 2)
+        else:
+            n = int(rng.integers(2, width // 16 + 1))
+            start = 0 if i % 3 == 1 else int(rng.integers(0, width - n + 1))
+            row[start:start + n] = 0.05 + rng.random(n)
+    return rows

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
 import convtree.numeric as numeric
-from bruteforce import refine_per_index
+from bruteforce import narrow_rows, refine_per_index
 from convtree import (
     ConvolutionOperator,
     Pmf,
@@ -369,17 +369,30 @@ def row_cases():
     """(left, right) row arrays: equal widths in both byte orders and equal
     rows, unequal widths both ways round, a 1-D row broadcast against many,
     the parent-against-two-siblings layout of the reverse pass, length-1
-    rows and rows that decay far below their peak."""
+    rows and rows that decay far below their peak. Then pairs that take
+    span transforms: narrow rows mixed with dense ones, short dense rows
+    against long narrow ones, the parent-against-siblings layout of narrow
+    rows, and all-zero rows."""
     rng = np.random.default_rng(21)
     equal = rng.random((6, 40)), rng.random((6, 40))
     equal[1][3] = equal[0][3]
+    mixed = narrow_rows(rng, (8,), 400)
+    mixed[[2, 5]] = rng.random((2, 400))
+    zeros = narrow_rows(rng, (2, 3), 400)
+    zeros[0, 1] = 0.0
+    zeros[1, :, :] = 0.0
     return [equal,
             (rng.random((5, 7)), rng.random((5, 300))),
             (rng.random(63), rng.random((4, 64))),
             (rng.random((3, 1, 63)), rng.random((3, 2, 32))),
             (rng.random((4, 1)), rng.random((4, 1))),
             (np.array([[0.7]]), rng.random((3, 2))),
-            (np.exp(-40.0 * rng.random((4, 50))), np.exp(-40.0 * rng.random((4, 50))))]
+            (np.exp(-40.0 * rng.random((4, 50))), np.exp(-40.0 * rng.random((4, 50)))),
+            (mixed, narrow_rows(rng, (8,), 400)),
+            (rng.random((6, 9)), narrow_rows(rng, (6,), 500)),
+            (narrow_rows(rng, (3, 1), 799), narrow_rows(rng, (3, 2), 400)),
+            (zeros, narrow_rows(rng, (2, 3), 450)),
+            (np.zeros((2, 1)), np.zeros((2, 1)))]
 
 
 @pytest.mark.parametrize("refine_below", [None, REFINE_BELOW])
@@ -440,6 +453,84 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     assert shapes == [(1, 1, fft_length(63 + 63 - 1))] * 4
 
 
+def spy_rfft_lengths(monkeypatch) -> list:
+    """The length of every forward transform made from now on, in order."""
+    lengths = []
+    rfft = fftconv.np.fft.rfft
+
+    def spying_rfft(x, *args, **kwargs):
+        lengths.append(x.shape[-1])
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(fftconv.np.fft, "rfft", spying_rfft)
+    return lengths
+
+
+def test_every_row_spanning_at_most_half_is_probed_narrow():
+    # the probe reads four columns, so it may pass dense rows, but it must
+    # pass every row whose nonzero span is at most half of it
+    for n in range(1, 41):
+        rows = [np.zeros(n)]  # all zero
+        for length in range(1, n // 2 + 1):
+            for start in range(n - length + 1):
+                rows.append(np.zeros(n))
+                rows[-1][start:start + length] = 1.0
+        assert np.all(fftconv._maybe_narrow(np.array(rows))), n
+    assert fftconv._maybe_narrow(np.ones((3, 1, 40))) is False
+
+
+@pytest.mark.parametrize("spans, size", [((32, 32), 64), ((32, 33), 128)])
+def test_a_pair_takes_a_span_transform_up_to_half_its_outputs(monkeypatch, spans, size):
+    # two 64-bin rows: spans of 32 and 32 make 63 of the 127 outputs, at
+    # most half; 32 and 33 make 64, and the pair is transformed whole
+    left, right = np.zeros(64), np.zeros(64)
+    left[:spans[0]] = 1.0
+    right[10:10 + spans[1]] = 1.0
+    lengths = spy_rfft_lengths(monkeypatch)
+    fast_convolve(Pmf(left), Pmf(right))
+    assert lengths == [size] * 2
+
+
+@pytest.mark.parametrize("one_pair", [fast_convolve, partial(p_norm_convolve, p=1.0),
+                                      max_convolve_piecewise],
+                         ids=["fast", "pnorm1", "piecewise"])
+def test_peaked_pair_transforms_its_spans_only(monkeypatch, one_pair):
+    # Gaussians of sigma 2 and 8 on 8192 bins underflow to exact zeros
+    # about 38.6 sigma from their centres
+    bins = np.arange(8192)
+    left = Pmf(np.exp(-0.5 * ((bins - 1000.3) / 2.0) ** 2))
+    right = Pmf(np.exp(-0.5 * ((bins - 5000.7) / 8.0) ** 2))
+    (l_first, *_, l_last), (r_first, *_, r_last) = (np.flatnonzero(x.values)
+                                                    for x in (left, right))
+    outputs = int((l_last - l_first + 1) + (r_last - r_first + 1) - 1)
+    assert 2 * outputs <= 8192 + 8192 - 1
+    lengths = spy_rfft_lengths(monkeypatch)
+    out = one_pair(left, right).values
+    assert lengths == [fft_length(outputs)] * 2
+    first = l_first + r_first
+    assert np.all(out[:first] == 0.0) and np.all(out[first + outputs:] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["sum", "max-numeric", "pnorm:1", "pnorm:4"])
+def test_dense_tree_transforms_at_the_full_length(monkeypatch, name):
+    # no row pair of a subset-sum solve takes a span transform, so its
+    # layers keep the transforms, and the bits, of whole rows
+    instance = generate_subset_sum_instance(32, 256, 0)
+    expected, lengths = [], spy_rfft_lengths(monkeypatch)
+    convolve_rows = fftconv._convolve_rows
+
+    def spying_convolve_rows(left, right, *args, **kwargs):
+        expected.append((len(lengths), fft_length(left.shape[-1] + right.shape[-1] - 1)))
+        return convolve_rows(left, right, *args, **kwargs)
+
+    for module in (fftconv, numeric):
+        monkeypatch.setattr(module, "_convolve_rows", spying_convolve_rows)
+    convolution_tree(instance.priors, instance.sum_likelihood, operator_from_name(name))
+    assert len(lengths) == 2 * len(expected) >= 20
+    for first, size in expected:
+        assert lengths[first:first + 2] == [size, size]
+
+
 @pytest.mark.parametrize("kernel", [
     fftconv.fast_convolve_rows,
     partial(_p_norm_rows, p=1.0),
@@ -493,9 +584,9 @@ def _bytes(result) -> bytes:
 
 def workspace_calls():
     """Every row kernel on large rows (buffers above KEEP_BYTES), small
-    rows, rows cut into several blocks, large rows again and small rows
-    again, then every one-pair function in the same order: (label, call)
-    pairs."""
+    rows, rows cut into several blocks, rows that take span transforms,
+    large rows again and small rows again, then every one-pair function
+    in the same order: (label, call) pairs."""
     rng = np.random.default_rng(31)
     ladder = partial(_ladder_max_convolve, ladder=DEFAULT_P_LADDER, tau=DEFAULT_TAU)
     kernels = {"fast": fftconv.fast_convolve_rows,
@@ -513,6 +604,9 @@ def workspace_calls():
             "neither": (rng.random((4, 1, 50)), rng.random((1, 3, 30))),
             # the p-norm refine takes the support counts of its comb rows
             "comb": (np.tile([1.0, 0.0], 32)[:-1], np.tile([1.0, 0.0], 32)[:-1]),
+            # span transforms, mixed with a dense pair, write to a fourth buffer
+            "narrow": (narrow_rows(rng, (4,), 400), np.vstack([narrow_rows(rng, (3,), 400),
+                                                               rng.random((1, 400))])),
             "huge-again": huge,
             "small-again": small}
     calls = []
@@ -522,7 +616,8 @@ def workspace_calls():
             calls.append((f"{kernel}-{name}", partial(fn, left, right, window=window)))
     pairs = {"big": (Pmf(rng.random(1 << 15)), Pmf(rng.random(1 << 15))),  # a 1.5 MiB stack
              "small": (Pmf(rng.random(64)), Pmf(rng.random(50), 3)),
-             "comb": (Pmf(np.tile([1.0, 0.0], 32)[:-1]), Pmf(np.tile([1.0, 0.0], 40)[:-1]))}
+             "comb": (Pmf(np.tile([1.0, 0.0], 32)[:-1]), Pmf(np.tile([1.0, 0.0], 40)[:-1])),
+             "narrow": tuple(Pmf(row) for row in narrow_rows(rng, (2,), 5000))}
     pairs["big-again"] = pairs["big"]
     one_pair = {"fast": fast_convolve,
                 "pnorm1": partial(p_norm_convolve, p=1.0),

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
 import convtree.numeric as numeric
+from bruteforce import narrow_rows
 from convtree import (
     DegenerateDistributionError,
     PiecewiseConfig,
@@ -211,18 +212,25 @@ def row_cases():
     """(left, right) row arrays: equal widths in both byte orders and equal
     rows, unequal widths both ways round, a 1-D row broadcast against many,
     the parent-against-two-siblings layout of the reverse pass and length-1
-    rows."""
+    rows. Then pairs that take span transforms: narrow rows mixed with
+    dense ones, short dense rows against long narrow ones and the
+    parent-against-siblings layout of narrow rows."""
     rng = np.random.default_rng(17)
     equal = 0.01 + rng.random((5, 48)), 0.01 + rng.random((5, 48))
     equal[1][2] = equal[0][2]
+    mixed = narrow_rows(rng, (7,), 400)
+    mixed[[1, 3]] = 0.01 + rng.random((2, 400))
     return [equal,
             (0.01 + rng.random((4, 3)), 0.01 + rng.random((4, 257))),
             (0.01 + rng.random(100), 0.01 + rng.random((3, 48))),
             (0.01 + rng.random((3, 1, 95)), 0.01 + rng.random((3, 2, 48))),
-            (0.01 + rng.random((2, 1)), 0.01 + rng.random((2, 1)))]
+            (0.01 + rng.random((2, 1)), 0.01 + rng.random((2, 1))),
+            (mixed, narrow_rows(rng, (7,), 420)),
+            (0.01 + rng.random((5, 12)), narrow_rows(rng, (5,), 600)),
+            (narrow_rows(rng, (3, 1), 799), narrow_rows(rng, (3, 2), 400))]
 
 
-@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 2000, 1])
 @pytest.mark.parametrize("operator, one_pair", [
     (numeric_max_operator(), max_convolve_piecewise),
     (numeric_max_operator(PiecewiseConfig((2.0, 3.0, 16.0), 0.5)),

@@ -209,19 +209,33 @@ def per_pair(operator):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 @pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:1", "pnorm:4"])
-def test_layer_calls_are_bit_identical_to_per_pair_calls(n, name):
-    # point masses pad n up to 8, so every layer mixes operand lengths
+def test_layer_calls_are_bit_identical_to_per_pair_calls(monkeypatch, n, name):
+    # point masses pad n up to 8, so every layer mixes operand lengths. In
+    # the second instance the last prior is 48 long, 6x the others, so the
+    # leaf pairs of short priors zero-padded to it take span transforms.
     rng = np.random.default_rng(n)
     priors = [Pmf(0.05 + rng.random(int(rng.integers(2, 9))), int(rng.integers(-3, 4)))
               for _ in range(n)]
-    evidence = random_evidence(priors, n)
+    long_padded = priors[:-1] + [Pmf(0.05 + rng.random(48), 2)]
     operator = operator_from_name(name)
-    batched = convolution_tree(priors, evidence, operator)
-    single = convolution_tree(priors, evidence, per_pair(operator))
-    for got, one in zip([*batched.likelihoods, batched.sum_prior],
-                        [*single.likelihoods, single.sum_prior]):
-        assert got.offset == one.offset
-        assert got.values.tobytes() == one.values.tobytes()
+    span_calls = []
+    span_transform = fftconv._span_transform
+
+    def counting_span_transform(*args):
+        span_calls.append(1)
+        return span_transform(*args)
+
+    monkeypatch.setattr(fftconv, "_span_transform", counting_span_transform)
+    for instance in (priors, long_padded):
+        evidence = random_evidence(instance, n)
+        span_calls.clear()
+        batched = convolution_tree(instance, evidence, operator)
+        single = convolution_tree(instance, evidence, per_pair(operator))
+        for got, one in zip([*batched.likelihoods, batched.sum_prior],
+                            [*single.likelihoods, single.sum_prior]):
+            assert got.offset == one.offset
+            assert got.values.tobytes() == one.values.tobytes()
+    assert (len(span_calls) > 0) == (name != "max-naive")  # of the long-padded solves
 
 
 @pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:4"])
@@ -283,9 +297,11 @@ def test_positional_operator_has_no_layer_call():
 def window_cases():
     """(left, right, window) triples: a reverse layer's parent-against-
     siblings layout, windows touching either end of the output, a peaked
-    pair that the p-norm refine rewrites, a one-pair call, and a peaked
+    pair that the p-norm refine rewrites, a one-pair call, a peaked
     reverse layer whose runs of small outputs cross both window edges, so
-    the refine sums pieces that reach out of the window."""
+    the refine sums pieces that reach out of the window, and narrow rows
+    in that layout, whose pairs take span transforms, under windows that
+    cut into their span outputs or miss them."""
     rng = np.random.default_rng(8)
     w = 24
     message, children = 0.05 + rng.random((3, 1, 2 * w - 1)), 0.05 + rng.random((3, 2, w))
@@ -304,7 +320,21 @@ def window_cases():
     # every output row is small from its first column to a few past w - 1,
     # and from a few before 2w - 2 to its last
     message, children = bump(2 * w - 1, (3, 1, 1)), bump(w, (3, 2, 1))
-    return cases + [(message, children[:, ::-1, ::-1], (w - 1, w))]
+    cases.append((message, children[:, ::-1, ::-1], (w - 1, w)))
+
+    # span transforms: narrow parent messages against narrow children, one
+    # message dense, under windows that cut into the span outputs of the
+    # narrow pairs (columns 150..348, and 350..548 against the reversed
+    # children) or miss them
+    w = 400
+    message, children = np.zeros((3, 1, 2 * w - 1)), np.zeros((3, 2, w))
+    message[..., 100:200] = 0.05 + rng.random((3, 1, 100))
+    message[2] = 0.05 + rng.random(2 * w - 1)
+    children[..., 50:150] = np.exp(-40.0 * rng.random((3, 2, 100)))
+    return cases + [(message, children, (200, 100)),
+                    (message, children, (w - 1, w)),
+                    (message, children[:, ::-1, ::-1], (w - 1, w)),
+                    (message, children[:, ::-1, ::-1], (300, 100))]
 
 
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
