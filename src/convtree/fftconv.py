@@ -21,13 +21,17 @@ its last nonzero value, as the kernel receives it: powered (``pnorm:<p>``)
 and in canonical order. When the spans convolve to at most half of the
 pair's a + b - 1 outputs, the pair is transformed at the ``fft_length`` of
 its span output, with both spans placed at column 0, and its outputs are
-written back to their full-row columns, with exact 0.0 in every other one.
-Pairs that share a transform length share one stacked transform. Dense
-pairs, every pair of a tree over dense priors among them, form one group
-at ``fft_length(a + b - 1)`` with the layout and bits of whole-row
-transforms. The rule reads each pair on its own, so each row keeps the
-bits of its one-pair call, and ``finish``, the keep-window, the row peaks
-and the p-norm refine see full rows as before. A row can span at most
+written back to their full-row columns. Pairs that share a transform
+length share one stacked transform. Dense pairs, every pair of a tree over
+dense priors among them, form one group at ``fft_length(a + b - 1)`` with
+the layout and bits of whole-row transforms. Every step after a block's
+transforms works on the block's output columns only, the union of its
+rows' outputs: a finish (the piecewise ladder's divide, root and stitch)
+or the clip, and then the ``pnorm:<p>`` refine's scan. Every other kept
+column is exact +0.0, as it would be from a full row. The rule reads each
+pair on its own, so each row keeps the bits of its one-pair call. The
+``sum`` and ``pnorm:<p>`` kernels still take their row peaks over full
+rows (``_keep_window``). A row can span at most
 half of itself only if it is zero at one of its two quarter-in columns,
 so dense layers read those two columns and scan nothing
 (``_maybe_narrow``).
@@ -36,7 +40,8 @@ The transforms run in three buffers that each thread keeps from call to
 call (``_scratch``): a zero-padded stack of powers, which also takes the
 inverse transform, and one spectra buffer per operand; the product is
 taken in place in the right operand's spectra. A call with span pairs
-keeps a fourth, the full-row output its groups are written to. Fresh
+keeps a fourth, the full-row output its groups are written to, in their
+output columns only. Fresh
 buffers per call cost more than the transforms on small problems, since
 glibc can hand such blocks back as fresh pages: a ``max-numeric`` solve
 at n = 32, k = 256 took about 2,200 minor faults and 16.4 ms with them,
@@ -116,19 +121,24 @@ def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
     tests would then amplify that into visible noncommutativity. The longer
     operand goes first, which is one test for the whole call. Of equal
     lengths, the row whose bytes (as ``tobytes`` lays them out) compare
-    lower goes first, in one vectorized comparison over all rows.
+    lower goes first, in one vectorized comparison over all rows: the rows
+    are compared as 8-byte words, without a copy, and each pair is decided
+    at its first differing word, read big-endian so that its order is the
+    order of its bytes.
     """
     if left.shape[-1] != right.shape[-1]:
         return (left, right) if left.shape[-1] > right.shape[-1] else (right, left)
-    # One pair: comparing bytes skips the uint8 views and gathers below,
+    # One pair: comparing bytes skips the word views and gathers below,
     # about 30 us of a 55-65 us one-pair fast_convolve at k = 64 (2 vCPUs).
     if left.size == right.size == left.shape[-1]:
         return (left, right) if left.tobytes() <= right.tobytes() else (right, left)
-    lb, rb = (np.ascontiguousarray(x).view(np.uint8) for x in (left, right))
-    differ = lb != rb
+    lw, rw = left.view(np.uint64), right.view(np.uint64)
+    differ = lw != rw
     first = differ.argmax(axis=-1)[..., None]  # 0 where the rows are equal
-    swap = (np.take_along_axis(np.broadcast_to(lb, differ.shape), first, -1)
-            > np.take_along_axis(np.broadcast_to(rb, differ.shape), first, -1))
+    # np.broadcast_to costs a few us a call, so only where a shape needs it
+    lw, rw = (w if w.shape == differ.shape else np.broadcast_to(w, differ.shape) for w in (lw, rw))
+    swap = (np.take_along_axis(lw, first, -1).view(">u8")
+            > np.take_along_axis(rw, first, -1).view(">u8"))
     if not swap.any():
         return left, right
     return np.where(swap, right, left), np.where(swap, left, right)
@@ -204,8 +214,8 @@ def _scratch(floats: dict[str, int]) -> dict[str, np.ndarray]:
 
 
 def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...] = (1.0,),
-                   finish: Callable[[slice, np.ndarray], np.ndarray] | None = None,
-                   width: int | None = None) -> np.ndarray:
+                   finish: Callable[[slice, np.ndarray, slice, slice], np.ndarray] | None = None,
+                   window: tuple[int, int] | None = None) -> np.ndarray:
     """Linear convolutions of the elementwise p-th powers of every row pair
     of ``left`` (..., a) and ``right`` (..., b), taken in the order given,
     whose leading axes broadcast, for each exponent p of ``ladder``.
@@ -214,21 +224,28 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     (one index at least). Per block, each operand takes one transform of
     every rung of its rows (``_spectra``), so a left row shared through
     broadcasting within a block, such as a parent message against its two
-    children, is transformed once. Then ``finish(rows, out)`` maps ``out``,
-    a (rungs, *block, size) array whose rows start with their a + b - 1
-    output values, not clipped (round-off can leave them slightly
-    negative), to that block's (*block, width) results, ``width`` being
-    the number of output columns the caller keeps (all a + b - 1 by
-    default). Without ``finish`` the results are the first rung's outputs
-    clipped at zero. The results of all blocks are returned as one
-    (..., width) array, empty when a leading axis is.
+    children, is transformed once. Each row of the block has a + b - 1
+    outputs, not clipped (round-off can leave them slightly negative), and
+    only the block's output columns ``cols`` (a slice) are handed on: all
+    a + b - 1 for a block of dense pairs, the union of its span outputs
+    for a block of span pairs (below). ``finish(rows, out, cols, kept)``
+    maps ``out``, a (rungs, *block, size) array of which it may read only
+    the columns ``cols``, to the (*block, m) results of the columns
+    ``kept``: the m columns of ``cols`` inside the keep-window
+    ``window=(lo, n)`` (all a + b - 1 by default). Without ``finish`` the
+    results are the first rung's outputs clipped at zero. Every other
+    column of the window is exact +0.0. The results of all blocks are
+    returned as one (..., n) array, empty when a leading axis is.
 
     A pair whose nonzero spans convolve to at most half of a + b - 1
     outputs (``_pair_spans``) is transformed over its spans alone, at the
     length of its span output, and its row of ``out`` holds exact zeros
-    outside that output (``_span_transform``). Every other pair is
-    transformed whole, at ``fft_length(a + b - 1)``. The rule reads each
-    pair on its own, so every row is bit-identical to its one-pair call.
+    in ``cols`` outside that output (``_span_transform``); no step after
+    the transform reads or writes a column outside ``cols``. Every other
+    pair is transformed whole, at ``fft_length(a + b - 1)``. The rule
+    reads each pair on its own, and any columns that hold all of a row's
+    outputs give its finish the same bits, so every row is bit-identical
+    to its one-pair call.
 
     The transforms run in the buffers of the calling thread's workspace
     (``_scratch``, which keeps no buffer above KEEP_BYTES; the module
@@ -248,9 +265,9 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
         lead = np.broadcast_shapes(lead, right.shape[:-1])
     a, b = left.shape[-1], right.shape[-1]
     size = fft_length(a + b - 1)
-    width = a + b - 1 if width is None else width
+    lo, n = (0, a + b - 1) if window is None else window
     if 0 in lead:
-        return np.empty(lead + (width,))
+        return np.empty(lead + (n,))
     rungs = len(ladder)
     shape = (lead or (1,)) + (a + b - 1,)
     left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
@@ -274,21 +291,31 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     if spans is not None:
         roles["out"] = rungs * p_rows * size
     buffers = _scratch(roles)
-    result = None if finish is not None and len(blocks) == 1 else np.empty(shape[:-1] + (width,))
+    keep = slice(lo, lo + n)
+    if spans is not None:  # a span block writes only its kept output columns
+        result = np.zeros(shape[:-1] + (n,))
+    elif finish is None or len(blocks) > 1:
+        result = np.empty(shape[:-1] + (n,))
+    else:
+        result = None  # the finish of the one block returns it
     for start in blocks:
         rows = slice(start, start + blocks.step)
         l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
         if spans is None or np.all(spans[-1, rows] == size):
-            out = _transform(l, r, ladder, size, buffers)
+            out, cols, kept = _transform(l, r, ladder, size, buffers), slice(0, a + b - 1), keep
         else:
-            out = _span_transform(l, r, spans[:, rows], ladder, size, buffers)
+            out, cols = _span_transform(l, r, spans[:, rows], ladder, size, buffers)
+            first = max(lo, cols.start)
+            kept = slice(first, max(first, min(lo + n, cols.stop)))
+        if result is None:
+            result = finish(rows, out, cols, kept)
+            continue
+        dest = result[rows, ..., kept.start - lo:kept.stop - lo]
         if finish is None:
-            np.maximum(out[0, ..., :width], 0.0, out=result[rows])
-        elif result is None:
-            result = finish(rows, out)
+            np.maximum(out[0, ..., kept], 0.0, out=dest)
         else:
-            result[rows] = finish(rows, out)
-    return result.reshape(lead + (width,))
+            dest[...] = finish(rows, out, cols, kept)
+    return result.reshape(lead + (n,))
 
 
 def _transform(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...], size: int,
@@ -372,32 +399,43 @@ def _pair_spans(left: np.ndarray, right: np.ndarray, size: int) -> np.ndarray | 
 
 def _span_transform(left: np.ndarray, right: np.ndarray, spans: np.ndarray,
                     ladder: tuple[float, ...], size: int,
-                    buffers: dict[str, np.ndarray]) -> np.ndarray:
+                    buffers: dict[str, np.ndarray]) -> tuple[np.ndarray, slice]:
     """``_transform`` of a block of row pairs ``left`` (*lead, a) and
     ``right`` (*lead, b) with span pairs (``spans``, from
-    ``_pair_spans``), in ``buffers["out"]``. Pairs that share a transform
-    length share one stacked transform. A dense pair's row is its
-    ``_transform`` row. A span pair is transformed with both spans placed
-    at column 0, and its span output is written to the columns where the
-    full row has it, with exact zeros in every other column."""
+    ``_pair_spans``), in ``buffers["out"]``, and the columns it writes.
+
+    Pairs that share a transform length share one stacked transform. A
+    span pair is transformed with both spans placed at column 0, and its
+    span output is written to the columns where the full row has it. The
+    columns written are the union of the block's outputs: a dense pair's
+    are all a + b - 1, a span pair's its span output. Within them every
+    row holds its ``_transform`` values, or exact zeros outside its span
+    output; no other column of ``out`` is written.
+    """
     lead = right.shape[:-1]
     out = np.ndarray((len(ladder), math.prod(lead), size), np.float64, buffers["out"])
     l_start, l_len, r_start, r_len, length = spans.reshape(5, -1)
+    dense = length == size
+    firsts = np.where(dense, 0, l_start + r_start)
+    stops = np.where(dense, left.shape[-1] + right.shape[-1] - 1, firsts + l_len + r_len - 1)
+    cols = slice(int(firsts.min()), int(stops.max()))
     for n in set(length.tolist()):
         pairs = np.flatnonzero(length == n)
         index = np.unravel_index(pairs, lead)
         if n == size:
-            out[:, pairs] = _transform(left[index], right[index], ladder, size, buffers)
+            out[:, pairs, cols] = _transform(left[index], right[index], ladder, size,
+                                             buffers)[..., cols]
             continue
-        out[:, pairs] = 0.0
+        short = pairs[(firsts[pairs] > cols.start) | (stops[pairs] < cols.stop)]
+        if short.size:
+            out[:, short, cols] = 0.0
         conv = _transform(_gathered(left, index, l_start[pairs], l_len[pairs]),
                           _gathered(right, index, r_start[pairs], r_len[pairs]),
                           ladder, n, buffers)
-        firsts, counts = (l_start + r_start)[pairs], (l_len + r_len - 1)[pairs]
-        for pair, row, first, count in zip(pairs.tolist(), conv.swapaxes(0, 1),
-                                           firsts.tolist(), counts.tolist()):
-            out[:, pair, first:first + count] = row[:, :count]
-    return out.reshape((len(ladder),) + lead + (size,))
+        for pair, row, first, stop in zip(pairs.tolist(), conv.swapaxes(0, 1),
+                                          firsts[pairs].tolist(), stops[pairs].tolist()):
+            out[:, pair, first:stop] = row[:, :stop - first]
+    return out.reshape((len(ladder),) + lead + (size,)), cols
 
 
 def _gathered(x: np.ndarray, index: tuple[np.ndarray, ...], start: np.ndarray,

@@ -16,6 +16,13 @@ p-norm and the ladder's fallback rung, reads such values as zero and keeps
 them off np.power, which is several times slower on 0.0 (``_root`` says
 by how much). Each upper rung is rooted only above its floor, far enough
 below tau that the stitch takes nothing at or under it.
+
+Neither operator works through the exact zeros of a span pair
+(``fftconv``: a pair whose nonzero spans convolve to at most half of its
+outputs). The ladder's finish takes each rung's peak over the block's
+output columns and divides, roots and stitches only the kept ones among
+them; the ``pnorm:<p>`` refine scans only those columns for small
+outputs. Every other kept column is exact +0.0, as before.
 """
 
 from __future__ import annotations
@@ -111,17 +118,26 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
     operands are put in canonical order and convolved, and outputs below
     REFINE_BELOW of each row's peak are recomputed by direct summation.
     The refine and the root act on the kept columns only: the refine reads
-    the whole row to find and cut its small outputs but sums only the
-    pieces that reach into the window, and a row's peak, never small, is
-    the root of its largest power sum, since the root is monotone.
+    the row's output columns (``_refine_rows``; the whole row unless the
+    pair took a span transform) to find and cut its small outputs but sums
+    only the pieces that reach into the window, and a row's peak, never
+    small, is the root of its largest power sum, since the root is
+    monotone.
     """
     p = _check_p(p)
+    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
     if p != 1.0:  # p = 1 has no power to overflow and no root to take
         (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
         left, right = _ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0]
     a, b = _canonical_rows(left, right)
-    sums = _convolve_rows(a, b)
-    _refine_rows(sums, a, b, window)
+    blocks = []
+
+    def clipped(rows, sums, cols, kept):
+        blocks.append((rows, cols))
+        return np.maximum(sums[0, ..., kept], 0.0)
+
+    sums = _convolve_rows(a, b, finish=clipped)
+    _refine_rows(sums, a, b, window, blocks)
     out, peak = _keep_window(sums, window)
     if p == 1.0:
         return out, peak
@@ -149,26 +165,40 @@ def _root(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, 1.0 / p, out=x)
 
 
-def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[int, int]):
+def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[int, int],
+                 blocks: list[tuple[slice, slice]] | None = None):
     """_refine_small_values of each row of ``out`` that has a small output
     in the kept columns ``out[..., lo:lo + n]`` (``window=(lo, n)``), small
-    meaning against the full row's peak."""
+    meaning against the full row's peak.
+
+    ``blocks`` lists the ``(rows, cols)`` of each block of
+    ``_convolve_rows``: the rows ``out[rows]`` (along the first axis) are
+    exact zeros outside the columns ``cols``, so only those are scanned,
+    for the peak and for small kept outputs. A kept column outside them
+    is an exact zero, which no refine changes. By default every row is
+    scanned whole."""
+    if blocks is None:
+        blocks = [(slice(0, len(out)), slice(0, out.shape[-1]))]
     # One pair: _refine_small_values finds its small outputs itself; the
     # scan and index loop below add 22-38 us to a 67-80 us one-pair
     # p_norm_convolve at k = 64 (2 vCPUs).
     if out.ndim == 1:
-        _refine_small_values(out, a, b, window)
+        _refine_small_values(out, a, b, window, blocks[0][1])
         return
     lo, n = window
-    peak = out.max(axis=-1, keepdims=True)
-    small = ((out[..., lo:lo + n] <= peak * REFINE_BELOW) & (peak > 0.0)).any(axis=-1)
     a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
-    for index in map(tuple, np.argwhere(small)):
-        _refine_small_values(out[index], a[index], b[index], window)
+    for rows, cols in blocks:
+        scanned = out[rows, ..., cols]
+        peak = scanned.max(axis=-1, keepdims=True)
+        kept = scanned[..., max(lo - cols.start, 0):max(lo + n - cols.start, 0)]
+        small = ((kept <= peak * REFINE_BELOW) & (peak > 0.0)).any(axis=-1)
+        for index in map(tuple, np.argwhere(small)):
+            index = (rows.start + index[0],) + index[1:]
+            _refine_small_values(out[index], a[index], b[index], window, cols)
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         window: tuple[int, int]):
+                         window: tuple[int, int], cols: slice = slice(None)):
     """Recompute the outputs in the kept columns ``out[lo:lo + n]``
     (``window=(lo, n)``) at or below REFINE_BELOW * max(out) by direct
     summation, in place.
@@ -189,7 +219,11 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
        ``np.convolve(mode="valid")`` over the slices of both operands it
        needs.
 
-    Steps 1-3 read the whole row, so the pieces do not depend on
+    Only the columns ``cols`` of ``out`` are scanned for small outputs.
+    Every other column must be exact zero, as ``_convolve_rows`` leaves a
+    span pair's row outside its output columns; such an output lies outside
+    the trimmed output range, so step 1 would leave it as it is. The steps
+    see every other small output of the row, so the pieces do not depend on
     ``window``; it only skips the direct sums of pieces that do not reach
     into it. Every kept output is then the same sum over the same piece
     as under the full window, bit for bit, and the row's peak is
@@ -203,13 +237,15 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     Python work per piece. Dense, smooth tails keep the middle term large,
     since each of their small outputs has many nonzero terms.
     """
-    peak = out.max()
+    scanned = out[cols]
+    peak = scanned.max()
     if peak <= 0.0:
         return
-    index = np.flatnonzero(out <= peak * REFINE_BELOW)
+    index = np.flatnonzero(scanned <= peak * REFINE_BELOW)
     if index.size == 0:
         return
-    out[index] = 0.0  # the exact value of every output without a nonzero term
+    scanned[index] = 0.0  # the exact value of every output without a nonzero term
+    index += cols.start or 0
     (a_start, a), (b_start, b) = _trimmed(a), _trimmed(b)
     if b.size > a.size:  # slide the longer operand under the shorter one
         (a_start, a), (b_start, b) = (b_start, b), (a_start, a)
@@ -298,11 +334,14 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
 
     All rungs of all rows ride the stacked transforms of _convolve_rows,
     and every step after them acts on each row alone, so each row is
-    bit-identical to the one-pair call. Each rung's peak is taken over its
-    whole transform; the divide, root and stitch run on the kept columns
-    only. Every stitched row peaks at exactly 1 (the top rung's root of its
-    own peak, which clears tau; no root of a value <= 1 exceeds 1), so a
-    full row's peak is its input scale.
+    bit-identical to the one-pair call. Each rung's peak is taken over the
+    block's output columns (``_convolve_rows``): all a + b - 1 for dense
+    pairs, the union of the span outputs for span pairs, outside which a
+    row is exact zero. The divide, root and stitch run on the kept columns
+    among them only; every other kept column is +0.0, which is what they
+    would make of an exact zero. Every stitched row peaks at exactly 1
+    (the top rung's root of its own peak, which clears tau; no root of a
+    value <= 1 exceeds 1), so a full row's peak is its input scale.
 
     The rows arrive unclipped. A rung's raw peak equals its clipped one,
     since every rung peaks at about 1. The fallback's kept columns go from
@@ -315,7 +354,6 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
     peak = a_peak * b_peak
     scale = np.atleast_1d(peak)
-    lo, n = window
     # A value at or below its rung's floor 0.5 * tau**p would root to at
     # most tau * 0.5**(1/p), about ln2/p below tau: over 1e6 ulps up to
     # p = 2**32, so no index takes it. Left unrooted, it is below tau
@@ -324,9 +362,9 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     # unrooted.
     floors = [0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in ladder[1:]]
 
-    def finish(rows, vms):
-        kept = vms[..., lo:lo + n]
-        kept /= vms.max(axis=-1, keepdims=True)
+    def finish(rows, vms, cols, kept):
+        kept = vms[..., kept]
+        kept /= vms[..., cols].max(axis=-1, keepdims=True)
         stitched = _root(kept[0], ladder[0])  # smallest exponent is the fallback
         take = np.empty(stitched.shape, bool)  # every mask, so one allocation per call
         for rung, p, floor in zip(kept[1:], ladder[1:], floors):
@@ -334,7 +372,7 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
             np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
         return stitched * scale[rows, ..., None]
 
-    return _convolve_rows(a, b, ladder, finish, width=n), peak
+    return _convolve_rows(a, b, ladder, finish, window), peak
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,

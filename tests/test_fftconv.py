@@ -168,6 +168,35 @@ def test_fast_convolve_commutes():
     assert np.abs(ab.values - ba.values).max() <= 1e-12
 
 
+def canonical_cases():
+    """Equal-width row pairs: (left, right) whose leading axes broadcast."""
+    rng = np.random.default_rng(47)
+    values = np.array([0.0, -0.0, 1.0, 0.5, 2.0, 1e-300, np.nextafter(1.0, 2.0)])
+    left, right = rng.choice(values, (40, 6)), rng.choice(values, (40, 6))
+    right[:5] = left[:5]  # equal rows
+    right[5:10] = left[5:10]
+    left[5:8, 2], right[5:8, 2] = 0.0, -0.0  # differ only in the sign of a zero
+    left[8:10, 4], right[8:10, 4] = -0.0, 0.0
+    wide = rng.choice(values, (2, 80, 12))
+    return {"rows": (left, right),
+            "broadcast": (left, right[12:13]),
+            "broadcast-both": (left[:5, None], right[None, 10:14]),
+            "strided": (wide[0, 0::2, 0::2], wide[1, 1::2, 0::2])}
+
+
+@pytest.mark.parametrize("case", canonical_cases())
+def test_canonical_rows_order_equal_widths_by_their_bytes(case):
+    # the row whose bytes (tobytes) compare lower goes first; equal rows stay
+    left, right = canonical_cases()[case]
+    a, b = _canonical_rows(left, right)
+    shape = np.broadcast_shapes(left.shape, right.shape)
+    left, right = np.broadcast_to(left, shape), np.broadcast_to(right, shape)
+    assert a.shape == b.shape == shape
+    for index in np.ndindex(shape[:-1]):
+        want = sorted([left[index].tobytes(), right[index].tobytes()])
+        assert [a[index].tobytes(), b[index].tobytes()] == want, index
+
+
 def test_fast_convolve_conserves_mass_product():
     rng = np.random.default_rng(11)
     left = Pmf(rng.random(100))
@@ -653,6 +682,46 @@ def test_rows_that_neither_operand_spans_are_one_pair_calls():
     for i, j in np.ndindex(4, 3):
         one = fast_convolve(Pmf(left[i, 0]), Pmf(right[0, j])).values
         assert got[i, j].tobytes() == one.tobytes()
+
+
+def span_calls():
+    """Row kernels and one-pair functions on rows that take span transforms:
+    a peaked pair, and a layer of narrow rows at different places, one of
+    its pairs dense, under windows that cut into their span outputs or
+    miss them. (label, call) pairs."""
+    rng = np.random.default_rng(53)
+    bins = np.arange(8192)
+    peaked = (Pmf(np.exp(-0.5 * ((bins - 1000.3) / 2.0) ** 2)),
+              Pmf(np.exp(-0.5 * ((bins - 5000.7) / 8.0) ** 2)))
+    left, right = narrow_rows(rng, (6,), 400), narrow_rows(rng, (6,), 400)
+    right[4] = rng.random(400)
+    ladder = partial(_ladder_max_convolve, ladder=DEFAULT_P_LADDER, tau=DEFAULT_TAU)
+    kernels = {"fast": fftconv.fast_convolve_rows,
+               "pnorm1": partial(_p_norm_rows, p=1.0),
+               "pnorm4": partial(_p_norm_rows, p=4.0),
+               "ladder": ladder}
+    one_pair = {"fast": fast_convolve,
+                "pnorm1": partial(p_norm_convolve, p=1.0),
+                "pnorm4": partial(p_norm_convolve, p=4.0),
+                "piecewise": max_convolve_piecewise}
+    calls = [(f"{name}-peaked", partial(fn, *peaked)) for name, fn in one_pair.items()]
+    for window in [(0, 799), (150, 300), (0, 40), (700, 99)]:
+        for name, fn in kernels.items():
+            calls.append((f"{name}-narrow-{window}", partial(fn, left, right, window=window)))
+    return calls
+
+
+@pytest.mark.parametrize("label, call", span_calls(), ids=[c[0] for c in span_calls()])
+def test_span_calls_read_no_workspace_column_they_did_not_write(label, call):
+    # with every kept buffer of this thread filled with NaN, a call that
+    # reads a column its transforms did not write returns NaN somewhere
+    fftconv._workspace.buffers.clear()
+    want = _bytes(call())
+    buffers = fftconv._workspace.buffers
+    assert "out" in buffers
+    for buf in buffers.values():
+        buf.fill(np.nan)
+    assert _bytes(call()) == want
 
 
 def test_workspace_keeps_no_buffer_above_the_cap():

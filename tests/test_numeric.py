@@ -370,22 +370,21 @@ def per_rung_ladder(left, right, ladder, tau, window):
                                    np.asarray(right, dtype=float))
     (a, a_peak), (b, b_peak) = numeric._max_normalized(a), numeric._max_normalized(b)
     scale = np.atleast_1d(a_peak * b_peak)
-    lo, n = window
 
-    def finish(rows, vms):
-        np.maximum(vms, 0.0, out=vms)
+    def finish(rows, vms, cols, kept):
+        np.maximum(vms[..., cols], 0.0, out=vms[..., cols])
         stitched = None
         for vm, p in zip(vms, ladder):
-            kept = vm[..., lo:lo + n]
-            kept /= vm.max(axis=-1, keepdims=True)
-            rung = np.power(kept, 1.0 / p, out=kept)
+            rung = vm[..., kept]
+            rung /= vm[..., cols].max(axis=-1, keepdims=True)
+            np.power(rung, 1.0 / p, out=rung)
             if stitched is None:
                 stitched = rung
             else:
                 np.copyto(stitched, rung, where=rung >= tau)
         return stitched * scale[rows, ..., None]
 
-    return fftconv._convolve_rows(a, b, ladder, finish, width=n), a_peak * b_peak
+    return fftconv._convolve_rows(a, b, ladder, finish, window), a_peak * b_peak
 
 
 def reverse_layer_rows():
@@ -476,6 +475,26 @@ def test_upper_rungs_root_only_above_their_floors(monkeypatch):
     for p, size, values in rooted:
         assert (values > 0.5 * TAU ** p).all()
         assert values.size < size / 2
+
+
+def test_ladder_roots_only_the_span_output(monkeypatch):
+    # a span pair is finished over its span output, not its full row
+    rooted = []
+    power = np.power
+
+    def spy(x, y, *args, **kwargs):
+        if np.ndim(y) == 0 and y < 1.0:
+            rooted.append(np.size(x))
+        return power(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", spy)
+    left, right = peaked_pair(8192, 0)
+    (l_first, *_, l_last), (r_first, *_, r_last) = (np.flatnonzero(x) for x in (left, right))
+    outputs = (l_last - l_first + 1) + (r_last - r_first + 1) - 1
+    assert 2 * outputs < left.size
+    max_convolve_piecewise(Pmf(left), Pmf(right))
+    assert len(rooted) == len(LADDER)
+    assert max(rooted) <= outputs
 
 
 def test_root_reads_nonpositive_values_as_zero(monkeypatch):
