@@ -36,6 +36,12 @@ half of itself only if it is zero at one of its two quarter-in columns,
 so dense layers read those two columns and scan nothing
 (``_maybe_narrow``).
 
+Span transforms serve rows calls only. A one-pair call takes the same
+decision in its kernel, right after the canonical order, and a span pair
+is cut to its two spans there and transformed whole at the same length,
+with the same bits (``_cut_pair``); ``convolution_tree`` cuts its priors
+at their nonzero edges before the first layer.
+
 The transforms run in three buffers that each thread keeps from call to
 call (``_scratch``): a zero-padded stack of powers, which also takes the
 inverse transform, and one spectra buffer per operand; the product is
@@ -215,7 +221,7 @@ def _scratch(floats: dict[str, int]) -> dict[str, np.ndarray]:
 
 def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...] = (1.0,),
                    finish: Callable[[slice, np.ndarray, slice, slice], np.ndarray] | None = None,
-                   window: tuple[int, int] | None = None) -> np.ndarray:
+                   window: tuple[int, int] | None = None, whole: bool = False) -> np.ndarray:
     """Linear convolutions of the elementwise p-th powers of every row pair
     of ``left`` (..., a) and ``right`` (..., b), taken in the order given,
     whose leading axes broadcast, for each exponent p of ``ladder``.
@@ -245,7 +251,9 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     pair is transformed whole, at ``fft_length(a + b - 1)``. The rule
     reads each pair on its own, and any columns that hold all of a row's
     outputs give its finish the same bits, so every row is bit-identical
-    to its one-pair call.
+    to its one-pair call. With ``whole`` every pair is transformed whole
+    and no span is looked for: the row kernels pass it for a one-pair call,
+    which they have already tested and cut (``_cut_pair``).
 
     The transforms run in the buffers of the calling thread's workspace
     (``_scratch``, which keeps no buffer above KEEP_BYTES; the module
@@ -273,7 +281,7 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
     if right.shape[:-1] != shape[:-1]:
         right = np.broadcast_to(right, shape[:-1] + (b,))
-    spans = _pair_spans(left, right, size)
+    spans = None if whole else _pair_spans(left, right, size)
     if spans is not None:  # span groups gather their rows pair by pair
         left = np.broadcast_to(left, shape[:-1] + (a,))
     # rows per leading index of the left operand and of the product (and
@@ -338,10 +346,14 @@ def _maybe_narrow(x: np.ndarray) -> np.ndarray | bool:
 
     Such a row is zero at one of its two quarter-in columns, which lie
     more than n / 2 apart, and at one of its end columns. A layer whose
-    rows are all nonzero at their quarter-in columns is read no further.
+    rows are all nonzero at their quarter-in columns is read no further,
+    and one row (1-D ``x``) is read as four scalars.
     """
     n = x.shape[-1]
     quarter = (n - 1) // 4
+    if x.ndim == 1:  # the quarter-in columns are quarter and n - 1 - quarter
+        return bool((x[0] == 0.0 or x[-1] == 0.0)
+                    and (x[quarter] == 0.0 or x[-1 - quarter] == 0.0))
     inner = x[..., quarter::max(n - 1 - 2 * quarter, 1)]  # the two quarter-in columns
     if np.count_nonzero(inner) == inner.size:  # half the cost of inner.all()
         return False
@@ -449,16 +461,85 @@ def _gathered(x: np.ndarray, index: tuple[np.ndarray, ...], start: np.ndarray,
     return rows
 
 
+def _edges(x: np.ndarray) -> tuple[int, int]:
+    """The first nonzero column of the 1-D ``x`` and one past its last,
+    from one boolean pass and an argmax from each end; (0, x.size) when
+    every value is zero (-0.0 is zero)."""
+    nonzero = x != 0.0
+    return int(nonzero.argmax()), x.size - int(nonzero[::-1].argmax())
+
+
+def _one_pair_spans(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice] | None:
+    """``_pair_spans``' decision for one pair, the 1-D rows ``a`` and
+    ``b``: the span of each row that a span transform would gather (a row
+    taken whole is all of it), or None for a dense pair.
+
+    Each row is probed once (``_maybe_narrow``), and only a row that may
+    be narrow in a pair that can qualify is scanned (``_edges``), so a
+    dense pair costs eight scalar reads and a peaked one about two boolean
+    passes.
+    """
+    na, nb = a.size, b.size
+    l_maybe, r_maybe = _maybe_narrow(a), _maybe_narrow(b)
+    if not (l_maybe and (r_maybe or na > nb) or r_maybe and nb > na):
+        return None
+    l_start, l_stop = _edges(a) if l_maybe else (0, na)
+    r_start, r_stop = _edges(b) if r_maybe else (0, nb)
+    if 2 * (l_stop - l_start + r_stop - r_start - 1) > na + nb - 1:
+        return None
+    return slice(l_start, l_stop), slice(r_start, r_stop)
+
+
+def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], a: np.ndarray,
+              b: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel(a, b, window, whole)``, a row kernel's steps after
+    ``_canonical_rows`` (they return the kept columns and row peaks), with
+    a one-pair call cut to its spans.
+
+    Rows go to ``kernel`` as they are, and ``_convolve_rows`` finds their
+    span pairs. A one-pair call (1-D ``a`` and ``b``) is decided here by
+    ``_pair_spans``' rule (``_one_pair_spans``), and ``kernel`` transforms
+    it whole (``whole=True``). A dense pair goes as it is. A span pair
+    goes as its two spans, under the keep-window moved to where its span
+    output starts and cut to that output. Its kept columns are written
+    back among exact +0.0, and its peak is its span output's, which is the
+    full row's whenever the pair has mass. Each span is the row that
+    ``_span_transform`` would gather, transformed at the same length, so
+    every output keeps the bits of the span transform.
+    """
+    if a.ndim != 1 or b.ndim != 1:
+        return kernel(a, b, window, False)
+    spans = _one_pair_spans(a, b)
+    if spans is None:
+        return kernel(a, b, window, True)
+    left, right = spans
+    first, stop = left.start + right.start, left.stop + right.stop - 1  # the span output
+    lo, n = window
+    start = min(max(lo, first), stop)
+    end = max(start, min(lo + n, stop))
+    kept, peak = kernel(a[left], b[right], (start - first, end - start), True)
+    out = np.zeros(n)
+    out[start - lo:end - lo] = kept
+    return out, peak
+
+
 def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
                        window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """fast_convolve of every row pair of ``left`` (..., a) and ``right``
     (..., b), whose leading axes broadcast, cut to the keep-window
     ``window=(lo, n)``: the kept columns and row peaks (``_keep_window``).
 
-    Each row is bit-identical to the one-pair call on that row pair.
+    Each row is bit-identical to the one-pair call on that row pair, which
+    is cut to its spans (``_cut_pair``).
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
-    return _keep_window(_convolve_rows(a, b), window)
+    return _cut_pair(_fast_rows, a, b, window)
+
+
+def _fast_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
+               whole: bool) -> tuple[np.ndarray, np.ndarray]:
+    """fast_convolve_rows of the canonical operands (``_cut_pair``)."""
+    return _keep_window(_convolve_rows(a, b, whole=whole), window)
 
 
 def _keep_window(out: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

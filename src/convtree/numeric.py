@@ -22,19 +22,25 @@ Neither operator works through the exact zeros of a span pair
 outputs). The ladder's finish takes each rung's peak over the block's
 output columns and divides, roots and stitches only the kept ones among
 them; the ``pnorm:<p>`` refine scans only those columns for small
-outputs. Every other kept column is exact +0.0, as before.
+outputs. Every other kept column is exact +0.0, as before. Span
+transforms serve rows calls only: a one-pair call is cut to its spans
+right after the canonical order (``fftconv._cut_pair``), so its
+normalization, transform, refine and root see the spans alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fftconv import (
     _canonical_rows,
     _convolve_rows,
+    _cut_pair,
+    _edges,
     _keep_window,
     _ladder_powers,
     _one_pair,
@@ -122,29 +128,36 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
     pair took a span transform) to find and cut its small outputs but sums
     only the pieces that reach into the window, and a row's peak, never
     small, is the root of its largest power sum, since the root is
-    monotone.
+    monotone. A one-pair call is cut to the spans of its powered operands
+    after the canonical order (``_cut_pair``), so its convolution, refine
+    and root run on the spans alone.
     """
     p = _check_p(p)
     left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    scale = None
     if p != 1.0:  # p = 1 has no power to overflow and no root to take
         (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
         left, right = _ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0]
+        scale = left_peak * right_peak
     a, b = _canonical_rows(left, right)
-    blocks = []
 
-    def clipped(rows, sums, cols, kept):
-        blocks.append((rows, cols))
-        return np.maximum(sums[0, ..., kept], 0.0)
+    def kernel(a, b, window, whole):
+        blocks = []
 
-    sums = _convolve_rows(a, b, finish=clipped)
-    _refine_rows(sums, a, b, window, blocks)
-    out, peak = _keep_window(sums, window)
-    if p == 1.0:
-        return out, peak
-    scale = left_peak * right_peak
-    out = _root(out, p)
-    out *= scale[..., None]
-    return out, np.power(peak, 1.0 / p) * scale
+        def clipped(rows, sums, cols, kept):
+            blocks.append((rows, cols))
+            return np.maximum(sums[0, ..., kept], 0.0)
+
+        sums = _convolve_rows(a, b, finish=clipped, whole=whole)
+        _refine_rows(sums, a, b, window, blocks)
+        out, peak = _keep_window(sums, window)
+        if scale is None:
+            return out, peak
+        out = _root(out, p)
+        out *= scale[..., None]
+        return out, np.power(peak, 1.0 / p) * scale
+
+    return _cut_pair(kernel, a, b, window)
 
 
 def _root(x: np.ndarray, p: float) -> np.ndarray:
@@ -272,15 +285,17 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:
     """The index of the first nonzero value of ``x`` (which has one) and the
-    view from it to the last nonzero value."""
-    nonzero = np.flatnonzero(x)
-    return int(nonzero[0]), x[nonzero[0]:nonzero[-1] + 1]
+    view from it to the last nonzero value (``_edges``)."""
+    start, stop = _edges(x)
+    return start, x[start:stop]
 
 
 def _support_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The number of nonzero terms a[l] * b[m - l] of every output m, from
-    one FFT convolution of the 0/1 support indicators."""
-    return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float)))
+    """The number of nonzero terms a[l] * b[m - l] of every output m of the
+    trimmed ``a`` and ``b``, from one FFT convolution of the 0/1 support
+    indicators; nonzero at both ends, they are transformed whole."""
+    return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float),
+                                  whole=True))
 
 
 def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -347,8 +362,28 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     since every rung peaks at about 1. The fallback's kept columns go from
     that division straight into ``_root``; each upper rung roots only its
     values above its floor (defined below): no index could take the rest.
+
+    A one-pair call is cut to its spans right after the canonical order
+    (``_cut_pair``), so only the spans are divided by their peaks. The
+    span rule reads the divided rows, and dividing by a peak of at most 1
+    zeroes no value, so the undivided rows give the same decision; a pair
+    with a peak above 1 is divided whole before the cut.
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
+    kernel = partial(_ladder_rows, ladder=ladder, tau=tau)
+    if a.ndim == b.ndim == 1 and max(a.max(), b.max()) > 1.0:
+        # divided whole, the pair peaks at 1: its kernel scales by 1.0, which
+        # keeps every bit, and the scale is multiplied back here
+        (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
+        kept, _ = _cut_pair(kernel, a, b, window)
+        peak = a_peak * b_peak
+        return kept * peak, peak
+    return _cut_pair(kernel, a, b, window)
+
+
+def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int], whole: bool,
+                 ladder: tuple[float, ...], tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """_ladder_max_convolve of the canonical operands (``_cut_pair``)."""
     (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
@@ -372,7 +407,7 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
             np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
         return stitched * scale[rows, ..., None]
 
-    return _convolve_rows(a, b, ladder, finish, window), peak
+    return _convolve_rows(a, b, ladder, finish, window, whole), peak
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,

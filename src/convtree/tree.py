@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fftconv import _keep_window, _one_pair, fast_convolve_rows, padded_length
+from .fftconv import _edges, _keep_window, _one_pair, fast_convolve_rows, padded_length
 from .numeric import (
     PiecewiseConfig,
     _check_p,
@@ -148,14 +148,16 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     message to the prior's support and fold the prior itself back in.
 
     Each layer of the tree is one (nodes, width) array, applied with one
-    ``apply_rows`` call. Every prior is zero-padded on the right to the
-    longest one, and when n is not a power of two the leaf layer is padded
-    with point masses at zero (they do not change the sum); their outputs
-    are dropped. Each later layer is as wide as its widest node support.
-    Every row the tree holds, and every row it passes to the operator, is
-    divided by its peak, whatever the operator; ``operator.normalization``
-    is read once, on the way out, and a "sum" operator's outputs are then
-    divided by their sums.
+    ``apply_rows`` call. Every prior is cut to its first through last
+    nonzero value, its offset moved to match, and zero-padded on the right
+    to the longest cut one; each likelihood and the sum prior are padded
+    back to the full supports with exact zeros. When n is not a power of
+    two the leaf layer is padded with point masses at zero (they do not
+    change the sum); their outputs are dropped. Each later layer is as
+    wide as its widest node support. Every row the tree holds, and every
+    row it passes to the operator, is divided by its peak, whatever the
+    operator; ``operator.normalization`` is read once, on the way out, and
+    a "sum" operator's outputs are then divided by their sums.
 
     Raises DegenerateDistributionError for an all-zero prior or evidence,
     and InconsistentEvidenceError when the evidence excludes every
@@ -168,12 +170,26 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     leaves[len(priors):, 0] = 1.0  # padding leaves: point masses at zero
     for row, prior in zip(leaves, priors):
         row[:len(prior)] = prior.values
+    # Cut each prior with a zero end to its first through last nonzero
+    # value (an all-zero one stays whole), so that no layer carries the
+    # zeros around its mass.
+    spans = np.array([len(p) for p in priors] + [1] * (len(leaves) - len(priors)))
+    cut = np.flatnonzero((leaves[:, 0] == 0.0)
+                         | (leaves[np.arange(len(leaves)), spans - 1] == 0.0))
+    starts = np.zeros_like(spans)
+    for i in cut:
+        start, stop = _edges(leaves[i, :spans[i]])
+        starts[i], spans[i] = start, stop - start
+        leaves[i, :stop - start] = leaves[i, start:stop]
+        leaves[i, stop - start:] = 0.0
+    if cut.size:
+        leaves = leaves[:, :spans.max()]
 
     # Forward: pair up each layer until a single root (the prior of the sum).
     # A row holds only round-off past its reach (the length of its node's
     # support), so each layer keeps only its longest reach: ragged priors
     # pay for their padding at the leaves only.
-    reach = np.array([len(p) for p in priors] + [1] * (len(leaves) - len(priors)))
+    reach = spans
     forward = [_rescaled(leaves)]
     while len(forward[-1]) > 1:
         layer = forward[-1]
@@ -184,7 +200,8 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
 
     # The root's message is the evidence over the sum's support, zero
     # outside the evidence. Rebinding frees the uncut evidence.
-    offset = sum(p.offset for p in priors)
+    shift = int(starts.sum())  # the cut sum's first outcome within the full one
+    offset = sum(p.offset for p in priors) + shift
     messages = _rescaled(sum_likelihood.values[None])
     lo = offset - sum_likelihood.offset
     messages = _rescaled(_window(messages[0], lo, lo + root.shape[1] - 1)[np.newaxis],
@@ -208,6 +225,13 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     product = _rescaled(messages[:len(priors)] * forward[0][:len(priors)], ZERO_MASS_REL_TOL)
     if operator.normalization == "sum":
         product, root = (rows / rows.sum(axis=1)[:, None] for rows in (product, root))
+    if cut.size:  # pad every output back to its full support with exact zeros
+        rows, product = product, np.zeros((len(priors), max(len(p) for p in priors)))
+        for row, values, start, n in zip(product, rows, starts, spans):
+            row[start:start + n] = values[:n]
+        rows, root = root, np.zeros((1, sum(len(p) for p in priors) - len(priors) + 1))
+        root[0, shift:shift + rows.shape[1]] = rows[0]
+        offset -= shift
     return TreeResult(Pmf._checked_rows(product, priors), Pmf(root[0], offset))
 
 

@@ -178,10 +178,16 @@ def canonical_cases():
     left[5:8, 2], right[5:8, 2] = 0.0, -0.0  # differ only in the sign of a zero
     left[8:10, 4], right[8:10, 4] = -0.0, 0.0
     wide = rng.choice(values, (2, 80, 12))
+    # exactly one pair of many swaps, pair 17
+    one_swap = rng.random((30, 8)), rng.random((30, 8))
+    for i, (x, y) in enumerate(zip(*one_swap)):
+        if (x.tobytes() > y.tobytes()) != (i == 17):
+            x[:], y[:] = y.copy(), x.copy()
     return {"rows": (left, right),
             "broadcast": (left, right[12:13]),
             "broadcast-both": (left[:5, None], right[None, 10:14]),
-            "strided": (wide[0, 0::2, 0::2], wide[1, 1::2, 0::2])}
+            "strided": (wide[0, 0::2, 0::2], wide[1, 1::2, 0::2]),
+            "one-swap": one_swap}
 
 
 @pytest.mark.parametrize("case", canonical_cases())
@@ -195,6 +201,8 @@ def test_canonical_rows_order_equal_widths_by_their_bytes(case):
     for index in np.ndindex(shape[:-1]):
         want = sorted([left[index].tobytes(), right[index].tobytes()])
         assert [a[index].tobytes(), b[index].tobytes()] == want, index
+    if case == "one-swap":
+        assert [i for i in range(len(a)) if a[i].tobytes() != left[i].tobytes()] == [17]
 
 
 def test_fast_convolve_conserves_mass_product():
@@ -229,6 +237,20 @@ def test_refine_recomputes_tiny_outputs_exactly():
     assert plain.values[126] != 1e-26
     # untouched (large) outputs are identical to the plain path
     assert refined.values[0] == plain.values[0]
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.0, 0.3, 0.0], [0.7], [-0.0, 0.2, 0.0, 0.5, -0.0], [0.0, 0.0, 0.4, 0.1],
+    [0.4, 0.1, 0.0, 0.0, 0.0], [1e-320, 0.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0, 0.0],
+], ids=["single", "one-value", "minus-zero-ends", "zeros-before", "zeros-after",
+        "subnormal-end", "interior-zeros"])
+def test_trimmed_is_the_flatnonzero_view(values):
+    x = np.array(values)
+    nonzero = np.flatnonzero(x)
+    start, view = numeric._trimmed(x)
+    assert start == nonzero[0]
+    assert view.base is x or view is x
+    assert view.tobytes() == x[nonzero[0]:nonzero[-1] + 1].tobytes()
 
 
 def test_refine_handles_all_zero_input():
@@ -686,9 +708,9 @@ def test_rows_that_neither_operand_spans_are_one_pair_calls():
 
 def span_calls():
     """Row kernels and one-pair functions on rows that take span transforms:
-    a peaked pair, and a layer of narrow rows at different places, one of
-    its pairs dense, under windows that cut into their span outputs or
-    miss them. (label, call) pairs."""
+    a peaked pair, one pair and stacked with a dense pair, and a layer of
+    narrow rows at different places, one of its pairs dense, under windows
+    that cut into their span outputs or miss them. (label, call) pairs."""
     rng = np.random.default_rng(53)
     bins = np.arange(8192)
     peaked = (Pmf(np.exp(-0.5 * ((bins - 1000.3) / 2.0) ** 2)),
@@ -705,6 +727,10 @@ def span_calls():
                 "pnorm4": partial(p_norm_convolve, p=4.0),
                 "piecewise": max_convolve_piecewise}
     calls = [(f"{name}-peaked", partial(fn, *peaked)) for name, fn in one_pair.items()]
+    # the same peaked pair stacked with a dense pair, as rows
+    stacked = [np.stack([x.values, rng.random(8192)]) for x in peaked]
+    calls += [(f"{name}-peaked-rows", partial(fn, *stacked, window=(0, 16383)))
+              for name, fn in kernels.items()]
     for window in [(0, 799), (150, 300), (0, 40), (700, 99)]:
         for name, fn in kernels.items():
             calls.append((f"{name}-narrow-{window}", partial(fn, left, right, window=window)))
@@ -718,7 +744,8 @@ def test_span_calls_read_no_workspace_column_they_did_not_write(label, call):
     fftconv._workspace.buffers.clear()
     want = _bytes(call())
     buffers = fftconv._workspace.buffers
-    assert "out" in buffers
+    # a one-pair call is cut to its spans and takes no span transform
+    assert ("out" in buffers) != label.endswith("-peaked")
     for buf in buffers.values():
         buf.fill(np.nan)
     assert _bytes(call()) == want

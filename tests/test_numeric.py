@@ -1,4 +1,5 @@
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -512,6 +513,124 @@ def test_root_reads_nonpositive_values_as_zero(monkeypatch):
     assert got[values <= 0.0].tobytes() == np.zeros(4).tobytes()  # +0.0, not -0.0
     assert got[values > 0.0].tobytes() == want.tobytes()
     assert len(seen) == 1 and (seen[0] > 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# One-pair calls cut to their spans
+
+ONE_PAIR = {
+    "fast": (fast_convolve, fftconv.fast_convolve_rows),
+    "pnorm1": (lambda l, r: p_norm_convolve(l, r, 1.0), p_norm_operator(1.0).apply_rows),
+    "pnorm4": (lambda l, r: p_norm_convolve(l, r, 4.0), p_norm_operator(4.0).apply_rows),
+    "normalized": (lambda l, r: max_convolve_normalized(l, r, 32.0),
+                   partial(numeric._ladder_max_convolve, ladder=(32.0,), tau=numeric.DEFAULT_TAU)),
+    "piecewise": (max_convolve_piecewise, numeric_max_operator().apply_rows),
+}
+
+
+def spy(monkeypatch, name) -> list:
+    """The calls of ``fftconv.<name>`` from now on, by their first argument."""
+    calls = []
+    function = getattr(fftconv, name)
+
+    def spying(x, *args, **kwargs):
+        calls.append(x)
+        return function(x, *args, **kwargs)
+
+    monkeypatch.setattr(fftconv, name, spying)
+    return calls
+
+
+@pytest.mark.parametrize("name", ONE_PAIR)
+def test_one_pair_calls_take_no_span_transform(monkeypatch, name):
+    # a peaked pair is cut to its spans before the kernel, and a uniform
+    # pair is probed once per operand, not again in _convolve_rows
+    one_pair, _ = ONE_PAIR[name]
+    spans, probes = spy(monkeypatch, "_span_transform"), spy(monkeypatch, "_maybe_narrow")
+    left, right = peaked_pair(8192, 0)
+    one_pair(Pmf(left), Pmf(right))
+    assert spans == []
+    left, right = random_pair(300, 3)
+    probes.clear()
+    one_pair(left, right)
+    assert spans == []
+    assert len(probes) == 2 and all(x.ndim == 1 for x in probes)
+
+
+@st.composite
+def narrow_pairs(draw):
+    """Two rows whose mass sits on short spans, of at most an eighth of
+    each, or a long narrow row and a dense one of at most a quarter of its
+    width; either way a span pair (``fftconv._pair_spans``). Each span
+    holds random values, scaled by a drawn factor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 7.0, 1e100]))
+
+    def narrow(width):
+        n = draw(st.integers(1, width // 8))
+        start = draw(st.integers(0, width - n))
+        row = np.zeros(width)
+        row[start:start + n] = scale * (0.05 + rng.random(n))
+        return row
+
+    a = draw(st.integers(16, 600))
+    if draw(st.booleans()):
+        return narrow(a), narrow(draw(st.integers(16, 600)))
+    return narrow(a), scale * (0.05 + rng.random(draw(st.integers(1, a // 4))))
+
+
+@given(narrow_pairs())
+@settings(max_examples=60, deadline=None)
+def test_one_pair_calls_are_their_rows_in_a_span_transform(pair):
+    # each one-pair function, in both orders, is bit for bit its row of a
+    # rows call that stacks the pair with a dense pair and so takes the
+    # span transform
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as patch:
+        spans = spy(patch, "_span_transform")
+        for left, right in (pair, pair[::-1]):
+            rows = [np.stack([x, 0.05 + rng.random(x.size)]) for x in (left, right)]
+            for name, (one_pair, apply_rows) in ONE_PAIR.items():
+                spans.clear()
+                got, _ = apply_rows(*rows, window=(0, left.size + right.size - 1))
+                assert spans, name
+                one = one_pair(Pmf(left), Pmf(right)).values
+                assert one.tobytes() == got[0].tobytes(), name
+
+
+def test_ladder_pair_above_one_is_cut_after_its_division():
+    # dividing by a peak of 1e5 zeroes the 1e-320 values at the ends of the
+    # left span, so the divided rows span less than the undivided ones
+    left, right = np.zeros(400), np.zeros(400)
+    left[100:110] = [1e-320, 1e5, 3.0, 1e5, 2.0, 1e5, 1.0, 1e5, 5.0, 1e-320]
+    right[250:260] = 0.5 + np.random.default_rng(1).random(10)
+    assert np.count_nonzero(left / left.max()) == 8
+    dense = 0.5 + np.random.default_rng(2).random((2, 400))
+    for one_pair, apply_rows in (ONE_PAIR["piecewise"], ONE_PAIR["normalized"]):
+        for x, y in ((left, right), (right, left)):
+            got, peak = apply_rows(np.stack([x, dense[0]]), np.stack([y, dense[1]]),
+                                   window=(0, 799))
+            kept, one_peak = apply_rows(x, y, window=(0, 799))
+            assert kept.tobytes() == got[0].tobytes()
+            assert one_peak.tobytes() == peak[0].tobytes()
+            assert one_pair(Pmf(x), Pmf(y)).values.tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("window", [(0, 799), (150, 300), (0, 40), (700, 99), (300, 0)])
+@pytest.mark.parametrize("name", ONE_PAIR)
+def test_cut_one_pair_keeps_its_window_and_peak(name, window):
+    # a one-pair rows call under a keep-window that cuts into its span
+    # output or misses it: the kept columns and peak of the stacked call
+    rng = np.random.default_rng(8)
+    left, right = narrow_rows(rng, (2,), 400)
+    dense = 0.05 + rng.random((2, 400))
+    _, apply_rows = ONE_PAIR[name]
+    got, peak = apply_rows(np.stack([left, dense[0]]), np.stack([right, dense[1]]),
+                           window=window)
+    kept, one_peak = apply_rows(left, right, window=window)
+    assert kept.shape == (window[1],)
+    assert kept.tobytes() == got[0].tobytes()
+    assert one_peak.tobytes() == peak[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,43 @@ def test_tree_handles_nonzero_offsets():
     assert_matches_brute_force(priors, evidence, naive_max_operator(), "max", 1e-12)
 
 
+def zero_ended_priors(seed):
+    """Priors with exact-zero runs at both ends, at one end only and
+    inside, at nonzero offsets: (zeros before, masses, zeros after) each."""
+    rng = np.random.default_rng(seed)
+    priors = []
+    for before, mass, after in [(2, 3, 1), (0, 2, 3), (3, 1, 2), (1, 4, 0), (2, 3, 2)]:
+        values = np.zeros(before + mass + after)
+        values[before:before + mass] = 0.05 + rng.random(mass)
+        priors.append(values)
+    priors[-1][3] = 0.0  # an interior zero
+    return [Pmf(values, int(rng.integers(-3, 4))) for values in priors]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_priors_with_zero_ends_match_brute_force(seed):
+    # the tree cuts each prior to its mass and pads its outputs back
+    priors = zero_ended_priors(seed)
+    evidence = random_evidence(priors, seed + 7)
+    assert_matches_brute_force(priors, evidence, standard_operator(), "sum", 1e-9)
+    assert_matches_brute_force(priors, evidence, naive_max_operator(), "max", 1e-12)
+    for name in ("sum", "max-naive", "max-numeric", "pnorm:1"):
+        result = convolution_tree(priors, evidence, operator_from_name(name))
+        for got, prior in zip(result.likelihoods, priors):
+            assert (got.offset, len(got)) == (prior.offset, len(prior))
+            assert np.all(got.values[prior.values == 0.0] == 0.0)
+        assert result.sum_prior.offset == sum(p.offset for p in priors)
+        assert len(result.sum_prior) == sum(len(p) for p in priors) - len(priors) + 1
+
+
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:1"])
+def test_all_zero_prior_among_zero_ended_ones_raises(name):
+    priors = zero_ended_priors(0)
+    priors[2] = Pmf(np.zeros(4), 3)
+    with pytest.raises(DegenerateDistributionError):
+        convolution_tree(priors, random_evidence(priors, 3), operator_from_name(name))
+
+
 @pytest.mark.parametrize("lo_pad, hi_pad", [(3, 4), (-2, 0), (0, -3), (-1, -2)],
                          ids=["past-both-ends", "from-inside-low", "to-inside-high",
                               "inside"])
