@@ -15,39 +15,27 @@ quarters of the package's load time. Every forward transform in the
 package is one ``_spectra`` call and every inverse one is in
 ``_transform``.
 
-A row pair whose mass sits on short spans is transformed over those spans
-alone (span transforms). Each operand row's span runs from its first to
-its last nonzero value, as the kernel receives it: powered (``pnorm:<p>``)
-and in canonical order. When the spans convolve to at most half of the
-pair's a + b - 1 outputs, the pair is transformed at the ``fft_length`` of
-its span output, with both spans placed at column 0, and its outputs are
-written back to their full-row columns. Pairs that share a transform
-length share one stacked transform. Dense pairs, every pair of a tree over
-dense priors among them, form one group at ``fft_length(a + b - 1)`` with
-the layout and bits of whole-row transforms. Every step after a block's
-transforms works on the block's output columns only, the union of its
-rows' outputs: a finish (the piecewise ladder's divide, root and stitch)
-or the clip, and then the ``pnorm:<p>`` refine's scan. Every other kept
-column is exact +0.0, as it would be from a full row. The rule reads each
-pair on its own, so each row keeps the bits of its one-pair call. The
-``sum`` and ``pnorm:<p>`` kernels still take their row peaks over full
-rows (``_keep_window``). A row can span at most
-half of itself only if it is zero at one of its two quarter-in columns,
-so dense layers read those two columns and scan nothing
-(``_maybe_narrow``).
-
-Span transforms serve rows calls only. A one-pair call takes the same
-decision in its kernel, right after the canonical order, and a span pair
-is cut to its two spans there and transformed whole at the same length,
-with the same bits (``_cut_pair``); ``convolution_tree`` cuts its priors
-at their nonzero edges before the first layer.
+A row pair whose mass sits on short spans is cut to them (``_cut_pair``).
+Each operand row's span runs from its first to its last nonzero value, as
+the kernel receives it: powered (``pnorm:<p>``) and in canonical order.
+When the spans convolve to at most half of the pair's a + b - 1 outputs
+(a span pair), the kernel runs on the two spans alone, at the
+``fft_length`` of their output, and its kept columns are written back
+among exact +0.0. A one-pair call decides this right after the canonical
+order. A rows call transforms every pair whole and then computes each of
+its span pairs as that one-pair call, so every row keeps the bits of its
+one-pair call. Span pairs are rare in rows calls: ``convolution_tree``
+cuts its priors at their nonzero edges and runs each layer in segments
+as wide as their widest node, so a tree makes them only where a message
+itself is narrow, such as the top reverse layer under point evidence. A
+row can span at most half of itself only if it is zero at one of its two
+quarter-in columns, so dense layers read those two columns and scan
+nothing (``_maybe_narrow``).
 
 The transforms run in three buffers that each thread keeps from call to
 call (``_scratch``): a zero-padded stack of powers, which also takes the
 inverse transform, and one spectra buffer per operand; the product is
-taken in place in the right operand's spectra. A call with span pairs
-keeps a fourth, the full-row output its groups are written to, in their
-output columns only. Fresh
+taken in place in the right operand's spectra. Fresh
 buffers per call cost more than the transforms on small problems, since
 glibc can hand such blocks back as fresh pages: a ``max-numeric`` solve
 at n = 32, k = 256 took about 2,200 minor faults and 16.4 ms with them,
@@ -220,8 +208,8 @@ def _scratch(floats: dict[str, int]) -> dict[str, np.ndarray]:
 
 
 def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...] = (1.0,),
-                   finish: Callable[[slice, np.ndarray, slice, slice], np.ndarray] | None = None,
-                   window: tuple[int, int] | None = None, whole: bool = False) -> np.ndarray:
+                   finish: Callable[[slice, np.ndarray, slice], np.ndarray] | None = None,
+                   window: tuple[int, int] | None = None) -> np.ndarray:
     """Linear convolutions of the elementwise p-th powers of every row pair
     of ``left`` (..., a) and ``right`` (..., b), taken in the order given,
     whose leading axes broadcast, for each exponent p of ``ladder``.
@@ -230,37 +218,22 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     (one index at least). Per block, each operand takes one transform of
     every rung of its rows (``_spectra``), so a left row shared through
     broadcasting within a block, such as a parent message against its two
-    children, is transformed once. Each row of the block has a + b - 1
-    outputs, not clipped (round-off can leave them slightly negative), and
-    only the block's output columns ``cols`` (a slice) are handed on: all
-    a + b - 1 for a block of dense pairs, the union of its span outputs
-    for a block of span pairs (below). ``finish(rows, out, cols, kept)``
-    maps ``out``, a (rungs, *block, size) array of which it may read only
-    the columns ``cols``, to the (*block, m) results of the columns
-    ``kept``: the m columns of ``cols`` inside the keep-window
+    children, is transformed once. Every pair is transformed whole, at
+    ``fft_length(a + b - 1)``. Each row of the block has a + b - 1 outputs,
+    not clipped (round-off can leave them slightly negative).
+    ``finish(rows, out, kept)`` maps ``out``, the (rungs, *block, a + b - 1)
+    outputs of the block ``rows`` (a slice of the leading axis), to the
+    (*block, n) results of the columns ``kept`` of the keep-window
     ``window=(lo, n)`` (all a + b - 1 by default). Without ``finish`` the
-    results are the first rung's outputs clipped at zero. Every other
-    column of the window is exact +0.0. The results of all blocks are
-    returned as one (..., n) array, empty when a leading axis is.
-
-    A pair whose nonzero spans convolve to at most half of a + b - 1
-    outputs (``_pair_spans``) is transformed over its spans alone, at the
-    length of its span output, and its row of ``out`` holds exact zeros
-    in ``cols`` outside that output (``_span_transform``); no step after
-    the transform reads or writes a column outside ``cols``. Every other
-    pair is transformed whole, at ``fft_length(a + b - 1)``. The rule
-    reads each pair on its own, and any columns that hold all of a row's
-    outputs give its finish the same bits, so every row is bit-identical
-    to its one-pair call. With ``whole`` every pair is transformed whole
-    and no span is looked for: the row kernels pass it for a one-pair call,
-    which they have already tested and cut (``_cut_pair``).
+    results are the first rung's outputs clipped at zero. The results of
+    all blocks are returned as one (..., n) array, empty when a leading
+    axis is.
 
     The transforms run in the buffers of the calling thread's workspace
     (``_scratch``, which keeps no buffer above KEEP_BYTES; the module
     docstring says why): one stack, which holds each operand's zero-padded
-    powers in turn and then the inverse transform, one spectra buffer per
-    operand, and, when a block has a span pair, the ``out`` its groups
-    are written to. The product is taken in place in the right operand's
+    powers in turn and then the inverse transform, and one spectra buffer
+    per operand. The product is taken in place in the right operand's
     spectra, so a right operand whose leading shape is not the product's
     is first broadcast to it. ``out`` is a view of the workspace, which
     ``finish`` may overwrite but must not return or keep: nothing returned
@@ -281,48 +254,32 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
     if right.shape[:-1] != shape[:-1]:
         right = np.broadcast_to(right, shape[:-1] + (b,))
-    spans = None if whole else _pair_spans(left, right, size)
-    if spans is not None:  # span groups gather their rows pair by pair
-        left = np.broadcast_to(left, shape[:-1] + (a,))
-    # rows per leading index of the left operand and of the product (and
-    # right); span pairs are written to one more product-sized buffer
+    # rows per leading index of the left operand and of the product (and right)
     l_per, p_per = math.prod(left.shape[1:-1]), math.prod(shape[1:-1])
-    floats = (2 * (l_per + p_per) + (3 if spans is None else 4) * p_per) * rungs * size
+    floats = (2 * (l_per + p_per) + 3 * p_per) * rungs * size
     blocks = range(0, shape[0], max(1, BLOCK_FLOATS // floats))
     # rows of the left operand and of the product in the first, largest block
     step = min(blocks.step, shape[0])
     l_rows, p_rows = (1 if left.shape[0] == 1 else step) * l_per, step * p_per
     half = size // 2 + 1
-    roles = {"stack": rungs * p_rows * size,
-             "left": 2 * rungs * l_rows * half,  # floats of complex spectra
-             "right": 2 * rungs * p_rows * half}
-    if spans is not None:
-        roles["out"] = rungs * p_rows * size
-    buffers = _scratch(roles)
-    keep = slice(lo, lo + n)
-    if spans is not None:  # a span block writes only its kept output columns
-        result = np.zeros(shape[:-1] + (n,))
-    elif finish is None or len(blocks) > 1:
+    buffers = _scratch({"stack": rungs * p_rows * size,
+                        "left": 2 * rungs * l_rows * half,  # floats of complex spectra
+                        "right": 2 * rungs * p_rows * half})
+    kept = slice(lo, lo + n)
+    if finish is None or len(blocks) > 1:
         result = np.empty(shape[:-1] + (n,))
     else:
         result = None  # the finish of the one block returns it
     for start in blocks:
         rows = slice(start, start + blocks.step)
         l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
-        if spans is None or np.all(spans[-1, rows] == size):
-            out, cols, kept = _transform(l, r, ladder, size, buffers), slice(0, a + b - 1), keep
-        else:
-            out, cols = _span_transform(l, r, spans[:, rows], ladder, size, buffers)
-            first = max(lo, cols.start)
-            kept = slice(first, max(first, min(lo + n, cols.stop)))
+        out = _transform(l, r, ladder, size, buffers)[..., :a + b - 1]
         if result is None:
-            result = finish(rows, out, cols, kept)
-            continue
-        dest = result[rows, ..., kept.start - lo:kept.stop - lo]
-        if finish is None:
-            np.maximum(out[0, ..., kept], 0.0, out=dest)
+            result = finish(rows, out, kept)
+        elif finish is None:
+            np.maximum(out[0, ..., kept], 0.0, out=result[rows])
         else:
-            dest[...] = finish(rows, out, cols, kept)
+            result[rows] = finish(rows, out, kept)
     return result.reshape(lead + (n,))
 
 
@@ -360,107 +317,6 @@ def _maybe_narrow(x: np.ndarray) -> np.ndarray | bool:
     return ((x[..., 0] == 0.0) | (x[..., -1] == 0.0)) & ~inner.all(axis=-1)
 
 
-def _spans(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first column and the length of the nonzero span of each row of
-    ``x`` (..., n) selected by the mask ``rows``, and (0, n) for every
-    other row and for an all-zero one."""
-    start, length = np.zeros(rows.shape, np.intp), np.full(rows.shape, x.shape[-1], np.intp)
-    nonzero = x[rows] != 0.0
-    start[rows] = first = nonzero.argmax(axis=-1)
-    length[rows] -= first + nonzero[:, ::-1].argmax(axis=-1)
-    return start, length
-
-
-def _pair_spans(left: np.ndarray, right: np.ndarray, size: int) -> np.ndarray | None:
-    """The transform of every row pair of ``left`` (..., a) and ``right``
-    (*lead, b), ``left`` broadcasting to ``right``: a (5, *lead) int array
-    of the left row's span start and length (``_spans``), the right row's,
-    and the pair's transform length. None when every pair is dense.
-
-    A pair whose spans sa, sb convolve to at most half of its outputs,
-    sa + sb - 1 <= (a + b - 1) / 2, is a span pair, transformed at
-    ``fft_length(sa + sb - 1)``; every other pair is dense, transformed at
-    ``size``. Only the rows that may be narrow (``_maybe_narrow``) are
-    scanned for their spans, and only in pairs that can qualify: every
-    other row is taken whole, and a pair with a whole row b can qualify
-    only if its other row, of sa >= 1, is longer (sa <= (a - b + 1) / 2).
-    Half is well above the round-off zeros at the ends of tree messages (up
-    to about a quarter of a row in ``max-numeric`` solves at n = 1024,
-    k = 64), so the layers of such trees stay dense.
-    """
-    a, b = left.shape[-1], right.shape[-1]
-    l_maybe, r_maybe = _maybe_narrow(left), _maybe_narrow(right)
-    if l_maybe is False and r_maybe is False:  # np.any(False) alone costs about 5 us
-        return None
-    lead = right.shape[:-1]
-    possible = np.broadcast_to(l_maybe & (r_maybe | (a > b)) | r_maybe & (b > a), lead)
-    if not possible.any():
-        return None
-    spans = np.empty((5,) + lead, np.intp)
-    spans[0], spans[1] = _spans(np.broadcast_to(left, lead + (a,)), possible & l_maybe)
-    spans[2], spans[3] = _spans(right, possible & r_maybe)
-    outputs = spans[1] + spans[3] - 1
-    narrow = 2 * outputs <= a + b - 1
-    if not narrow.any():
-        return None
-    spans[4] = size
-    for n in set(outputs[narrow].tolist()):  # a process's first np.unique costs about 11 ms
-        spans[4][narrow & (outputs == n)] = fft_length(n)
-    return spans
-
-
-def _span_transform(left: np.ndarray, right: np.ndarray, spans: np.ndarray,
-                    ladder: tuple[float, ...], size: int,
-                    buffers: dict[str, np.ndarray]) -> tuple[np.ndarray, slice]:
-    """``_transform`` of a block of row pairs ``left`` (*lead, a) and
-    ``right`` (*lead, b) with span pairs (``spans``, from
-    ``_pair_spans``), in ``buffers["out"]``, and the columns it writes.
-
-    Pairs that share a transform length share one stacked transform. A
-    span pair is transformed with both spans placed at column 0, and its
-    span output is written to the columns where the full row has it. The
-    columns written are the union of the block's outputs: a dense pair's
-    are all a + b - 1, a span pair's its span output. Within them every
-    row holds its ``_transform`` values, or exact zeros outside its span
-    output; no other column of ``out`` is written.
-    """
-    lead = right.shape[:-1]
-    out = np.ndarray((len(ladder), math.prod(lead), size), np.float64, buffers["out"])
-    l_start, l_len, r_start, r_len, length = spans.reshape(5, -1)
-    dense = length == size
-    firsts = np.where(dense, 0, l_start + r_start)
-    stops = np.where(dense, left.shape[-1] + right.shape[-1] - 1, firsts + l_len + r_len - 1)
-    cols = slice(int(firsts.min()), int(stops.max()))
-    for n in set(length.tolist()):
-        pairs = np.flatnonzero(length == n)
-        index = np.unravel_index(pairs, lead)
-        if n == size:
-            out[:, pairs, cols] = _transform(left[index], right[index], ladder, size,
-                                             buffers)[..., cols]
-            continue
-        short = pairs[(firsts[pairs] > cols.start) | (stops[pairs] < cols.stop)]
-        if short.size:
-            out[:, short, cols] = 0.0
-        conv = _transform(_gathered(left, index, l_start[pairs], l_len[pairs]),
-                          _gathered(right, index, r_start[pairs], r_len[pairs]),
-                          ladder, n, buffers)
-        for pair, row, first, stop in zip(pairs.tolist(), conv.swapaxes(0, 1),
-                                          firsts[pairs].tolist(), stops[pairs].tolist()):
-            out[:, pair, first:stop] = row[:, :stop - first]
-    return out.reshape((len(ladder),) + lead + (size,)), cols
-
-
-def _gathered(x: np.ndarray, index: tuple[np.ndarray, ...], start: np.ndarray,
-              length: np.ndarray) -> np.ndarray:
-    """The rows ``x[index]`` cut to their spans (``start``, ``length``),
-    each placed at column 0 and zero-padded to the longest."""
-    rows = np.zeros((len(start), length.max()))
-    for row, i, first, count in zip(rows, zip(*(i.tolist() for i in index)),
-                                    start.tolist(), length.tolist()):
-        row[:count] = x[i][first:first + count]
-    return rows
-
-
 def _edges(x: np.ndarray) -> tuple[int, int]:
     """The first nonzero column of the 1-D ``x`` and one past its last,
     from one boolean pass and an argmax from each end; (0, x.size) when
@@ -470,14 +326,16 @@ def _edges(x: np.ndarray) -> tuple[int, int]:
 
 
 def _one_pair_spans(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice] | None:
-    """``_pair_spans``' decision for one pair, the 1-D rows ``a`` and
-    ``b``: the span of each row that a span transform would gather (a row
-    taken whole is all of it), or None for a dense pair.
+    """The spans of the 1-D rows ``a`` and ``b`` when they make a span
+    pair, or None for a dense pair.
 
-    Each row is probed once (``_maybe_narrow``), and only a row that may
-    be narrow in a pair that can qualify is scanned (``_edges``), so a
-    dense pair costs eight scalar reads and a peaked one about two boolean
-    passes.
+    A span pair is one whose spans sa, sb convolve to at most half of its
+    outputs, sa + sb - 1 <= (a + b - 1) / 2. Each row is probed once
+    (``_maybe_narrow``), and only a row that may be narrow in a pair that
+    can qualify is scanned (``_edges``); every other row is taken whole,
+    and a pair with a whole row b can qualify only if its other row, of
+    sa >= 1, is longer (sa <= (a - b + 1) / 2). So a dense pair costs
+    eight scalar reads and a peaked one about two boolean passes.
     """
     na, nb = a.size, b.size
     l_maybe, r_maybe = _maybe_narrow(a), _maybe_narrow(b)
@@ -492,34 +350,47 @@ def _one_pair_spans(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice] | None:
 
 def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], a: np.ndarray,
               b: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel(a, b, window, whole)``, a row kernel's steps after
+    """``kernel(a, b, window)``, a row kernel's steps after
     ``_canonical_rows`` (they return the kept columns and row peaks), with
-    a one-pair call cut to its spans.
+    every span pair (``_one_pair_spans``) cut to its spans.
 
-    Rows go to ``kernel`` as they are, and ``_convolve_rows`` finds their
-    span pairs. A one-pair call (1-D ``a`` and ``b``) is decided here by
-    ``_pair_spans``' rule (``_one_pair_spans``), and ``kernel`` transforms
-    it whole (``whole=True``). A dense pair goes as it is. A span pair
-    goes as its two spans, under the keep-window moved to where its span
-    output starts and cut to that output. Its kept columns are written
-    back among exact +0.0, and its peak is its span output's, which is the
-    full row's whenever the pair has mass. Each span is the row that
-    ``_span_transform`` would gather, transformed at the same length, so
-    every output keeps the bits of the span transform.
+    A one-pair call (1-D ``a`` and ``b``) that is a dense pair goes to
+    ``kernel`` as it is. A span pair goes as its two spans, under the
+    keep-window moved to where its span output starts and cut to that
+    output. Its kept columns are written back among exact +0.0, and its
+    peak is its span output's, which is the full row's whenever the pair
+    has mass.
+
+    A rows call goes to ``kernel`` whole. Only rows probed narrow
+    (``_maybe_narrow``) can make a span pair, and each span pair among
+    them is then computed again as its one-pair call, which replaces its
+    row and peak; so every row is bit-identical to its one-pair call.
+    Half is well above the round-off zeros at the ends of tree messages
+    (up to about a quarter of a row in ``max-numeric`` solves at n = 1024,
+    k = 64), so their pairs stay dense, as rows and one by one alike.
     """
-    if a.ndim != 1 or b.ndim != 1:
-        return kernel(a, b, window, False)
-    spans = _one_pair_spans(a, b)
-    if spans is None:
-        return kernel(a, b, window, True)
-    left, right = spans
-    first, stop = left.start + right.start, left.stop + right.stop - 1  # the span output
-    lo, n = window
-    start = min(max(lo, first), stop)
-    end = max(start, min(lo + n, stop))
-    kept, peak = kernel(a[left], b[right], (start - first, end - start), True)
-    out = np.zeros(n)
-    out[start - lo:end - lo] = kept
+    if a.ndim == b.ndim == 1:
+        spans = _one_pair_spans(a, b)
+        if spans is None:
+            return kernel(a, b, window)
+        left, right = spans
+        first, stop = left.start + right.start, left.stop + right.stop - 1  # the span output
+        lo, n = window
+        start = min(max(lo, first), stop)
+        end = max(start, min(lo + n, stop))
+        kept, peak = kernel(a[left], b[right], (start - first, end - start))
+        out = np.zeros(n)
+        out[start - lo:end - lo] = kept
+        return out, peak
+    out, peak = kernel(a, b, window)
+    l_maybe, r_maybe = _maybe_narrow(a), _maybe_narrow(b)
+    if l_maybe is False and r_maybe is False:  # np.any(False) alone costs about 5 us
+        return out, peak
+    lead = out.shape[:-1]
+    a, b = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (a, b))
+    for index in zip(*np.nonzero(np.broadcast_to(l_maybe | r_maybe, lead))):
+        if _one_pair_spans(a[index], b[index]) is not None:
+            out[index], peak[index] = _cut_pair(kernel, a[index], b[index], window)
     return out, peak
 
 
@@ -536,10 +407,10 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
     return _cut_pair(_fast_rows, a, b, window)
 
 
-def _fast_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
-               whole: bool) -> tuple[np.ndarray, np.ndarray]:
+def _fast_rows(a: np.ndarray, b: np.ndarray,
+               window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """fast_convolve_rows of the canonical operands (``_cut_pair``)."""
-    return _keep_window(_convolve_rows(a, b, whole=whole), window)
+    return _keep_window(_convolve_rows(a, b), window)
 
 
 def _keep_window(out: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -18,14 +18,10 @@ by how much). Each upper rung is rooted only above its floor, far enough
 below tau that the stitch takes nothing at or under it.
 
 Neither operator works through the exact zeros of a span pair
-(``fftconv``: a pair whose nonzero spans convolve to at most half of its
-outputs). The ladder's finish takes each rung's peak over the block's
-output columns and divides, roots and stitches only the kept ones among
-them; the ``pnorm:<p>`` refine scans only those columns for small
-outputs. Every other kept column is exact +0.0, as before. Span
-transforms serve rows calls only: a one-pair call is cut to its spans
-right after the canonical order (``fftconv._cut_pair``), so its
-normalization, transform, refine and root see the spans alone.
+(``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
+half of its outputs). Such a pair is cut to its spans right after the
+canonical order, so its normalization, transform, refine and root see the
+spans alone, and every other kept column is exact +0.0.
 """
 
 from __future__ import annotations
@@ -124,40 +120,36 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
     operands are put in canonical order and convolved, and outputs below
     REFINE_BELOW of each row's peak are recomputed by direct summation.
     The refine and the root act on the kept columns only: the refine reads
-    the row's output columns (``_refine_rows``; the whole row unless the
-    pair took a span transform) to find and cut its small outputs but sums
-    only the pieces that reach into the window, and a row's peak, never
-    small, is the root of its largest power sum, since the root is
-    monotone. A one-pair call is cut to the spans of its powered operands
+    the whole row (``_refine_rows``) to find and cut its small outputs but
+    sums only the pieces that reach into the window, and a row's peak,
+    never small, is the root of its largest power sum, since the root is
+    monotone. A span pair is cut to the spans of its powered operands
     after the canonical order (``_cut_pair``), so its convolution, refine
     and root run on the spans alone.
     """
     p = _check_p(p)
     left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
-    scale = None
-    if p != 1.0:  # p = 1 has no power to overflow and no root to take
-        (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
-        left, right = _ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0]
-        scale = left_peak * right_peak
-    a, b = _canonical_rows(left, right)
+    if p == 1.0:  # no power to overflow and no root to take
+        return _cut_pair(_p_norm_sums, *_canonical_rows(left, right), window)
+    (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
+    left, right = _ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0]
+    out, peak = _cut_pair(partial(_p_norm_sums, p=p), *_canonical_rows(left, right), window)
+    scale = left_peak * right_peak
+    out *= scale[..., None]
+    return out, peak * scale
 
-    def kernel(a, b, window, whole):
-        blocks = []
 
-        def clipped(rows, sums, cols, kept):
-            blocks.append((rows, cols))
-            return np.maximum(sums[0, ..., kept], 0.0)
-
-        sums = _convolve_rows(a, b, finish=clipped, whole=whole)
-        _refine_rows(sums, a, b, window, blocks)
-        out, peak = _keep_window(sums, window)
-        if scale is None:
-            return out, peak
-        out = _root(out, p)
-        out *= scale[..., None]
-        return out, np.power(peak, 1.0 / p) * scale
-
-    return _cut_pair(kernel, a, b, window)
+def _p_norm_sums(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
+                 p: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """_p_norm_rows of the canonical powered operands (``_cut_pair``),
+    before the input scale: the refined power sums of the kept columns
+    and each full row's peak, both rooted."""
+    sums = _convolve_rows(a, b)
+    _refine_rows(sums, a, b, window)
+    out, peak = _keep_window(sums, window)
+    if p == 1.0:
+        return out, peak
+    return _root(out, p), np.power(peak, 1.0 / p)
 
 
 def _root(x: np.ndarray, p: float) -> np.ndarray:
@@ -178,40 +170,26 @@ def _root(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, 1.0 / p, out=x)
 
 
-def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[int, int],
-                 blocks: list[tuple[slice, slice]] | None = None):
+def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[int, int]):
     """_refine_small_values of each row of ``out`` that has a small output
     in the kept columns ``out[..., lo:lo + n]`` (``window=(lo, n)``), small
-    meaning against the full row's peak.
-
-    ``blocks`` lists the ``(rows, cols)`` of each block of
-    ``_convolve_rows``: the rows ``out[rows]`` (along the first axis) are
-    exact zeros outside the columns ``cols``, so only those are scanned,
-    for the peak and for small kept outputs. A kept column outside them
-    is an exact zero, which no refine changes. By default every row is
-    scanned whole."""
-    if blocks is None:
-        blocks = [(slice(0, len(out)), slice(0, out.shape[-1]))]
+    meaning against the full row's peak."""
     # One pair: _refine_small_values finds its small outputs itself; the
     # scan and index loop below add 22-38 us to a 67-80 us one-pair
     # p_norm_convolve at k = 64 (2 vCPUs).
     if out.ndim == 1:
-        _refine_small_values(out, a, b, window, blocks[0][1])
+        _refine_small_values(out, a, b, window)
         return
     lo, n = window
     a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
-    for rows, cols in blocks:
-        scanned = out[rows, ..., cols]
-        peak = scanned.max(axis=-1, keepdims=True)
-        kept = scanned[..., max(lo - cols.start, 0):max(lo + n - cols.start, 0)]
-        small = ((kept <= peak * REFINE_BELOW) & (peak > 0.0)).any(axis=-1)
-        for index in map(tuple, np.argwhere(small)):
-            index = (rows.start + index[0],) + index[1:]
-            _refine_small_values(out[index], a[index], b[index], window, cols)
+    peak = out.max(axis=-1, keepdims=True)
+    small = ((out[..., lo:lo + n] <= peak * REFINE_BELOW) & (peak > 0.0)).any(axis=-1)
+    for index in map(tuple, np.argwhere(small)):
+        _refine_small_values(out[index], a[index], b[index], window)
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         window: tuple[int, int], cols: slice = slice(None)):
+                         window: tuple[int, int]):
     """Recompute the outputs in the kept columns ``out[lo:lo + n]``
     (``window=(lo, n)``) at or below REFINE_BELOW * max(out) by direct
     summation, in place.
@@ -232,15 +210,11 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
        ``np.convolve(mode="valid")`` over the slices of both operands it
        needs.
 
-    Only the columns ``cols`` of ``out`` are scanned for small outputs.
-    Every other column must be exact zero, as ``_convolve_rows`` leaves a
-    span pair's row outside its output columns; such an output lies outside
-    the trimmed output range, so step 1 would leave it as it is. The steps
-    see every other small output of the row, so the pieces do not depend on
-    ``window``; it only skips the direct sums of pieces that do not reach
-    into it. Every kept output is then the same sum over the same piece
-    as under the full window, bit for bit, and the row's peak is
-    untouched. Small outputs outside the window are left at zero or at
+    The steps see every small output of the row, so the pieces do not
+    depend on ``window``; it only skips the direct sums of pieces that do
+    not reach into it. Every kept output is then the same sum over the
+    same piece as under the full window, bit for bit, and the row's peak
+    is untouched. Small outputs outside the window are left at zero or at
     their direct sum, both far below the peak.
 
     Cost: at most one FFT; plus, in C, about the sum of the trimmed overlaps
@@ -250,15 +224,13 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     Python work per piece. Dense, smooth tails keep the middle term large,
     since each of their small outputs has many nonzero terms.
     """
-    scanned = out[cols]
-    peak = scanned.max()
+    peak = out.max()
     if peak <= 0.0:
         return
-    index = np.flatnonzero(scanned <= peak * REFINE_BELOW)
+    index = np.flatnonzero(out <= peak * REFINE_BELOW)
     if index.size == 0:
         return
-    scanned[index] = 0.0  # the exact value of every output without a nonzero term
-    index += cols.start or 0
+    out[index] = 0.0  # the exact value of every output without a nonzero term
     (a_start, a), (b_start, b) = _trimmed(a), _trimmed(b)
     if b.size > a.size:  # slide the longer operand under the shorter one
         (a_start, a), (b_start, b) = (b_start, b), (a_start, a)
@@ -293,9 +265,8 @@ def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:
 def _support_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The number of nonzero terms a[l] * b[m - l] of every output m of the
     trimmed ``a`` and ``b``, from one FFT convolution of the 0/1 support
-    indicators; nonzero at both ends, they are transformed whole."""
-    return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float),
-                                  whole=True))
+    indicators."""
+    return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float)))
 
 
 def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -323,9 +294,14 @@ def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A row whose maximum is 1.0 (or 0, all-zero) is divided by 1.0, which
     keeps its bits. Tree messages all peak at exactly 1.0, so when every
     row does, ``x`` itself is returned rather than a copy of it; no kernel
-    writes to its operands.
+    writes to its operands. One row (1-D ``x``) takes scalar steps with
+    the same bits: its reduction wrappers and ``np.where`` would cost
+    about 8 us of fixed overhead, more than the division of a cut span.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        peak = x.max()
+        return (x if peak == 1.0 else x / (peak or 1.0)), peak
     peak = x.max(axis=-1)
     if np.all(peak == 1.0):
         return x, peak
@@ -349,39 +325,36 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
 
     All rungs of all rows ride the stacked transforms of _convolve_rows,
     and every step after them acts on each row alone, so each row is
-    bit-identical to the one-pair call. Each rung's peak is taken over the
-    block's output columns (``_convolve_rows``): all a + b - 1 for dense
-    pairs, the union of the span outputs for span pairs, outside which a
-    row is exact zero. The divide, root and stitch run on the kept columns
-    among them only; every other kept column is +0.0, which is what they
-    would make of an exact zero. Every stitched row peaks at exactly 1
-    (the top rung's root of its own peak, which clears tau; no root of a
-    value <= 1 exceeds 1), so a full row's peak is its input scale.
+    bit-identical to the one-pair call. Each rung's peak is taken over all
+    a + b - 1 outputs; the divide, root and stitch run on the kept columns
+    only. Every stitched row peaks at exactly 1 (the top rung's root of
+    its own peak, which clears tau; no root of a value <= 1 exceeds 1), so
+    a full row's peak is its input scale.
 
     The rows arrive unclipped. A rung's raw peak equals its clipped one,
     since every rung peaks at about 1. The fallback's kept columns go from
     that division straight into ``_root``; each upper rung roots only its
     values above its floor (defined below): no index could take the rest.
 
-    A one-pair call is cut to its spans right after the canonical order
+    A span pair is cut to its spans right after the canonical order
     (``_cut_pair``), so only the spans are divided by their peaks. The
     span rule reads the divided rows, and dividing by a peak of at most 1
-    zeroes no value, so the undivided rows give the same decision; a pair
-    with a peak above 1 is divided whole before the cut.
+    zeroes no value, so the undivided rows give the same decision; when a
+    value is above 1 every row is divided whole before the cut.
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
     kernel = partial(_ladder_rows, ladder=ladder, tau=tau)
-    if a.ndim == b.ndim == 1 and max(a.max(), b.max()) > 1.0:
-        # divided whole, the pair peaks at 1: its kernel scales by 1.0, which
-        # keeps every bit, and the scale is multiplied back here
+    if a.size and b.size and max(a.max(), b.max()) > 1.0:
+        # divided whole, every pair peaks at 1: its kernel scales by 1.0,
+        # which keeps every bit, and the scale is multiplied back here
         (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
         kept, _ = _cut_pair(kernel, a, b, window)
         peak = a_peak * b_peak
-        return kept * peak, peak
+        return kept * peak[..., None], peak
     return _cut_pair(kernel, a, b, window)
 
 
-def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int], whole: bool,
+def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
                  ladder: tuple[float, ...], tau: float) -> tuple[np.ndarray, np.ndarray]:
     """_ladder_max_convolve of the canonical operands (``_cut_pair``)."""
     (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
@@ -397,9 +370,9 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int], whole: b
     # unrooted.
     floors = [0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in ladder[1:]]
 
-    def finish(rows, vms, cols, kept):
+    def finish(rows, vms, kept):
         kept = vms[..., kept]
-        kept /= vms[..., cols].max(axis=-1, keepdims=True)
+        kept /= vms.max(axis=-1, keepdims=True)
         stitched = _root(kept[0], ladder[0])  # smallest exponent is the fallback
         take = np.empty(stitched.shape, bool)  # every mask, so one allocation per call
         for rung, p, floor in zip(kept[1:], ladder[1:], floors):
@@ -407,7 +380,7 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int], whole: b
             np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
         return stitched * scale[rows, ..., None]
 
-    return _convolve_rows(a, b, ladder, finish, window, whole), peak
+    return _convolve_rows(a, b, ladder, finish, window), peak
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,

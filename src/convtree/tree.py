@@ -57,9 +57,10 @@ class ConvolutionOperator:
     and a (..., b) array whose leading axes broadcast and returns the pair
     ``(full[..., lo:lo + n], full.max(axis=-1))``, bit for bit, where
     every row of ``full`` is ``apply`` of that row pair: a kernel may skip
-    work on the columns it drops. The tree makes one call per layer, the
-    forward layers keeping their longest reach ``(0, reach)`` and the
-    reverse layers each child's window ``(w - 1, w)``. Without
+    work on the columns it drops. The tree makes one call per segment of
+    a layer (``convolution_tree``), a forward segment keeping its parents'
+    longest reach ``(0, reach)`` and a reverse segment each child's window
+    ``(w - 1, w)``. Without
     ``apply_rows`` the tree calls ``apply`` once per pair, on the same rows
     wrapped as Pmfs at offset 0.
     """
@@ -147,17 +148,21 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     """Run the forward/reverse passes; per variable, cut the evidence
     message to the prior's support and fold the prior itself back in.
 
-    Each layer of the tree is one (nodes, width) array, applied with one
-    ``apply_rows`` call. Every prior is cut to its first through last
-    nonzero value, its offset moved to match, and zero-padded on the right
-    to the longest cut one; each likelihood and the sum prior are padded
-    back to the full supports with exact zeros. When n is not a power of
-    two the leaf layer is padded with point masses at zero (they do not
-    change the sum); their outputs are dropped. Each later layer is as
-    wide as its widest node support. Every row the tree holds, and every
-    row it passes to the operator, is divided by its peak, whatever the
-    operator; ``operator.normalization`` is read once, on the way out, and
-    a "sum" operator's outputs are then divided by their sums.
+    Every prior is cut to its first through last nonzero value, its offset
+    moved to match, and the leaves hold the cut priors longest first (a
+    stable sort, so priors of one length keep their order). When n is not
+    a power of two, point masses at zero pad the leaves (they do not
+    change the sum) and come last; their outputs are dropped. A node's
+    reach is the length of its support, so reaches descend along every
+    layer. Each layer runs as segments of sibling pairs (``_segments``),
+    one ``apply_rows`` call each, and a segment is as wide as its widest
+    node: ragged priors cost about their own supports, not the layer's
+    nodes times its widest reach. Each likelihood goes back to its
+    prior's place and, with the sum prior, is padded back to the full
+    support with exact zeros. Every row the tree holds, and every row it
+    passes to the operator, is divided by its peak, whatever the operator;
+    ``operator.normalization`` is read once, on the way out, and a "sum"
+    operator's outputs are then divided by their sums.
 
     Raises DegenerateDistributionError for an all-zero prior or evidence,
     and InconsistentEvidenceError when the evidence excludes every
@@ -166,73 +171,99 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     if len(priors) < 1:
         raise ValueError("need at least one prior")
     apply_rows = operator.apply_rows or partial(_per_pair_rows, operator.apply)
-    leaves = np.zeros((padded_length(len(priors)), max(len(p) for p in priors)))
-    leaves[len(priors):, 0] = 1.0  # padding leaves: point masses at zero
-    for row, prior in zip(leaves, priors):
-        row[:len(prior)] = prior.values
+    n = len(priors)
     # Cut each prior with a zero end to its first through last nonzero
-    # value (an all-zero one stays whole), so that no layer carries the
-    # zeros around its mass.
-    spans = np.array([len(p) for p in priors] + [1] * (len(leaves) - len(priors)))
-    cut = np.flatnonzero((leaves[:, 0] == 0.0)
-                         | (leaves[np.arange(len(leaves)), spans - 1] == 0.0))
-    starts = np.zeros_like(spans)
-    for i in cut:
-        start, stop = _edges(leaves[i, :spans[i]])
-        starts[i], spans[i] = start, stop - start
-        leaves[i, :stop - start] = leaves[i, start:stop]
-        leaves[i, stop - start:] = 0.0
-    if cut.size:
-        leaves = leaves[:, :spans.max()]
+    # value (an all-zero one stays whole); starts[i] is where a cut one's
+    # mass starts.
+    masses, starts = [p.values for p in priors], {}
+    for i, values in enumerate(masses):
+        if values[0] == 0.0 or values[-1] == 0.0:
+            start, stop = _edges(values)
+            masses[i], starts[i] = values[start:stop], start
+    spans = [mass.size for mass in masses]
+    order = sorted(range(n), key=spans.__getitem__, reverse=True)  # stable
+    # Each level's node reaches and segments; a node's row is held as wide
+    # as its prior, above the leaves as the keep-window of its segment.
+    reaches, segments = [[spans[i] for i in order] + [1] * (padded_length(n) - n)], []
+    held = reaches[0]
+    while len(held) > 1:
+        segments.append(_segments(held, -(-n >> len(reaches))))
+        reach = reaches[-1]
+        reaches.append([a + b - 1 for a, b in zip(reach[0::2], reach[1::2])])
+        held = [reaches[-1][p0] for p0, p1 in segments[-1] for _ in range(p0, p1)]
 
     # Forward: pair up each layer until a single root (the prior of the sum).
-    # A row holds only round-off past its reach (the length of its node's
-    # support), so each layer keeps only its longest reach: ragged priors
-    # pay for their padding at the leaves only.
-    reach = spans
-    forward = [_rescaled(leaves)]
-    while len(forward[-1]) > 1:
-        layer = forward[-1]
-        reach = reach[0::2] + reach[1::2] - 1
-        merged, _ = apply_rows(layer[0::2], layer[1::2], window=(0, reach.max()))
-        forward.append(_rescaled(merged))
-    root = forward[-1]
+    # A layer is a list of (first node, rows) segments; inputs[level] keeps
+    # the rows each segment of a level's pairs was applied to. A row holds
+    # only round-off past its reach, so each segment keeps only its longest.
+    leaves = []
+    for lo, hi in [(2 * p0, 2 * p1) for p0, p1 in segments[0]] if segments else [(0, 1)]:
+        rows = np.zeros((hi - lo, reaches[0][lo]))
+        rows[max(n - lo, 0):, 0] = 1.0  # padding leaves: point masses at zero
+        for row, i in zip(rows, order[lo:hi]):
+            row[:spans[i]] = masses[i]
+        leaves.append((lo, _rescaled(rows)))
+    layer, inputs = leaves, []
+    for pairs, reach, parent_reach in zip(segments, reaches, reaches[1:]):
+        inputs.append([_rows(layer, 2 * p0, 2 * p1, reach[2 * p0]) for p0, p1 in pairs])
+        layer = [(p0, _rescaled(apply_rows(rows[0::2], rows[1::2],
+                                           window=(0, parent_reach[p0]))[0]))
+                 for (p0, _), rows in zip(pairs, inputs[-1])]
+    root = layer[0][1]
 
     # The root's message is the evidence over the sum's support, zero
     # outside the evidence. Rebinding frees the uncut evidence.
-    shift = int(starts.sum())  # the cut sum's first outcome within the full one
+    shift = sum(starts.values())  # the cut sum's first outcome within the full one
     offset = sum(p.offset for p in priors) + shift
-    messages = _rescaled(sum_likelihood.values[None])
+    message = _rescaled(sum_likelihood.values[None])
     lo = offset - sum_likelihood.offset
-    messages = _rescaled(_window(messages[0], lo, lo + root.shape[1] - 1)[np.newaxis],
-                         ZERO_MASS_REL_TOL)
+    messages = [(0, _rescaled(_window(message[0], lo, lo + root.shape[1] - 1)[np.newaxis],
+                              ZERO_MASS_REL_TOL))]
 
     # Reverse: the message for a child is the parent's message minus the
     # sibling, i.e. convolution with the negated (reversed) sibling, cut
     # back down to the child's own support, which is the same window of
-    # every row; the operator computes only that window, plus each full
-    # row's peak for the zero-mass floor (a sum or p-norm row peaks above
-    # 1 before the cut, and FFT round-off scales with that peak). Both
-    # children share the parent's message.
-    for children in reversed(forward[:-1]):
-        width = children.shape[1]
-        siblings = children.reshape(len(messages), 2, width)[:, ::-1, ::-1]
-        kept, peak = apply_rows(messages[:, None], siblings, window=(width - 1, width))
-        messages = _rescaled(kept.reshape(len(children), width),
-                             ZERO_MASS_REL_TOL * peak.reshape(len(children)))
+    # every row of a segment; the operator computes only that window, plus
+    # each full row's peak for the zero-mass floor (a sum or p-norm row
+    # peaks above 1 before the cut, and FFT round-off scales with that
+    # peak). Both children share the parent's message. A segment of
+    # padding pairs is applied too, as every pair is, but no output reads
+    # its messages: they are kept as point masses, unchecked.
+    for level in reversed(range(len(segments))):
+        new = []
+        for (p0, p1), children in zip(segments[level], inputs[level]):
+            width = children.shape[1]
+            parents = _rows(messages, p0, p1, reaches[level + 1][p0])
+            siblings = children.reshape(p1 - p0, 2, width)[:, ::-1, ::-1]
+            kept, peak = apply_rows(parents[:, None], siblings, window=(width - 1, width))
+            if 2 * p0 << level >= n:  # padding nodes, one outcome wide
+                new.append((2 * p0, np.ones((len(children), 1))))
+            else:
+                new.append((2 * p0, _rescaled(kept.reshape(-1, width),
+                                              ZERO_MASS_REL_TOL * peak.reshape(-1))))
+        messages = new
 
-    # Fold each leaf's own prior into its evidence message.
-    product = _rescaled(messages[:len(priors)] * forward[0][:len(priors)], ZERO_MASS_REL_TOL)
+    # Fold each leaf's own prior into its evidence message, and put each
+    # likelihood back in its prior's place.
+    likelihoods = np.zeros((n, max(len(p) for p in priors)))
+    for (lo, message), (_, leaf) in zip(messages, leaves):
+        hi = min(lo + len(leaf), n)
+        if hi > lo:
+            rows = _rescaled(message[:hi - lo] * leaf[:hi - lo], ZERO_MASS_REL_TOL)
+            if operator.normalization == "sum":
+                rows /= rows.sum(axis=1)[:, None]
+            likelihoods[order[lo:hi], :rows.shape[1]] = rows
     if operator.normalization == "sum":
-        product, root = (rows / rows.sum(axis=1)[:, None] for rows in (product, root))
-    if cut.size:  # pad every output back to its full support with exact zeros
-        rows, product = product, np.zeros((len(priors), max(len(p) for p in priors)))
-        for row, values, start, n in zip(product, rows, starts, spans):
-            row[start:start + n] = values[:n]
-        rows, root = root, np.zeros((1, sum(len(p) for p in priors) - len(priors) + 1))
+        root = root / root.sum(axis=1)[:, None]
+    if starts:  # pad every cut output back to its full support with exact zeros
+        for i, start in starts.items():
+            values = likelihoods[i, :spans[i]].copy()
+            likelihoods[i] = 0.0
+            likelihoods[i, start:start + spans[i]] = values
+        rows, root = root, np.zeros((1, sum(len(p) for p in priors) - n + 1))
         root[0, shift:shift + rows.shape[1]] = rows[0]
         offset -= shift
-    return TreeResult(Pmf._checked_rows(product, priors), Pmf(root[0], offset))
+    return TreeResult(Pmf._checked_rows(likelihoods, priors), Pmf(root[0], offset))
 
 
 def _rescaled(rows: np.ndarray, floor: np.ndarray | float | None = None) -> np.ndarray:
@@ -251,6 +282,41 @@ def _rescaled(rows: np.ndarray, floor: np.ndarray | float | None = None) -> np.n
         raise InconsistentEvidenceError(
             "inconsistent evidence: zero mass over the target support")
     return rows / peak[:, None]
+
+
+def _segments(held: list[int], padding: int) -> list[tuple[int, int]]:
+    """The sibling pairs of a layer whose rows are held ``held`` wide, as
+    segments ``(first, stop)``: runs of pairs whose left rows share a
+    ``padded_length``, the pairs of padding nodes (from ``padding`` on)
+    in a segment of their own.
+
+    Rows descend along a layer, so a pair's left row is its wider one. A
+    segment runs as wide as its first node's reach, which is its widest.
+    The one node that holds both priors and padding is held as wide as
+    its segment made it, so for priors of one length, at any n, it stays
+    with the rest of its layer, at the width and with the bits of a
+    whole-layer call.
+    """
+    classes = [(w - 1).bit_length() for w in held[0:2 * padding:2]]
+    classes += [-1] * (len(held) // 2 - len(classes))
+    bounds = [p for p in range(1, len(classes)) if classes[p] != classes[p - 1]]
+    return list(zip([0, *bounds], [*bounds, len(classes)]))
+
+
+def _rows(layer: list[tuple[int, np.ndarray]], lo: int, hi: int, width: int) -> np.ndarray:
+    """Nodes lo..hi-1 of a layer held as ``(first node, rows)`` segments,
+    as one (hi - lo, width) array: a view when one segment holds them all
+    at that width, else each row cut or zero-padded to it."""
+    pieces = [rows[max(lo - first, 0):hi - first, :width]
+              for first, rows in layer if first < hi and first + len(rows) > lo]
+    if len(pieces) == 1 and pieces[0].shape[1] == width:
+        return pieces[0]
+    out = np.zeros((hi - lo, width))
+    row = 0
+    for piece in pieces:
+        out[row:row + len(piece), :piece.shape[1]] = piece
+        row += len(piece)
+    return out
 
 
 def _per_pair_rows(apply: Callable[[Pmf, Pmf], Pmf], left: np.ndarray,

@@ -76,7 +76,7 @@ def narrow_rows(rng, shape, width):
     zero-padded on the right, and a run of random values at a random place.
     A Gaussian spans at most 116 columns and a run at most width // 16, so
     two such rows of width 400 or more convolve to under half their full
-    output: span transforms (``fftconv._pair_spans``)."""
+    output: span pairs (``fftconv._one_pair_spans``)."""
     rows = np.zeros(tuple(shape) + (width,))
     bins = np.arange(width)
     for i, row in enumerate(rows.reshape(-1, width)):
@@ -88,3 +88,22 @@ def narrow_rows(rng, shape, width):
             start = 0 if i % 3 == 1 else int(rng.integers(0, width - n + 1))
             row[start:start + n] = 0.05 + rng.random(n)
     return rows
+
+
+def spy_span_pairs(monkeypatch) -> list:
+    """The spans of every pair that ``fftconv._one_pair_spans`` calls a span
+    pair from now on. A rows call tests each candidate row pair and then
+    cuts each span pair as a one-pair call, so its span pairs show twice."""
+    import convtree.fftconv as fftconv
+
+    found = []
+    one_pair_spans = fftconv._one_pair_spans
+
+    def spying(a, b):
+        spans = one_pair_spans(a, b)
+        if spans is not None:
+            found.append(spans)
+        return spans
+
+    monkeypatch.setattr(fftconv, "_one_pair_spans", spying)
+    return found

@@ -420,10 +420,10 @@ def row_cases():
     """(left, right) row arrays: equal widths in both byte orders and equal
     rows, unequal widths both ways round, a 1-D row broadcast against many,
     the parent-against-two-siblings layout of the reverse pass, length-1
-    rows and rows that decay far below their peak. Then pairs that take
-    span transforms: narrow rows mixed with dense ones, short dense rows
-    against long narrow ones, the parent-against-siblings layout of narrow
-    rows, and all-zero rows."""
+    rows and rows that decay far below their peak. Then span pairs:
+    narrow rows mixed with dense ones, short dense rows against long
+    narrow ones, the parent-against-siblings layout of narrow rows, and
+    all-zero rows."""
     rng = np.random.default_rng(21)
     equal = rng.random((6, 40)), rng.random((6, 40))
     equal[1][3] = equal[0][3]
@@ -564,8 +564,8 @@ def test_peaked_pair_transforms_its_spans_only(monkeypatch, one_pair):
 
 @pytest.mark.parametrize("name", ["sum", "max-numeric", "pnorm:1", "pnorm:4"])
 def test_dense_tree_transforms_at_the_full_length(monkeypatch, name):
-    # no row pair of a subset-sum solve takes a span transform, so its
-    # layers keep the transforms, and the bits, of whole rows
+    # no row pair of a subset-sum solve is a span pair, so its layers keep
+    # the transforms, and the bits, of whole rows
     instance = generate_subset_sum_instance(32, 256, 0)
     expected, lengths = [], spy_rfft_lengths(monkeypatch)
     convolve_rows = fftconv._convolve_rows
@@ -635,7 +635,7 @@ def _bytes(result) -> bytes:
 
 def workspace_calls():
     """Every row kernel on large rows (buffers above KEEP_BYTES), small
-    rows, rows cut into several blocks, rows that take span transforms,
+    rows, rows cut into several blocks, rows with span pairs,
     large rows again and small rows again, then every one-pair function
     in the same order: (label, call) pairs."""
     rng = np.random.default_rng(31)
@@ -655,7 +655,7 @@ def workspace_calls():
             "neither": (rng.random((4, 1, 50)), rng.random((1, 3, 30))),
             # the p-norm refine takes the support counts of its comb rows
             "comb": (np.tile([1.0, 0.0], 32)[:-1], np.tile([1.0, 0.0], 32)[:-1]),
-            # span transforms, mixed with a dense pair, write to a fourth buffer
+            # span pairs, mixed with a dense pair, cut one by one
             "narrow": (narrow_rows(rng, (4,), 400), np.vstack([narrow_rows(rng, (3,), 400),
                                                                rng.random((1, 400))])),
             "huge-again": huge,
@@ -707,8 +707,8 @@ def test_rows_that_neither_operand_spans_are_one_pair_calls():
 
 
 def span_calls():
-    """Row kernels and one-pair functions on rows that take span transforms:
-    a peaked pair, one pair and stacked with a dense pair, and a layer of
+    """Row kernels and one-pair functions on span pairs: a peaked pair,
+    one pair and stacked with a dense pair, and a layer of
     narrow rows at different places, one of its pairs dense, under windows
     that cut into their span outputs or miss them. (label, call) pairs."""
     rng = np.random.default_rng(53)
@@ -744,8 +744,7 @@ def test_span_calls_read_no_workspace_column_they_did_not_write(label, call):
     fftconv._workspace.buffers.clear()
     want = _bytes(call())
     buffers = fftconv._workspace.buffers
-    # a one-pair call is cut to its spans and takes no span transform
-    assert ("out" in buffers) != label.endswith("-peaked")
+    assert set(buffers) == {"stack", "left", "right"}
     for buf in buffers.values():
         buf.fill(np.nan)
     assert _bytes(call()) == want

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
 import convtree.numeric as numeric
-from bruteforce import narrow_rows
+from bruteforce import narrow_rows, spy_span_pairs
 from convtree import (
     DegenerateDistributionError,
     PiecewiseConfig,
@@ -101,6 +101,22 @@ def test_max_normalized_inputs_keep_their_bits():
                               Pmf(np.square(np.square(right.values))), 1.0)
     out = p_norm_convolve(left, right, 4.0)
     assert out.values.tobytes() == np.power(powered.values, 0.25).tobytes()
+
+
+def test_one_row_max_normalized_has_the_rows_bits():
+    # one row takes scalar steps; a row peaking at exactly 1.0 comes back
+    # as itself, and an all-zero row is divided by 1.0
+    rng = np.random.default_rng(13)
+    rows = rng.random((4, 50)) * np.array([[3.0], [1e-300], [1.0], [0.0]])
+    rows[2] /= rows[2].max()
+    divided, peaks = numeric._max_normalized(rows)
+    for row, want, peak in zip(rows, divided, peaks):
+        got, got_peak = numeric._max_normalized(row)
+        assert got.tobytes() == want.tobytes()
+        assert np.asarray(got_peak).tobytes() == peak.tobytes()
+    row = rows[2]
+    same, peak = numeric._max_normalized(row)
+    assert same is row and peak == 1.0
 
 
 def test_peak_one_operands_are_neither_copied_nor_written():
@@ -213,7 +229,7 @@ def row_cases():
     """(left, right) row arrays: equal widths in both byte orders and equal
     rows, unequal widths both ways round, a 1-D row broadcast against many,
     the parent-against-two-siblings layout of the reverse pass and length-1
-    rows. Then pairs that take span transforms: narrow rows mixed with
+    rows. Then span pairs: narrow rows mixed with
     dense ones, short dense rows against long narrow ones and the
     parent-against-siblings layout of narrow rows."""
     rng = np.random.default_rng(17)
@@ -366,26 +382,31 @@ def comb_pair():
 def per_rung_ladder(left, right, ladder, tau, window):
     """The ladder kernel as it was before upper rungs were clamped to their
     floors: clip every output at zero, divide each rung by its peak, root
-    every kept column with np.power and stitch where the root clears tau."""
+    every kept column with np.power and stitch where the root clears tau.
+    A span pair is cut to its spans, as the ladder cuts it."""
     a, b = fftconv._canonical_rows(np.asarray(left, dtype=float),
                                    np.asarray(right, dtype=float))
-    (a, a_peak), (b, b_peak) = numeric._max_normalized(a), numeric._max_normalized(b)
-    scale = np.atleast_1d(a_peak * b_peak)
 
-    def finish(rows, vms, cols, kept):
-        np.maximum(vms[..., cols], 0.0, out=vms[..., cols])
-        stitched = None
-        for vm, p in zip(vms, ladder):
-            rung = vm[..., kept]
-            rung /= vm[..., cols].max(axis=-1, keepdims=True)
-            np.power(rung, 1.0 / p, out=rung)
-            if stitched is None:
-                stitched = rung
-            else:
-                np.copyto(stitched, rung, where=rung >= tau)
-        return stitched * scale[rows, ..., None]
+    def kernel(a, b, window):
+        (a, a_peak), (b, b_peak) = numeric._max_normalized(a), numeric._max_normalized(b)
+        scale = np.atleast_1d(a_peak * b_peak)
 
-    return fftconv._convolve_rows(a, b, ladder, finish, window), a_peak * b_peak
+        def finish(rows, vms, kept):
+            np.maximum(vms, 0.0, out=vms)
+            stitched = None
+            for vm, p in zip(vms, ladder):
+                rung = vm[..., kept]
+                rung /= vm.max(axis=-1, keepdims=True)
+                np.power(rung, 1.0 / p, out=rung)
+                if stitched is None:
+                    stitched = rung
+                else:
+                    np.copyto(stitched, rung, where=rung >= tau)
+            return stitched * scale[rows, ..., None]
+
+        return fftconv._convolve_rows(a, b, ladder, finish, window), a_peak * b_peak
+
+    return fftconv._cut_pair(kernel, a, b, window)
 
 
 def reverse_layer_rows():
@@ -543,14 +564,16 @@ def spy(monkeypatch, name) -> list:
 
 @pytest.mark.parametrize("name", ONE_PAIR)
 def test_one_pair_calls_take_no_span_transform(monkeypatch, name):
-    # a peaked pair is cut to its spans before the kernel, and a uniform
-    # pair is probed once per operand, not again in _convolve_rows
+    # a peaked pair is decided a span pair once and cut to its spans before
+    # the kernel, and a uniform pair is probed once per operand, not again
+    # in _convolve_rows
     one_pair, _ = ONE_PAIR[name]
-    spans, probes = spy(monkeypatch, "_span_transform"), spy(monkeypatch, "_maybe_narrow")
+    spans, probes = spy_span_pairs(monkeypatch), spy(monkeypatch, "_maybe_narrow")
     left, right = peaked_pair(8192, 0)
     one_pair(Pmf(left), Pmf(right))
-    assert spans == []
+    assert len(spans) == 1
     left, right = random_pair(300, 3)
+    spans.clear()
     probes.clear()
     one_pair(left, right)
     assert spans == []
@@ -561,7 +584,7 @@ def test_one_pair_calls_take_no_span_transform(monkeypatch, name):
 def narrow_pairs(draw):
     """Two rows whose mass sits on short spans, of at most an eighth of
     each, or a long narrow row and a dense one of at most a quarter of its
-    width; either way a span pair (``fftconv._pair_spans``). Each span
+    width; either way a span pair (``fftconv._one_pair_spans``). Each span
     holds random values, scaled by a drawn factor."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from([1.0, 1e-3, 7.0, 1e100]))
@@ -581,13 +604,13 @@ def narrow_pairs(draw):
 
 @given(narrow_pairs())
 @settings(max_examples=60, deadline=None)
-def test_one_pair_calls_are_their_rows_in_a_span_transform(pair):
+def test_one_pair_calls_are_their_rows_in_a_rows_call(pair):
     # each one-pair function, in both orders, is bit for bit its row of a
-    # rows call that stacks the pair with a dense pair and so takes the
-    # span transform
+    # rows call that stacks the pair with a dense pair, which finds the
+    # span pair and cuts it as its one-pair call
     rng = np.random.default_rng(0)
     with pytest.MonkeyPatch.context() as patch:
-        spans = spy(patch, "_span_transform")
+        spans = spy_span_pairs(patch)
         for left, right in (pair, pair[::-1]):
             rows = [np.stack([x, 0.05 + rng.random(x.size)]) for x in (left, right)]
             for name, (one_pair, apply_rows) in ONE_PAIR.items():

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from functools import partial
 
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 import convtree.fftconv as fftconv
 import convtree.pmf as pmf_module
 import convtree.tree as tree_module
-from bruteforce import brute_force_tree, normalize_mode
+from bruteforce import brute_force_tree, normalize_mode, spy_span_pairs
 from convtree import (
     ConvolutionOperator,
     DegenerateDistributionError,
@@ -151,6 +152,115 @@ def test_evidence_beyond_or_within_reachable_sums(lo_pad, hi_pad):
     assert_matches_brute_force(priors, evidence, naive_max_operator(), "max", 1e-12)
 
 
+# Lengths in no order, 1 to 40, few enough joint events to enumerate
+RAGGED_LENGTHS = {3: [7, 40, 1], 5: [2, 40, 1, 9, 3], 6: [3, 1, 40, 2, 11, 2],
+                  7: [2, 40, 1, 3, 5, 1, 4], 9: [1, 3, 40, 2, 1, 4, 2, 1, 3]}
+
+
+def ragged_priors(n):
+    """Priors of the lengths RAGGED_LENGTHS[n] at nonzero offsets, each
+    longer than 2 with exact-zero runs before its mass, after it or both."""
+    rng = np.random.default_rng(n)
+    priors = []
+    for i, length in enumerate(RAGGED_LENGTHS[n]):
+        values = 0.05 + rng.random(length)
+        values[:(length + 1) // 4 if i % 3 != 1 else 0] = 0.0
+        values[length - ((length + 2) // 5 if i % 3 != 0 else 0):] = 0.0
+        priors.append(Pmf(values, int(rng.integers(-5, 6))))
+    return priors
+
+
+def point_evidence(priors):
+    """A point mass on the middle of the sums that the priors' masses reach."""
+    lo = sum(p.offset + int(np.flatnonzero(p.values)[0]) for p in priors)
+    hi = sum(p.offset + int(np.flatnonzero(p.values)[-1]) for p in priors)
+    return delta((lo + hi) // 2)
+
+
+@pytest.mark.parametrize("n", sorted(RAGGED_LENGTHS))
+def test_ragged_priors_match_brute_force(n):
+    priors = ragged_priors(n)
+    evidence = random_evidence(priors, n)
+    assert_matches_brute_force(priors, evidence, standard_operator(), "sum", 1e-9)
+    assert_matches_brute_force(priors, evidence, naive_max_operator(), "max", 1e-12)
+    # pnorm:<p> is sum-product over the p-th powers of priors and evidence,
+    # rooted; the p = 4 one bounds max-numeric from above, the exact
+    # max-product from below (every rung lies between them), so each of
+    # its likelihoods, divided by its peak, lies between the exact one over
+    # the p = 4 peak and the p = 4 one over the exact peak, up to the p = 4
+    # rung's round-off (eps ** (1/4) of the peak per pair, about 1e-4)
+    exact, _, _ = brute_force_tree(priors, evidence, "max")
+    for p in (1.0, 4.0):
+        powered, _, _ = brute_force_tree([Pmf(x.values ** p, x.offset) for x in priors],
+                                         Pmf(evidence.values ** p, evidence.offset), "sum")
+        rooted = [x ** (1.0 / p) for x in powered]
+        result = convolution_tree(priors, evidence, p_norm_operator(p))
+        for got, want in zip(result.likelihoods, rooted):
+            assert_allclose(got.values, normalize_mode(want, "max"), atol=1e-9)
+    numeric = convolution_tree(priors, evidence, numeric_max_operator())
+    for got, low, high in zip(numeric.likelihoods, exact, rooted):
+        assert np.all(got.values >= low / high.max() - 1e-3)
+        assert np.all(got.values <= high / low.max() + 1e-3)
+        assert np.all(got.values[low == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("n", sorted(RAGGED_LENGTHS))
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:1", "pnorm:4"])
+def test_ragged_layer_calls_are_bit_identical_to_per_pair_calls(monkeypatch, n, name):
+    # under random evidence and under point evidence, whose messages near
+    # the root are narrow enough that layer calls cut some pairs to their
+    # spans
+    priors = ragged_priors(n)
+    span_pairs = spy_span_pairs(monkeypatch)
+    for evidence in (random_evidence(priors, n), point_evidence(priors)):
+        assert_solves_bit_identically(priors, evidence, operator_from_name(name))
+    assert (len(span_pairs) > 0) == (name != "max-naive")
+
+
+@pytest.mark.parametrize("name", ["sum", "max-numeric"])
+def test_ragged_priors_cost_like_equal_ones(name):
+    # 255 priors of length 2 and one of 4096 against 256 of length 18, the
+    # same total support: a layer as wide as its widest node would make the
+    # first about 20 to 30 times slower
+    rng = np.random.default_rng(23)
+    ragged = [Pmf(0.05 + rng.random(2)) for _ in range(255)] + [Pmf(0.05 + rng.random(4096))]
+    twin = [Pmf(0.05 + rng.random(18)) for _ in range(256)]
+    operator = operator_from_name(name)
+    best = []
+    for priors in (ragged, twin):
+        evidence = random_evidence(priors, 24)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            convolution_tree(priors, evidence, operator)
+            times.append(time.perf_counter() - start)
+        best.append(min(times))
+    assert best[0] <= 4.0 * best[1]
+
+
+def test_span_rule_keeps_round_off_zero_ends_whole(monkeypatch):
+    # max-numeric messages of this solve end in exact-zero runs of up to a
+    # quarter of a row; a pair is cut to its spans only when they make at
+    # most half of its outputs, so none of these is, and layer calls and
+    # one-pair calls alike keep the transforms and bits of whole rows
+    instance = generate_subset_sum_instance(64, 32, 2)
+    stock = numeric_max_operator()
+    runs = []
+
+    def apply_rows(left, right, window):
+        for x in (left, right):
+            nonzero = x.reshape(-1, x.shape[-1]) != 0.0
+            run = np.maximum(nonzero.argmax(axis=1), nonzero[:, ::-1].argmax(axis=1))
+            runs.append(run.max() / x.shape[-1])
+        return stock.apply_rows(left, right, window=window)
+
+    operator = ConvolutionOperator(stock.name, stock.apply, "max", apply_rows=apply_rows)
+    span_pairs = spy_span_pairs(monkeypatch)
+    assert_solves_bit_identically(instance.priors, instance.sum_likelihood, operator)
+    assert 0.2 < max(runs) < 0.5
+    assert span_pairs == []
+
+
 def test_padding_is_neutral():
     priors = random_priors(3, 4, seed=9)
     evidence = random_evidence(priors, seed=10)
@@ -244,35 +354,36 @@ def per_pair(operator):
     return ConvolutionOperator(operator.name, operator.apply, operator.normalization)
 
 
+def assert_solves_bit_identically(priors, evidence, operator):
+    """The operator's layer calls and its per-pair fallback give the same
+    bits; returns the layer calls' result."""
+    batched = convolution_tree(priors, evidence, operator)
+    single = convolution_tree(priors, evidence, per_pair(operator))
+    for got, one in zip([*batched.likelihoods, batched.sum_prior],
+                        [*single.likelihoods, single.sum_prior]):
+        assert got.offset == one.offset
+        assert got.values.tobytes() == one.values.tobytes()
+    return batched
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 @pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:1", "pnorm:4"])
 def test_layer_calls_are_bit_identical_to_per_pair_calls(monkeypatch, n, name):
     # point masses pad n up to 8, so every layer mixes operand lengths. In
-    # the second instance the last prior is 48 long, 6x the others, so the
-    # leaf pairs of short priors zero-padded to it take span transforms.
+    # the second instance the last prior is 48 long, 6x the others; sorted
+    # first, it is paired with the longest short prior, zero-padded to it,
+    # and no pair is narrow enough to be cut to its spans.
     rng = np.random.default_rng(n)
     priors = [Pmf(0.05 + rng.random(int(rng.integers(2, 9))), int(rng.integers(-3, 4)))
               for _ in range(n)]
     long_padded = priors[:-1] + [Pmf(0.05 + rng.random(48), 2)]
     operator = operator_from_name(name)
-    span_calls = []
-    span_transform = fftconv._span_transform
-
-    def counting_span_transform(*args):
-        span_calls.append(1)
-        return span_transform(*args)
-
-    monkeypatch.setattr(fftconv, "_span_transform", counting_span_transform)
+    span_pairs = spy_span_pairs(monkeypatch)
     for instance in (priors, long_padded):
         evidence = random_evidence(instance, n)
-        span_calls.clear()
-        batched = convolution_tree(instance, evidence, operator)
-        single = convolution_tree(instance, evidence, per_pair(operator))
-        for got, one in zip([*batched.likelihoods, batched.sum_prior],
-                            [*single.likelihoods, single.sum_prior]):
-            assert got.offset == one.offset
-            assert got.values.tobytes() == one.values.tobytes()
-    assert (len(span_calls) > 0) == (name != "max-naive")  # of the long-padded solves
+        span_pairs.clear()
+        assert_solves_bit_identically(instance, evidence, operator)
+    assert span_pairs == []  # of the long-padded solves
 
 
 @pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:4"])
@@ -302,10 +413,12 @@ def test_every_row_the_tree_passes_in_peaks_at_one(name):
         assert got.values.tobytes() == one.values.tobytes()
 
 
-def test_one_operator_call_per_layer():
-    # each call as (rows, full output width a + b - 1, keep-window): on
-    # ragged priors a forward layer keeps its longest reach, fewer columns
-    # than its full rows, and a reverse layer the children's (w - 1, w)
+def test_one_operator_call_per_segment():
+    # each call as (rows, full output width a + b - 1, keep-window). The
+    # priors, held longest first as (9, 5, 4, 3, 2) and three point masses,
+    # make forward segments as wide as 9, 4, 2 and 1 at the leaves, 13 and
+    # 2 above them and 18 at the root, each keeping its longest reach; the
+    # reverse layers keep each child's (w - 1, w)
     stock = standard_operator()
     calls = []
 
@@ -318,10 +431,19 @@ def test_one_operator_call_per_layer():
     rng = np.random.default_rng(2)
     priors = [Pmf(0.05 + rng.random(k)) for k in (2, 9, 3, 4, 5)]
     convolution_tree(priors, random_evidence(priors, 2), operator)
-    # forward leaves-first, reaches (10, 6, 5, 1), (15, 5) and (19,);
-    # reverse root-first, into children of widths 15, 10 and 9
-    assert calls == [(4, 17, (0, 10)), (2, 19, (0, 15)), (1, 29, (0, 19)),
-                     (2, 33, (14, 15)), (4, 24, (9, 10)), (8, 18, (8, 9))]
+    assert calls == [(1, 17, (0, 13)), (1, 7, (0, 6)), (1, 3, (0, 2)), (1, 1, (0, 1)),
+                     (1, 25, (0, 18)), (1, 3, (0, 2)), (1, 35, (0, 19)),
+                     (2, 36, (17, 18)), (2, 30, (12, 13)), (2, 3, (1, 2)),
+                     (2, 21, (8, 9)), (2, 9, (3, 4)), (2, 3, (1, 2)), (2, 1, (0, 1))]
+    # priors of one length make one segment per layer, besides a segment
+    # of padding pairs: (rows, full output width) of every call
+    for n, want in ((8, [(4, 11), (2, 21), (1, 41), (2, 61), (4, 31), (8, 16)]),
+                    (5, [(3, 11), (1, 1), (2, 21), (1, 41), (2, 46), (4, 31), (6, 16),
+                         (2, 1)])):
+        calls.clear()
+        priors = [Pmf(0.05 + rng.random(6)) for _ in range(n)]
+        convolution_tree(priors, random_evidence(priors, n), operator)
+        assert [call[:2] for call in calls] == want
 
 
 def test_positional_operator_has_no_layer_call():
@@ -337,8 +459,8 @@ def window_cases():
     pair that the p-norm refine rewrites, a one-pair call, a peaked
     reverse layer whose runs of small outputs cross both window edges, so
     the refine sums pieces that reach out of the window, and narrow rows
-    in that layout, whose pairs take span transforms, under windows that
-    cut into their span outputs or miss them."""
+    in that layout, span pairs, under windows that cut into their span
+    outputs or miss them."""
     rng = np.random.default_rng(8)
     w = 24
     message, children = 0.05 + rng.random((3, 1, 2 * w - 1)), 0.05 + rng.random((3, 2, w))
@@ -359,7 +481,7 @@ def window_cases():
     message, children = bump(2 * w - 1, (3, 1, 1)), bump(w, (3, 2, 1))
     cases.append((message, children[:, ::-1, ::-1], (w - 1, w)))
 
-    # span transforms: narrow parent messages against narrow children, one
+    # span pairs: narrow parent messages against narrow children, one
     # message dense, under windows that cut into the span outputs of the
     # narrow pairs (columns 150..348, and 350..548 against the reversed
     # children) or miss them
