@@ -229,9 +229,9 @@ def row_cases():
     """(left, right) row arrays: equal widths in both byte orders and equal
     rows, unequal widths both ways round, a 1-D row broadcast against many,
     the parent-against-two-siblings layout of the reverse pass and length-1
-    rows. Then span pairs: narrow rows mixed with
-    dense ones, short dense rows against long narrow ones and the
-    parent-against-siblings layout of narrow rows."""
+    rows. Then span pairs: narrow rows mixed with dense ones, short dense
+    rows against long narrow ones and the parent-against-siblings layout
+    of narrow rows."""
     rng = np.random.default_rng(17)
     equal = 0.01 + rng.random((5, 48)), 0.01 + rng.random((5, 48))
     equal[1][2] = equal[0][2]

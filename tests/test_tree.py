@@ -184,21 +184,23 @@ def test_ragged_priors_match_brute_force(n):
     assert_matches_brute_force(priors, evidence, standard_operator(), "sum", 1e-9)
     assert_matches_brute_force(priors, evidence, naive_max_operator(), "max", 1e-12)
     # pnorm:<p> is sum-product over the p-th powers of priors and evidence,
-    # rooted; the p = 4 one bounds max-numeric from above, the exact
-    # max-product from below (every rung lies between them), so each of
-    # its likelihoods, divided by its peak, lies between the exact one over
-    # the p = 4 peak and the p = 4 one over the exact peak, up to the p = 4
-    # rung's round-off (eps ** (1/4) of the peak per pair, about 1e-4)
-    exact, _, _ = brute_force_tree(priors, evidence, "max")
+    # rooted
+    norms = {}
     for p in (1.0, 4.0):
         powered, _, _ = brute_force_tree([Pmf(x.values ** p, x.offset) for x in priors],
                                          Pmf(evidence.values ** p, evidence.offset), "sum")
-        rooted = [x ** (1.0 / p) for x in powered]
+        norms[p] = [x ** (1.0 / p) for x in powered]
         result = convolution_tree(priors, evidence, p_norm_operator(p))
-        for got, want in zip(result.likelihoods, rooted):
+        for got, want in zip(result.likelihoods, norms[p]):
             assert_allclose(got.values, normalize_mode(want, "max"), atol=1e-9)
+    # every rung of max-numeric lies between the exact max-product and the
+    # p = 4 norm, so each of its likelihoods, divided by its peak, lies
+    # between the exact one over the p = 4 peak and the p = 4 one over the
+    # exact peak, up to the p = 4 rung's round-off (eps ** (1/4) of the
+    # peak per pair, about 1e-4)
+    exact, _, _ = brute_force_tree(priors, evidence, "max")
     numeric = convolution_tree(priors, evidence, numeric_max_operator())
-    for got, low, high in zip(numeric.likelihoods, exact, rooted):
+    for got, low, high in zip(numeric.likelihoods, exact, norms[4.0]):
         assert np.all(got.values >= low / high.max() - 1e-3)
         assert np.all(got.values <= high / low.max() + 1e-3)
         assert np.all(got.values[low == 0.0] == 0.0)
@@ -356,14 +358,13 @@ def per_pair(operator):
 
 def assert_solves_bit_identically(priors, evidence, operator):
     """The operator's layer calls and its per-pair fallback give the same
-    bits; returns the layer calls' result."""
+    bits."""
     batched = convolution_tree(priors, evidence, operator)
     single = convolution_tree(priors, evidence, per_pair(operator))
     for got, one in zip([*batched.likelihoods, batched.sum_prior],
                         [*single.likelihoods, single.sum_prior]):
         assert got.offset == one.offset
         assert got.values.tobytes() == one.values.tobytes()
-    return batched
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
