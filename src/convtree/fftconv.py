@@ -32,6 +32,16 @@ row can span at most half of itself only if it is zero at one of its two
 quarter-in columns, so dense layers read those two columns and scan
 nothing (``_maybe_narrow``).
 
+The piecewise ladder transforms the upper rungs of a wide pair over cuts
+of its rows: each row's significant span, the values at or above
+theta = tau * (2**-53 / t)**(1/p1), t the shorter operand's width and p1
+the lowest upper rung, widened to the row's width halved while it still
+holds that span. Where such a rung can win an index, its power sum is at
+least tau**p and the terms outside the cuts add less than 2**-53 of it,
+so the cut changes only round-off (``numeric._ladder_rows``). Each group
+of pairs with one cut width per operand is one ``_convolve_rows`` call,
+so this module's transforms keep their layout.
+
 The transforms run in three buffers that each thread keeps from call to
 call (``_scratch``): a zero-padded stack of powers, which also takes the
 inverse transform, and one spectra buffer per operand; the product is
@@ -349,10 +359,13 @@ def _one_pair_spans(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice] | None:
 
 
 def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], a: np.ndarray,
-              b: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+              b: np.ndarray, window: tuple[int, int],
+              *peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``kernel(a, b, window)``, a row kernel's steps after
     ``_canonical_rows`` (they return the kept columns and row peaks), with
-    every span pair (``_one_pair_spans``) cut to its spans.
+    every span pair (``_one_pair_spans``) cut to its spans. ``peaks``, if
+    given, are the row maxima of ``a`` and of ``b``; each row's are passed
+    on with it, after the window (a span holds its row's maximum).
 
     A one-pair call (1-D ``a`` and ``b``) that is a dense pair goes to
     ``kernel`` as it is. A span pair goes as its two spans, under the
@@ -372,25 +385,27 @@ def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], a: np.ndarra
     if a.ndim == b.ndim == 1:
         spans = _one_pair_spans(a, b)
         if spans is None:
-            return kernel(a, b, window)
+            return kernel(a, b, window, *peaks)
         left, right = spans
         first, stop = left.start + right.start, left.stop + right.stop - 1  # the span output
         lo, n = window
         start = min(max(lo, first), stop)
         end = max(start, min(lo + n, stop))
-        kept, peak = kernel(a[left], b[right], (start - first, end - start))
+        kept, peak = kernel(a[left], b[right], (start - first, end - start), *peaks)
         out = np.zeros(n)
         out[start - lo:end - lo] = kept
         return out, peak
-    out, peak = kernel(a, b, window)
+    out, peak = kernel(a, b, window, *peaks)
     maybe = _maybe_narrow(a) | _maybe_narrow(b)
     if maybe is False:  # np.any(False) alone costs about 5 us
         return out, peak
     lead = out.shape[:-1]
     a, b = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (a, b))
+    peaks = [np.broadcast_to(x, lead) for x in peaks]
     for index in zip(*np.nonzero(np.broadcast_to(maybe, lead))):
         if _one_pair_spans(a[index], b[index]) is not None:
-            out[index], peak[index] = _cut_pair(kernel, a[index], b[index], window)
+            out[index], peak[index] = _cut_pair(kernel, a[index], b[index], window,
+                                                *(x[index] for x in peaks))
     return out, peak
 
 

@@ -17,6 +17,16 @@ them off np.power, which is several times slower on 0.0 (``_root`` says
 by how much). Each upper rung is rooted only above its floor, far enough
 below tau that the stitch takes nothing at or under it.
 
+The ladder's upper rungs (every exponent above the fallback) of a pair
+with at least CUT_FROM outputs are transformed over each max-normalized
+operand row's significant span only, its first through last value at or
+above theta = tau * (2**-53 / t)**(1/p1), t = min(a, b), p1 the lowest
+upper rung. A rung p >= p1 wins an index only where its power sum
+S_p >= tau**p, and there the dropped terms, each below theta**p and at
+most t of them, sum to less than 2**-53 * S_p: only FFT round-off moves,
+and a rung choice can flip only where a root sits within round-off of tau.
+The fallback rung still runs over whole rows (``_ladder_rows``).
+
 Neither operator works through the exact zeros of a span pair
 (``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
 half of its outputs). Such a pair is cut to its spans right after the
@@ -288,8 +298,9 @@ def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
     return _one_pair(_ladder_max_convolve, left, right, (_check_p(p),), DEFAULT_TAU)
 
 
-def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row divided by its maximum, and those maxima.
+def _max_normalized(x: np.ndarray, peak=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by its maximum ``peak`` (taken here if not given),
+    and those maxima.
 
     A row whose maximum is 1.0 (or 0, all-zero) is divided by 1.0, which
     keeps its bits. Tree messages all peak at exactly 1.0, so when every
@@ -300,9 +311,9 @@ def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        peak = x.max()
+        peak = x.max() if peak is None else peak
         return (x if peak == 1.0 else x / (peak or 1.0)), peak
-    peak = x.max(axis=-1)
+    peak = x.max(axis=-1) if peak is None else peak
     if np.all(peak == 1.0):
         return x, peak
     return x / np.where(peak == 0.0, 1.0, peak)[..., None], peak
@@ -326,40 +337,102 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     All rungs of all rows ride the stacked transforms of _convolve_rows,
     and every step after them acts on each row alone, so each row is
     bit-identical to the one-pair call. Each rung's peak is taken over all
-    a + b - 1 outputs; the divide, root and stitch run on the kept columns
-    only. Every stitched row peaks at exactly 1 (the top rung's root of
-    its own peak, which clears tau; no root of a value <= 1 exceeds 1), so
-    a full row's peak is its input scale.
+    its outputs; the divide, root and stitch run on the kept columns only.
+    Every stitched row peaks at exactly 1 (the top rung's root of its own
+    peak, which clears tau; no root of a value <= 1 exceeds 1), so a full
+    row's peak is its input scale. The upper rungs of a wide pair are
+    transformed over its significant spans only (``_ladder_rows``).
 
     The rows arrive unclipped. A rung's raw peak equals its clipped one,
     since every rung peaks at about 1. The fallback's kept columns go from
     that division straight into ``_root``; each upper rung roots only its
     values above its floor (defined below): no index could take the rest.
 
-    A span pair is cut to its spans right after the canonical order
-    (``_cut_pair``), so only the spans are divided by their peaks. The
-    span rule reads the divided rows, and dividing by a peak of at most 1
-    zeroes no value, so the undivided rows give the same decision; when a
-    value is above 1 every row is divided whole before the cut.
+    Each operand's row maxima are taken once, here, and handed on with the
+    rows. A span pair is cut to its spans right after the canonical order
+    (``_cut_pair``), so only the spans are divided by their peaks, which
+    are their rows'. The span rule reads the divided rows, and dividing by
+    a peak of at most 1 zeroes no value, so the undivided rows give the
+    same decision; when a value is above 1 every row is divided whole
+    before the cut, and then peaks at exactly 1.
     """
     a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
+    a_peak, b_peak = a.max(axis=-1), b.max(axis=-1)
     kernel = partial(_ladder_rows, ladder=ladder, tau=tau)
-    if a.size and b.size and max(a.max(), b.max()) > 1.0:
+    if a.ndim == b.ndim == 1:  # two scalars, compared without numpy's reductions
+        above = max(a_peak, b_peak) > 1.0
+    else:
+        above = a_peak.size and b_peak.size and max(a_peak.max(), b_peak.max()) > 1.0
+    if above:
         # divided whole, every pair peaks at 1: its kernel scales by 1.0,
         # which keeps every bit, and the scale is multiplied back here
-        (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
-        kept, _ = _cut_pair(kernel, a, b, window)
+        (a, _), (b, _) = _max_normalized(a, a_peak), _max_normalized(b, b_peak)
+        kept, _ = _cut_pair(kernel, a, b, window, np.sign(a_peak), np.sign(b_peak))
         peak = a_peak * b_peak
         return kept * peak[..., None], peak
-    return _cut_pair(kernel, a, b, window)
+    return _cut_pair(kernel, a, b, window, a_peak, b_peak)
+
+
+# Output width a + b - 1 from which _ladder_rows transforms the upper rungs
+# of a pair over its cuts. Each _ladder_rows call of max-numeric solves at
+# (32, 256) seeds 0-1, (1024, 64) and (64, 4096) seed 0, timed with the cut
+# and without it (best of 7, alternating, 2-vCPU VM): calls of 16,129
+# outputs or more took 0.33-0.83x as long, except two tree-wide reverse
+# layers of 16 and 32 pairs whose operands are rarely cut (0.92-1.20x,
+# moving that much between repeated runs); calls of 12,097 to 12,286
+# outputs took 0.74-1.13x, of 8,161 outputs 1.17-1.22x and of 4,081
+# outputs 1.37-1.78x, the gathers, the extra transform calls and the
+# per-pair placement costing more than the shorter transforms save. The
+# (32, 256) solves, whose one cut call has 12,241 outputs, read no faster
+# with it in perfbench (oracle seed 11, +0.5%, 2 of 6 pairs faster).
+CUT_FROM = 12288
+# A pair is cut only when its cut outputs wa + wb - 1 are at most this
+# share of its a + b - 1. A reverse pair whose parent keeps its width and
+# whose child is halved saves a sixth of each upper-rung transform, less
+# than transforming the parent once more costs. Whole max-numeric solves,
+# against no cut (median of 9-11 alternating solves, 2-vCPU VM): at
+# (64, 4096) 0.65-0.72x with 0.75 against 0.75x with no share rule and
+# 0.78x at 0.5; at (1024, 64) 0.74-0.83x with 0.75 and 0.80-0.90x at 0.5
+# to 1.0.
+CUT_SHARE = 0.75
 
 
 def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
+                 a_peak: np.ndarray, b_peak: np.ndarray,
                  ladder: tuple[float, ...], tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """_ladder_max_convolve of the canonical operands (``_cut_pair``)."""
-    (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
+    """_ladder_max_convolve of the canonical operands (``_cut_pair``), whose
+    row maxima are ``a_peak`` and ``b_peak``.
+
+    From an output width of CUT_FROM on, a pair's upper rungs (every rung
+    above the fallback) are transformed over each operand row's significant
+    span only: its first through last column at or above
+
+        theta = tau * (2**-53 / t)**(1 / p1),
+
+    in the max-normalized row, t = min(a, b), p1 the lowest upper rung. A
+    rung p >= p1 can win an index only where its normalized power sum is
+    at least tau, so where S_p >= tau**p (S_p peaks at 1 or more). Every
+    term the cut drops holds a value below theta, so is below theta**p,
+    and at most t of them fall on one index: they sum to less than
+    t * theta**p <= 2**-53 * tau**p <= 2**-53 * S_p. There the cut changes
+    nothing but FFT round-off, and a rung choice can flip only where a
+    root lies within round-off of tau.
+
+    Each row's cut depends on that row alone, so every row keeps the bits
+    of its one-pair call: its width is halved (rounding up) while it still
+    holds the span, and the cut starts at the span, or ends at the row's
+    end when the span sits closer to it than that width. A pair whose cuts
+    make more than CUT_SHARE of its outputs is whole: it keeps the
+    three-rung stack of whole rows, as does every pair of a call none of
+    whose pairs is cut, such as one of uniform k = 8192 pairs. The other
+    pairs take their fallback rung over whole rows, and their upper rungs
+    in one ``_convolve_rows`` call per pair of cut widths, over the
+    gathered cuts; a pair's upper-rung outputs sit at the sum of its cuts'
+    starts among exact zeros (``_upper_cuts``).
+    """
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
+    (a, _), (b, _) = _max_normalized(a, a_peak), _max_normalized(b, b_peak)
     peak = a_peak * b_peak
     scale = np.atleast_1d(peak)
     # A value at or below its rung's floor 0.5 * tau**p would root to at
@@ -370,17 +443,168 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     # unrooted.
     floors = [0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in ladder[1:]]
 
-    def finish(rows, vms, kept):
+    def normalized(vms, kept):
         kept = vms[..., kept]
         kept /= vms.max(axis=-1, keepdims=True)
-        stitched = _root(kept[0], ladder[0])  # smallest exponent is the fallback
+        return kept
+
+    def upper(rungs, stitched):
+        """Root each upper rung above its floor, in place, and copy it
+        into ``stitched`` where it clears tau, in ascending order."""
         take = np.empty(stitched.shape, bool)  # every mask, so one allocation per call
-        for rung, p, floor in zip(kept[1:], ladder[1:], floors):
+        for rung, p, floor in zip(rungs, ladder[1:], floors):
             np.power(rung, 1.0 / p, out=rung, where=np.greater(rung, floor, out=take))
             np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
-        return stitched * scale[rows, ..., None]
+        return stitched
 
-    return _convolve_rows(a, b, ladder, finish, window), peak
+    def finish(rows, vms, kept, scale=scale):
+        kept = normalized(vms, kept)
+        stitched = _root(kept[0], ladder[0])  # smallest exponent is the fallback
+        return upper(kept[1:], stitched) * scale[rows, ..., None]
+
+    def fallback(rows, vms, kept):
+        return _root(vms[0][..., kept] / vms[0].max(axis=-1, keepdims=True), ladder[0])
+
+    na, nb = a.shape[-1], b.shape[-1]
+    calls = None
+    if len(ladder) > 1 and na + nb - 1 >= CUT_FROM:
+        calls = _upper_cuts(a, b, _cut_level(ladder, tau, min(na, nb)))
+    if calls is None:
+        return _convolve_rows(a, b, ladder, finish, window), peak
+    lo, n = window
+    flat, scales = np.empty((scale.size, n)), scale.reshape(-1)
+    cut = []  # the pairs whose upper rungs are placed over their fallback
+    for rungs, pairs, a_rows, b_rows, offsets in calls:
+        if rungs == "all":
+            flat[pairs] = _convolve_rows(a_rows, b_rows, ladder, partial(
+                finish, scale=scales[pairs].reshape(b_rows.shape[:-1])), window).reshape(-1, n)
+            continue
+        if rungs == "fallback":
+            flat[pairs] = _convolve_rows(a_rows, b_rows, ladder[:1], fallback,
+                                         window).reshape(-1, n)
+            cut.append(pairs)
+            continue
+        # the cut output columns that some pair of the group keeps
+        outputs = a_rows.shape[-1] + b_rows.shape[-1] - 1
+        first = int(np.clip(lo - offsets.max(), 0, outputs))
+        stop = int(np.clip(lo + n - offsets.min(), first, outputs))
+        if stop == first:
+            continue
+        values = _convolve_rows(a_rows, b_rows, ladder[1:],
+                                lambda rows, vms, kept: upper(normalized(vms, kept), np.zeros(
+                                    vms.shape[1:-1] + (kept.stop - kept.start,))),
+                                (first, stop - first)).reshape(len(pairs), -1)
+        for row, offset, value in zip(pairs.tolist(), offsets.tolist(), values):
+            start, end = max(first, lo - offset), min(stop, lo + n - offset)
+            if end > start:
+                piece = value[start - first:end - first]
+                np.copyto(flat[row, start + offset - lo:end + offset - lo], piece,
+                          where=piece >= tau)
+    cut = np.concatenate(cut)
+    flat[cut] *= scales[cut, None]
+    return flat.reshape(np.shape(peak) + (n,)), peak
+
+
+def _cut_level(ladder: tuple[float, ...], tau: float, t: int) -> float:
+    """theta of ``_ladder_rows``: the value from which a max-normalized
+    operand column counts toward its row's significant span."""
+    return tau * (2.0 ** -53 / t) ** (1.0 / ladder[1])
+
+
+def _row_cuts(rows: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cut (``_ladder_rows``): its start and width, the row's
+    width halved, rounding up, while it still holds the row's first
+    through last column at or above ``theta`` (every row holds its peak,
+    1 >= theta)."""
+    width = rows.shape[-1]
+    big = rows >= theta
+    first = big.argmax(axis=-1)
+    span = width - big[:, ::-1].argmax(axis=-1) - first
+    widths = [width]
+    while widths[-1] > 1:
+        widths.append(-(-widths[-1] // 2))
+    widths = np.array(widths[::-1])
+    cut = widths[np.searchsorted(widths, span)]  # the narrowest that holds the span
+    return np.minimum(first, width - cut), cut
+
+
+def _may_cut(rows: np.ndarray, theta: float) -> bool:
+    """Whether some row may have a cut narrower than itself, from 16 of
+    its columns: eight ending at column q and eight starting at column
+    n - 1 - q, q = (n - ceil(n/2) - 1) // 2. Two columns at or above
+    ``theta``, one from each, are at least ceil(n/2) apart, so a row that
+    has both spans more than half of itself rounded up and keeps its
+    width. A uniform row almost always has both."""
+    n = rows.shape[-1]
+    q = (n - -(-n // 2) - 1) // 2
+    if q < 0:  # one column
+        return False
+    left, right = rows[:, max(q - 7, 0):q + 1], rows[:, n - 1 - q:n + 7 - q]
+    return not ((left >= theta).any(axis=-1) & (right >= theta).any(axis=-1)).all()
+
+
+def _upper_cuts(a: np.ndarray, b: np.ndarray, theta: float):
+    """The transform calls of ``_ladder_rows`` over the row pairs of the
+    max-normalized ``a`` (..., na) and ``b`` (..., nb), or None when every
+    pair's cuts (``_row_cuts``) are its whole rows.
+
+    Each call is ``(rungs, pairs, a_rows, b_rows, offsets)``: which rungs
+    it transforms, the flat indices of its pairs in the broadcast leading
+    shape and their rows, shaped (g, 1, wa) and (g, m, wb) for g left rows
+    and m pairs each. The calls come in this order: "all" the rungs of
+    the whole pairs, the "fallback" rung of the cut pairs over their whole
+    rows, and the "upper" rungs of the cut pairs of one cut width per
+    operand over their cuts, with ``offsets`` the column of each pair's
+    full output at which its cut output starts. A left row broadcast
+    along the last leading axis, such as a reverse layer's parent against
+    its two children, goes once into a call that holds all m of its pairs,
+    so it is cut and transformed once; every other pair goes with m = 1.
+    """
+    a_rows, b_rows = (x.reshape(-1, x.shape[-1]) for x in (a, b))
+    if not (_may_cut(a_rows, theta) or _may_cut(b_rows, theta)):
+        return None
+    (a_start, a_width), (b_start, b_width) = (_row_cuts(x, theta) for x in (a_rows, b_rows))
+    na, nb = a_rows.shape[-1], b_rows.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    share = lead[-1] if lead and a.shape[:-1] == lead[:-1] + (1,) else 1
+    a_of, b_of = (np.broadcast_to(np.arange(len(rows)).reshape(x.shape[:-1]), lead).ravel()
+                  for x, rows in ((a, a_rows), (b, b_rows)))
+    a_width, b_width = a_width[a_of], b_width[b_of]  # per pair from here on
+    whole = a_width + b_width - 1 > CUT_SHARE * (na + nb - 1)
+    if np.all(whole):
+        return None
+    codes = a_width * (nb + 1) + b_width
+    calls = []
+
+    def add(rungs, pairs):
+        shared = np.bincount(a_of[pairs])[a_of[pairs]] == share
+        for part, m in ((pairs[shared], share), (pairs[~shared], 1)):
+            if part.size == 0:
+                continue
+            ai, bi = a_of[part[::m]], b_of[part]
+            if rungs != "upper":  # whole rows
+                calls.append((rungs, part, a_rows[ai].reshape(-1, 1, na),
+                              b_rows[bi].reshape(-1, m, nb), None))
+                continue
+            wa, wb = a_width[part[0]], b_width[part[0]]
+            calls.append((rungs, part, _gathered(a_rows, ai, a_start[ai], wa).reshape(-1, 1, wa),
+                          _gathered(b_rows, bi, b_start[bi], wb).reshape(-1, m, wb),
+                          np.repeat(a_start[ai], m) + b_start[bi]))
+
+    add("all", np.flatnonzero(whole))
+    add("fallback", np.flatnonzero(~whole))
+    order = np.flatnonzero(~whole)[np.argsort(codes[~whole], kind="stable")]
+    for pairs in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+        add("upper", pairs)
+    return calls
+
+
+def _gathered(rows: np.ndarray, which: np.ndarray, start: np.ndarray,
+              width: int) -> np.ndarray:
+    """rows[which[i], start[i]:start[i] + width] for each i, as one array."""
+    if width == rows.shape[-1]:
+        return rows[which]
+    return np.lib.stride_tricks.sliding_window_view(rows, width, axis=-1)[which, start]
 
 
 def max_convolve_piecewise(left: Pmf, right: Pmf,

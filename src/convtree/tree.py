@@ -238,9 +238,16 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
             kept, peak = apply_rows(parents[:, None], siblings, window=(width - 1, width))
             if 2 * p0 << level >= n:  # padding nodes, one outcome wide
                 new.append((2 * p0, np.ones((len(children), 1))))
-            else:
-                new.append((2 * p0, _rescaled(kept.reshape(-1, width),
-                                              ZERO_MASS_REL_TOL * peak.reshape(-1))))
+                continue
+            # a narrower child's columns past its own reach hold its
+            # parent's values past the parent's reach, not its message:
+            # zeroed, so its peak and zero-mass test read its reach alone;
+            # a padding child among them is a point mass, as above
+            rows, reach = kept.reshape(-1, width), reaches[level][2 * p0:2 * p1]
+            if reach[-1] < width:  # reaches descend along a segment
+                rows = np.where(np.arange(width) >= np.array(reach)[:, None], 0.0, rows)
+                rows[np.arange(2 * p0, 2 * p1) << level >= n, 0] = 1.0
+            new.append((2 * p0, _rescaled(rows, ZERO_MASS_REL_TOL * peak.reshape(-1))))
         messages = new
 
     # Fold each leaf's own prior into its evidence message, and put each

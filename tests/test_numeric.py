@@ -383,28 +383,42 @@ def per_rung_ladder(left, right, ladder, tau, window):
     """The ladder kernel as it was before upper rungs were clamped to their
     floors: clip every output at zero, divide each rung by its peak, root
     every kept column with np.power and stitch where the root clears tau.
-    A span pair is cut to its spans, as the ladder cuts it."""
+    A span pair is cut to its spans, as the ladder cuts it, and each upper
+    rung of a pair that the ladder cuts (``numeric._upper_cuts``) is that
+    rung's convolution of the cuts, placed at their offset among zeros."""
     a, b = fftconv._canonical_rows(np.asarray(left, dtype=float),
                                    np.asarray(right, dtype=float))
 
     def kernel(a, b, window):
         (a, a_peak), (b, b_peak) = numeric._max_normalized(a), numeric._max_normalized(b)
         scale = np.atleast_1d(a_peak * b_peak)
-
-        def finish(rows, vms, kept):
-            np.maximum(vms, 0.0, out=vms)
-            stitched = None
-            for vm, p in zip(vms, ladder):
-                rung = vm[..., kept]
-                rung /= vm.max(axis=-1, keepdims=True)
-                np.power(rung, 1.0 / p, out=rung)
-                if stitched is None:
-                    stitched = rung
-                else:
-                    np.copyto(stitched, rung, where=rung >= tau)
-            return stitched * scale[rows, ..., None]
-
-        return fftconv._convolve_rows(a, b, ladder, finish, window), a_peak * b_peak
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        outputs = a.shape[-1] + b.shape[-1] - 1
+        # every rung's clipped outputs, one transform per rung
+        vms = np.stack([fftconv._convolve_rows(a, b, (p,)).reshape(-1, outputs)
+                        for p in ladder])
+        calls = None
+        if len(ladder) > 1 and outputs >= numeric.CUT_FROM:
+            theta = numeric._cut_level(ladder, tau, min(a.shape[-1], b.shape[-1]))
+            calls = numeric._upper_cuts(a, b, theta)
+        cuts = [call[1:] for call in calls or [] if call[0] == "upper"]
+        for pairs, a_cut, b_cut, offsets in cuts:
+            for r, p in enumerate(ladder[1:], 1):
+                cut = fftconv._convolve_rows(a_cut, b_cut, (p,)).reshape(len(pairs), -1)
+                for pair, offset, row in zip(pairs, offsets, cut):
+                    vms[r, pair] = 0.0
+                    vms[r, pair, offset:offset + row.size] = row
+        vms = vms.reshape((len(ladder),) + lead + (outputs,))
+        stitched = None
+        for vm, p in zip(vms, ladder):
+            rung = vm[..., window[0]:window[0] + window[1]]
+            rung /= vm.max(axis=-1, keepdims=True)
+            np.power(rung, 1.0 / p, out=rung)
+            if stitched is None:
+                stitched = rung
+            else:
+                np.copyto(stitched, rung, where=rung >= tau)
+        return stitched * scale.reshape(lead + (1,)), a_peak * b_peak
 
     return fftconv._cut_pair(kernel, a, b, window)
 
@@ -436,10 +450,7 @@ LADDER_CASES = {
 }
 
 
-@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
-@pytest.mark.parametrize("case", LADDER_CASES)
-def test_ladder_is_bit_identical_to_the_per_rung_finish(monkeypatch, block_floats, case):
-    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+def assert_ladder_is_the_per_rung_finish(case):
     make, ladder, tau = LADDER_CASES[case]
     left, right, window = make()
     full = (0, left.shape[-1] + right.shape[-1] - 1)
@@ -456,6 +467,180 @@ def test_ladder_is_bit_identical_to_the_per_rung_finish(monkeypatch, block_float
     if window == full:
         one = max_convolve_piecewise(Pmf(left), Pmf(right), config).values
         assert one.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
+@pytest.mark.parametrize("case", LADDER_CASES)
+def test_ladder_is_bit_identical_to_the_per_rung_finish(monkeypatch, block_floats, case):
+    # every case is below CUT_FROM, so no pair is cut
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    assert_ladder_is_the_per_rung_finish(case)
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
+@pytest.mark.parametrize("case", LADDER_CASES)
+def test_cut_ladder_is_bit_identical_to_the_per_rung_finish(monkeypatch, block_floats, case):
+    # with every pair that has a narrower cut transformed over it
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(numeric, "CUT_FROM", 1)
+    assert_ladder_is_the_per_rung_finish(case)
+
+
+def test_ladder_cases_reach_the_cut(monkeypatch):
+    # with CUT_FROM at 1 the cut bit-identity cases above take the cut path:
+    # every multi-rung case whose rows are not combs has a narrower cut
+    monkeypatch.setattr(numeric, "CUT_FROM", 1)
+    cut = []
+    upper_cuts = numeric._upper_cuts
+
+    def spying(a, b, theta):
+        groups = upper_cuts(a, b, theta)
+        cut.append(groups is not None)
+        return groups
+
+    monkeypatch.setattr(numeric, "_upper_cuts", spying)
+    for case in ("peaked-8192", "tau-1", "sqrt-rung", "floor-root-rounds-to-tau",
+                 "reverse-window"):
+        make, ladder, tau = LADDER_CASES[case]
+        left, right, window = make()
+        cut.clear()
+        numeric_max_operator(PiecewiseConfig(ladder, tau)).apply_rows(
+            left, right, window=window or (0, left.shape[-1] + right.shape[-1] - 1))
+        assert cut == [True], case
+
+
+def ladder_row(kind, width, rng):
+    """One max-normalized operand row: a broad bump, a narrow one over a
+    dense floor, a comb or uniform values."""
+    x = np.arange(width)
+    if kind == "smooth":
+        row = np.exp(-0.5 * ((x - rng.uniform(0, width)) / (width / 6)) ** 2)
+    elif kind == "peaked":
+        row = (np.exp(-0.5 * ((x - rng.uniform(0, width)) / rng.uniform(2, 8)) ** 2)
+               + 1e-3 * rng.random(width))
+    elif kind == "comb":
+        row = np.zeros(width)
+        row[::7] = 0.1 + rng.random(row[::7].size)
+    else:
+        row = rng.random(width)
+    return row / row.max()
+
+
+@pytest.mark.parametrize("tau", [TAU, 1.0])
+@pytest.mark.parametrize("ladder", [LADDER, (2.0, 64.0), (4.0, 1500.0)])
+@pytest.mark.parametrize("kinds", [("smooth", "peaked"), ("peaked", "peaked"),
+                                   ("comb", "smooth"), ("uniform", "peaked"),
+                                   ("uniform", "uniform")])
+def test_cut_power_sums_are_whole_ones_where_a_rung_can_win(kinds, ladder, tau):
+    # the terms an upper rung drops outside the two cuts sum, by direct
+    # sums, to at most 2**-53 of the whole rows' power sum S_p at every
+    # index where S_p / max(S_p) >= tau**p, where that rung can win
+    rng = np.random.default_rng(sum(map(ord, "".join(kinds))) + len(ladder))
+    a, b = ladder_row(kinds[0], 700, rng), ladder_row(kinds[1], 450, rng)
+    theta = numeric._cut_level(ladder, tau, min(a.size, b.size))
+    cuts = [numeric._row_cuts(x[None], theta) for x in (a, b)]
+    if kinds == ("peaked", "peaked"):  # a case the cut narrows
+        assert all(width[0] < x.size for (_, width), x in zip(cuts, (a, b)))
+    for p in ladder[1:]:
+        inside, outside = [], []
+        for x, (start, width) in zip((a, b), cuts):
+            powered, kept = x ** p, np.zeros(x.size)
+            kept[start[0]:start[0] + width[0]] = powered[start[0]:start[0] + width[0]]
+            inside.append(kept)
+            outside.append(np.where(kept == 0.0, powered, 0.0))
+        whole = np.convolve(a ** p, b ** p)
+        dropped = np.convolve(outside[0], b ** p) + np.convolve(inside[0], outside[1])
+        can_win = whole >= tau ** p * whole.max() * (1.0 - 1e-9)
+        assert can_win.any()
+        assert np.all(dropped[can_win] <= 2.0 ** -53 * whole[can_win])
+
+
+def test_every_row_with_a_narrower_cut_is_probed():
+    # the probe reads 16 columns, so it may pass rows that keep their
+    # width, but it must pass every row whose cut is narrower than itself
+    for n in range(1, 41):
+        for length in range(1, n + 1):
+            for start in range(n - length + 1):
+                row = np.zeros((1, n))
+                row[0, start:start + length] = 1.0
+                row[0, start + 1:start + length - 1:2] = 0.1  # below theta inside
+                _, width = numeric._row_cuts(row, 0.5)
+                assert numeric._may_cut(row, 0.5) or width[0] == n, (n, start, length)
+    assert not numeric._may_cut(np.ones((3, 40)), 0.5)
+
+
+def reverse_rows_in_cut_groups():
+    """Three parent messages (3, 1, 8000) against two siblings each
+    (3, 2, 6000), as a reverse layer lays them out, at peak 1 over a dense
+    floor: the first two parents' siblings have significant spans of
+    different widths, the third parent and its siblings span more than
+    half of their rows, and the pairs' 13,999 outputs are above
+    CUT_FROM."""
+    rng = np.random.default_rng(21)
+
+    def bumps(width, shape, *means_sigmas):
+        x = np.arange(width)
+        rows = np.array([np.exp(-0.5 * ((x - mean) / sigma) ** 2) for mean, sigma in means_sigmas])
+        rows += 1e-3 * rng.random(rows.shape)
+        return (rows / rows.max(axis=-1, keepdims=True)).reshape(shape + (width,))
+
+    parents = bumps(8000, (3, 1), (3000, 400), (5000, 900), (4000, 4000))
+    siblings = bumps(6000, (3, 2), (1000, 30), (4000, 600), (2500, 200), (3000, 1500),
+                     (3000, 2000), (2500, 3000))
+    return parents, siblings, (5999, 6000)
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
+def test_cut_groups_keep_every_row_its_one_pair_call(monkeypatch, block_floats):
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    parents, siblings, window = reverse_rows_in_cut_groups()
+    assert parents.shape[-1] + siblings.shape[-1] - 1 >= numeric.CUT_FROM
+    theta = numeric._cut_level(LADDER, TAU, siblings.shape[-1])
+    calls = numeric._upper_cuts(parents, siblings, theta)
+    widths = {int(pair): (a_cut.shape[-1], b_cut.shape[-1])
+              for rungs, pairs, a_cut, b_cut, _ in calls if rungs != "fallback" for pair in pairs}
+    # each of the first two parents' pairs fall in different groups, and
+    # the third parent is transformed once for both of its whole pairs
+    assert widths == {0: (2000, 188), 1: (2000, 3000), 2: (4000, 1500), 3: (4000, 6000),
+                      4: (8000, 6000), 5: (8000, 6000)}
+    assert [(rungs, a_cut.shape[0], b_cut.shape[1]) for rungs, _, a_cut, b_cut, _ in calls
+            if rungs == "all"] == [("all", 1, 2)]
+    apply_rows = numeric_max_operator().apply_rows
+    parents.flags.writeable = siblings.flags.writeable = False  # no kernel writes its operands
+    for window in (window, (0, 13999)):
+        got, peak = apply_rows(parents, siblings, window=window)
+        for i, j in np.ndindex(3, 2):
+            one, one_peak = apply_rows(parents[i, 0], siblings[i, j], window=window)
+            assert one.tobytes() == got[i, j].tobytes()
+            assert np.asarray(one_peak).tobytes() == peak[i, j].tobytes()
+            if window[0] == 0:
+                whole = max_convolve_piecewise(Pmf(parents[i, 0]), Pmf(siblings[i, j]))
+                assert whole.values.tobytes() == got[i, j].tobytes()
+
+
+def test_wide_span_pairs_keep_one_three_rung_stack(monkeypatch):
+    # every uniform k = 8192 pair's significant spans are wider than half
+    # of both its rows, so each operand takes (3, rows, size) transforms,
+    # one row of the left operand per row of the product
+    shapes = []
+    rfft = fftconv.np.fft.rfft
+
+    def spying_rfft(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(fftconv.np.fft, "rfft", spying_rfft)
+    size = fftconv.fft_length(8192 + 8192 - 1)
+    left, right = random_pair(8192, 5)
+    max_convolve_piecewise(left, right)
+    assert shapes == [(3, 1, size)] * 2
+    shapes.clear()
+    pairs = [random_pair(8192, seed) for seed in (6, 7, 8)]
+    numeric_max_operator().apply_rows(np.stack([l.values for l, _ in pairs]),
+                                      np.stack([r.values for _, r in pairs]),
+                                      window=(0, 16383))
+    assert all(shape[0] == 3 and shape[2] == size for shape in shapes)
+    assert sum(shape[1] for shape in shapes) == 2 * len(pairs)
 
 
 def test_no_root_sees_a_zero(monkeypatch):

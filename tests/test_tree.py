@@ -240,6 +240,40 @@ def test_ragged_priors_cost_like_equal_ones(name):
     assert best[0] <= 4.0 * best[1]
 
 
+def fuzzed_zero_ended_priors(seed):
+    """3 to 20 priors of lengths 1 to 30 at offsets -3 to 3, with interior
+    zeros and, at random, a run of zeros at either end."""
+    rng = np.random.default_rng(seed)
+    priors = []
+    for _ in range(int(rng.integers(3, 21))):
+        length = int(rng.integers(1, 31))
+        values = rng.random(length)
+        values[rng.random(length) < 0.3] = 0.0
+        if rng.random() < 0.5:
+            values[:int(rng.integers(0, max(1, length // 3)))] = 0.0
+        if rng.random() < 0.5:
+            values[length - int(rng.integers(0, max(1, length // 3))):] = 0.0
+        if not values.any():
+            values[int(rng.integers(0, length))] = 1.0
+        priors.append(Pmf(values, int(rng.integers(-3, 4))))
+    return priors
+
+
+def test_narrower_child_is_read_over_its_own_reach():
+    # nine ragged priors, point evidence 2% into the sums their masses
+    # reach. A reverse segment computes every child's message as wide as
+    # its widest child; a narrower child's columns past its reach hold its
+    # parent's values past the parent's reach. Divided by their peak, the
+    # child's own columns went to zero and the ladder raised
+    # DegenerateDistributionError. Read over its reach alone, the child's
+    # peak is below the zero-mass floor: the far-tail raise of ROADMAP item 10
+    priors = fuzzed_zero_ended_priors(221)
+    assert len(priors) == 9
+    first = sum(p.offset + int(np.flatnonzero(p.values)[0]) for p in priors)
+    with pytest.raises(InconsistentEvidenceError):
+        convolution_tree(priors, delta(first + 2), numeric_max_operator())
+
+
 def test_span_rule_keeps_round_off_zero_ends_whole(monkeypatch):
     # max-numeric messages of this solve end in exact-zero runs of up to a
     # quarter of a row; a pair is cut to its spans only when they make at
