@@ -33,14 +33,9 @@ quarter-in columns, so dense layers read those two columns and scan
 nothing (``_maybe_narrow``).
 
 The piecewise ladder transforms the upper rungs of a wide pair over cuts
-of its rows: each row's significant span, the values at or above
-theta = tau * (2**-53 / t)**(1/p1), t the shorter operand's width and p1
-the lowest upper rung, widened to the row's width halved while it still
-holds that span. Where such a rung can win an index, its power sum is at
-least tau**p and the terms outside the cuts add less than 2**-53 of it,
-so the cut changes only round-off (``numeric._ladder_rows``). Each group
-of pairs with one cut width per operand is one ``_convolve_rows`` call,
-so this module's transforms keep their layout.
+of its rows, one ``_convolve_rows`` call per cut width, so this module's
+transforms keep their layout (``numeric._ladder_rows`` bounds what the
+cuts drop).
 
 The transforms run in three buffers that each thread keeps from call to
 call (``_scratch``): a zero-padded stack of powers, which also takes the

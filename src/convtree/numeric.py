@@ -17,15 +17,9 @@ them off np.power, which is several times slower on 0.0 (``_root`` says
 by how much). Each upper rung is rooted only above its floor, far enough
 below tau that the stitch takes nothing at or under it.
 
-The ladder's upper rungs (every exponent above the fallback) of a pair
-with at least CUT_FROM outputs are transformed over each max-normalized
-operand row's significant span only, its first through last value at or
-above theta = tau * (2**-53 / t)**(1/p1), t = min(a, b), p1 the lowest
-upper rung. A rung p >= p1 wins an index only where its power sum
-S_p >= tau**p, and there the dropped terms, each below theta**p and at
-most t of them, sum to less than 2**-53 * S_p: only FFT round-off moves,
-and a rung choice can flip only where a root sits within round-off of tau.
-The fallback rung still runs over whole rows (``_ladder_rows``).
+The ladder's upper rungs of a wide pair are transformed over each
+operand row's significant span only; ``_ladder_rows`` bounds what that
+drops.
 
 Neither operator works through the exact zeros of a span pair
 (``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
@@ -387,13 +381,13 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
 # with it in perfbench (oracle seed 11, +0.5%, 2 of 6 pairs faster).
 CUT_FROM = 12288
 # A pair is cut only when its cut outputs wa + wb - 1 are at most this
-# share of its a + b - 1. A reverse pair whose parent keeps its width and
-# whose child is halved saves a sixth of each upper-rung transform, less
-# than transforming the parent once more costs. Whole max-numeric solves,
-# against no cut (median of 9-11 alternating solves, 2-vCPU VM): at
-# (64, 4096) 0.65-0.72x with 0.75 against 0.75x with no share rule and
-# 0.78x at 0.5; at (1024, 64) 0.74-0.83x with 0.75 and 0.80-0.90x at 0.5
-# to 1.0.
+# share of its a + b - 1; a whole pair's upper rungs run over its whole
+# rows. Whole max-numeric solves, against no cut (median of 11 alternating
+# solves, three runs, 2-vCPU VM): at (64, 4096) 0.64-0.67x with 0.75,
+# 0.65-0.66x with 1.0 (no share rule) and 0.72-0.74x at 0.5; at
+# (1024, 64) 0.70-0.88x with 0.75, 0.72-0.81x with 1.0 and 0.72-0.85x at
+# 0.5. 0.75 and 1.0 are within that spread, and 1.0 moves the bits of the
+# (64, 4096) and (256, 1024) solves.
 CUT_SHARE = 0.75
 
 
@@ -422,13 +416,18 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     of its one-pair call: its width is halved (rounding up) while it still
     holds the span, and the cut starts at the span, or ends at the row's
     end when the span sits closer to it than that width. A pair whose cuts
-    make more than CUT_SHARE of its outputs is whole: it keeps the
-    three-rung stack of whole rows, as does every pair of a call none of
-    whose pairs is cut, such as one of uniform k = 8192 pairs. The other
-    pairs take their fallback rung over whole rows, and their upper rungs
-    in one ``_convolve_rows`` call per pair of cut widths, over the
-    gathered cuts; a pair's upper-rung outputs sit at the sum of its cuts'
-    starts among exact zeros (``_upper_cuts``).
+    make more than CUT_SHARE of its outputs is whole, and takes its whole
+    rows as its cuts. A call none of whose pairs is cut, such as one of
+    uniform k = 8192 pairs, is one three-rung stack of whole rows. Any
+    other call takes two steps: the fallback rung, in one call over the
+    operands as they arrive, so a reverse layer's parent is transformed
+    once for both of its children; then the upper rungs, in one
+    ``_convolve_rows`` call per group of pairs of one cut width per
+    operand (``_upper_cuts``). Each pair's upper-rung results replace its
+    fallback where they clear tau, at the sum of its cuts' starts, and the
+    stitched rows are scaled once. Every step acts on each row alone and
+    runs the float operations of the stack, so both paths give the same
+    bits.
     """
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
@@ -457,42 +456,33 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
             np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
         return stitched
 
-    def finish(rows, vms, kept, scale=scale):
-        kept = normalized(vms, kept)
-        stitched = _root(kept[0], ladder[0])  # smallest exponent is the fallback
-        return upper(kept[1:], stitched) * scale[rows, ..., None]
-
     def fallback(rows, vms, kept):
+        # the smallest exponent, divided into a new array: vms is the workspace
         return _root(vms[0][..., kept] / vms[0].max(axis=-1, keepdims=True), ladder[0])
 
+    def finish(rows, vms, kept):
+        kept = normalized(vms, kept)
+        return upper(kept[1:], _root(kept[0], ladder[0])) * scale[rows, ..., None]
+
+    def cut(rows, vms, kept):
+        return upper(normalized(vms, kept), np.zeros(vms.shape[1:-1] + (kept.stop - kept.start,)))
+
     na, nb = a.shape[-1], b.shape[-1]
-    calls = None
+    groups = None
     if len(ladder) > 1 and na + nb - 1 >= CUT_FROM:
-        calls = _upper_cuts(a, b, _cut_level(ladder, tau, min(na, nb)))
-    if calls is None:
+        groups = _upper_cuts(a, b, _cut_level(ladder, tau, min(na, nb)))
+    if groups is None:
         return _convolve_rows(a, b, ladder, finish, window), peak
     lo, n = window
-    flat, scales = np.empty((scale.size, n)), scale.reshape(-1)
-    cut = []  # the pairs whose upper rungs are placed over their fallback
-    for rungs, pairs, a_rows, b_rows, offsets in calls:
-        if rungs == "all":
-            flat[pairs] = _convolve_rows(a_rows, b_rows, ladder, partial(
-                finish, scale=scales[pairs].reshape(b_rows.shape[:-1])), window).reshape(-1, n)
-            continue
-        if rungs == "fallback":
-            flat[pairs] = _convolve_rows(a_rows, b_rows, ladder[:1], fallback,
-                                         window).reshape(-1, n)
-            cut.append(pairs)
-            continue
+    flat = _convolve_rows(a, b, ladder[:1], fallback, window).reshape(scale.size, n)
+    for pairs, a_rows, b_rows, offsets in groups:
         # the cut output columns that some pair of the group keeps
         outputs = a_rows.shape[-1] + b_rows.shape[-1] - 1
         first = int(np.clip(lo - offsets.max(), 0, outputs))
         stop = int(np.clip(lo + n - offsets.min(), first, outputs))
         if stop == first:
             continue
-        values = _convolve_rows(a_rows, b_rows, ladder[1:],
-                                lambda rows, vms, kept: upper(normalized(vms, kept), np.zeros(
-                                    vms.shape[1:-1] + (kept.stop - kept.start,))),
+        values = _convolve_rows(a_rows, b_rows, ladder[1:], cut,
                                 (first, stop - first)).reshape(len(pairs), -1)
         for row, offset, value in zip(pairs.tolist(), offsets.tolist(), values):
             start, end = max(first, lo - offset), min(stop, lo + n - offset)
@@ -500,8 +490,7 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
                 piece = value[start - first:end - first]
                 np.copyto(flat[row, start + offset - lo:end + offset - lo], piece,
                           where=piece >= tau)
-    cut = np.concatenate(cut)
-    flat[cut] *= scales[cut, None]
+    flat *= scale.reshape(-1, 1)
     return flat.reshape(np.shape(peak) + (n,)), peak
 
 
@@ -544,59 +533,49 @@ def _may_cut(rows: np.ndarray, theta: float) -> bool:
 
 
 def _upper_cuts(a: np.ndarray, b: np.ndarray, theta: float):
-    """The transform calls of ``_ladder_rows`` over the row pairs of the
+    """The upper-rung groups of ``_ladder_rows`` over the row pairs of the
     max-normalized ``a`` (..., na) and ``b`` (..., nb), or None when every
-    pair's cuts (``_row_cuts``) are its whole rows.
+    pair is whole: its cuts (``_row_cuts``) make more than CUT_SHARE of
+    its outputs, and it takes the whole rows (0, na) and (0, nb) instead.
 
-    Each call is ``(rungs, pairs, a_rows, b_rows, offsets)``: which rungs
-    it transforms, the flat indices of its pairs in the broadcast leading
-    shape and their rows, shaped (g, 1, wa) and (g, m, wb) for g left rows
-    and m pairs each. The calls come in this order: "all" the rungs of
-    the whole pairs, the "fallback" rung of the cut pairs over their whole
-    rows, and the "upper" rungs of the cut pairs of one cut width per
-    operand over their cuts, with ``offsets`` the column of each pair's
-    full output at which its cut output starts. A left row broadcast
-    along the last leading axis, such as a reverse layer's parent against
-    its two children, goes once into a call that holds all m of its pairs,
-    so it is cut and transformed once; every other pair goes with m = 1.
+    Each group is ``(pairs, a_rows, b_rows, offsets)``: the flat indices
+    of its pairs in the broadcast leading shape, their cuts of one width
+    per operand, shaped (g, 1, wa) and (g, m, wb) for g left rows and m
+    pairs each, and the column of each pair's full output at which its
+    cut output starts. A left row broadcast along the last leading axis,
+    such as a reverse layer's parent against its two children, goes once
+    into a group that holds all m of its pairs, so it is cut and
+    transformed once; every other pair goes with m = 1.
     """
     a_rows, b_rows = (x.reshape(-1, x.shape[-1]) for x in (a, b))
     if not (_may_cut(a_rows, theta) or _may_cut(b_rows, theta)):
         return None
-    (a_start, a_width), (b_start, b_width) = (_row_cuts(x, theta) for x in (a_rows, b_rows))
     na, nb = a_rows.shape[-1], b_rows.shape[-1]
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     share = lead[-1] if lead and a.shape[:-1] == lead[:-1] + (1,) else 1
     a_of, b_of = (np.broadcast_to(np.arange(len(rows)).reshape(x.shape[:-1]), lead).ravel()
                   for x, rows in ((a, a_rows), (b, b_rows)))
-    a_width, b_width = a_width[a_of], b_width[b_of]  # per pair from here on
+    (a_start, a_width), (b_start, b_width) = (_row_cuts(x, theta) for x in (a_rows, b_rows))
+    # per pair from here on
+    a_start, a_width, b_start, b_width = a_start[a_of], a_width[a_of], b_start[b_of], b_width[b_of]
     whole = a_width + b_width - 1 > CUT_SHARE * (na + nb - 1)
     if np.all(whole):
         return None
+    a_start[whole], a_width[whole], b_start[whole], b_width[whole] = 0, na, 0, nb
     codes = a_width * (nb + 1) + b_width
-    calls = []
-
-    def add(rungs, pairs):
+    order = np.argsort(codes, kind="stable")
+    groups = []
+    for pairs in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
         shared = np.bincount(a_of[pairs])[a_of[pairs]] == share
         for part, m in ((pairs[shared], share), (pairs[~shared], 1)):
             if part.size == 0:
                 continue
-            ai, bi = a_of[part[::m]], b_of[part]
-            if rungs != "upper":  # whole rows
-                calls.append((rungs, part, a_rows[ai].reshape(-1, 1, na),
-                              b_rows[bi].reshape(-1, m, nb), None))
-                continue
             wa, wb = a_width[part[0]], b_width[part[0]]
-            calls.append((rungs, part, _gathered(a_rows, ai, a_start[ai], wa).reshape(-1, 1, wa),
-                          _gathered(b_rows, bi, b_start[bi], wb).reshape(-1, m, wb),
-                          np.repeat(a_start[ai], m) + b_start[bi]))
-
-    add("all", np.flatnonzero(whole))
-    add("fallback", np.flatnonzero(~whole))
-    order = np.flatnonzero(~whole)[np.argsort(codes[~whole], kind="stable")]
-    for pairs in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
-        add("upper", pairs)
-    return calls
+            groups.append((part, _gathered(a_rows, a_of[part[::m]], a_start[part[::m]], wa)
+                           .reshape(-1, 1, wa),
+                           _gathered(b_rows, b_of[part], b_start[part], wb).reshape(-1, m, wb),
+                           a_start[part] + b_start[part]))
+    return groups
 
 
 def _gathered(rows: np.ndarray, which: np.ndarray, start: np.ndarray,

@@ -383,9 +383,11 @@ def per_rung_ladder(left, right, ladder, tau, window):
     """The ladder kernel as it was before upper rungs were clamped to their
     floors: clip every output at zero, divide each rung by its peak, root
     every kept column with np.power and stitch where the root clears tau.
-    A span pair is cut to its spans, as the ladder cuts it, and each upper
-    rung of a pair that the ladder cuts (``numeric._upper_cuts``) is that
-    rung's convolution of the cuts, placed at their offset among zeros."""
+    A span pair is cut to its spans, as the ladder cuts it. From CUT_FROM
+    outputs on, each upper rung of a pair whose row cuts
+    (``numeric._row_cuts``) make at most CUT_SHARE of its outputs is that
+    rung's convolution of the two cuts, placed at the sum of their starts
+    among zeros."""
     a, b = fftconv._canonical_rows(np.asarray(left, dtype=float),
                                    np.asarray(right, dtype=float))
 
@@ -397,17 +399,22 @@ def per_rung_ladder(left, right, ladder, tau, window):
         # every rung's clipped outputs, one transform per rung
         vms = np.stack([fftconv._convolve_rows(a, b, (p,)).reshape(-1, outputs)
                         for p in ladder])
-        calls = None
         if len(ladder) > 1 and outputs >= numeric.CUT_FROM:
             theta = numeric._cut_level(ladder, tau, min(a.shape[-1], b.shape[-1]))
-            calls = numeric._upper_cuts(a, b, theta)
-        cuts = [call[1:] for call in calls or [] if call[0] == "upper"]
-        for pairs, a_cut, b_cut, offsets in cuts:
-            for r, p in enumerate(ladder[1:], 1):
-                cut = fftconv._convolve_rows(a_cut, b_cut, (p,)).reshape(len(pairs), -1)
-                for pair, offset, row in zip(pairs, offsets, cut):
+            pairs = zip(*(np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+                          for x in (a, b)))
+            for pair, rows in enumerate(pairs):
+                (a_start, a_width), (b_start, b_width) = (
+                    (int(start[0]), int(width[0]))
+                    for start, width in (numeric._row_cuts(x[None], theta) for x in rows))
+                if a_width + b_width - 1 > numeric.CUT_SHARE * outputs:
+                    continue  # a whole pair
+                a_cut = rows[0][a_start:a_start + a_width]
+                b_cut = rows[1][b_start:b_start + b_width]
+                for r, p in enumerate(ladder[1:], 1):
+                    cut = fftconv._convolve_rows(a_cut, b_cut, (p,))
                     vms[r, pair] = 0.0
-                    vms[r, pair, offset:offset + row.size] = row
+                    vms[r, pair, a_start + b_start:a_start + b_start + cut.size] = cut
         vms = vms.reshape((len(ladder),) + lead + (outputs,))
         stitched = None
         for vm, p in zip(vms, ladder):
@@ -570,12 +577,12 @@ def test_every_row_with_a_narrower_cut_is_probed():
 
 
 def reverse_rows_in_cut_groups():
-    """Three parent messages (3, 1, 8000) against two siblings each
-    (3, 2, 6000), as a reverse layer lays them out, at peak 1 over a dense
+    """Four parent messages (4, 1, 8000) against two siblings each
+    (4, 2, 6000), as a reverse layer lays them out, at peak 1 over a dense
     floor: the first two parents' siblings have significant spans of
     different widths, the third parent and its siblings span more than
-    half of their rows, and the pairs' 13,999 outputs are above
-    CUT_FROM."""
+    half of their rows, the fourth parent does too but only one of its
+    siblings does, and the pairs' 13,999 outputs are above CUT_FROM."""
     rng = np.random.default_rng(21)
 
     def bumps(width, shape, *means_sigmas):
@@ -584,9 +591,9 @@ def reverse_rows_in_cut_groups():
         rows += 1e-3 * rng.random(rows.shape)
         return (rows / rows.max(axis=-1, keepdims=True)).reshape(shape + (width,))
 
-    parents = bumps(8000, (3, 1), (3000, 400), (5000, 900), (4000, 4000))
-    siblings = bumps(6000, (3, 2), (1000, 30), (4000, 600), (2500, 200), (3000, 1500),
-                     (3000, 2000), (2500, 3000))
+    parents = bumps(8000, (4, 1), (3000, 400), (5000, 900), (4000, 4000), (3500, 4000))
+    siblings = bumps(6000, (4, 2), (1000, 30), (4000, 600), (2500, 200), (3000, 1500),
+                     (3000, 2000), (2500, 3000), (3000, 50), (2500, 3000))
     return parents, siblings, (5999, 6000)
 
 
@@ -596,26 +603,63 @@ def test_cut_groups_keep_every_row_its_one_pair_call(monkeypatch, block_floats):
     parents, siblings, window = reverse_rows_in_cut_groups()
     assert parents.shape[-1] + siblings.shape[-1] - 1 >= numeric.CUT_FROM
     theta = numeric._cut_level(LADDER, TAU, siblings.shape[-1])
-    calls = numeric._upper_cuts(parents, siblings, theta)
+    groups = numeric._upper_cuts(parents, siblings, theta)
     widths = {int(pair): (a_cut.shape[-1], b_cut.shape[-1])
-              for rungs, pairs, a_cut, b_cut, _ in calls if rungs != "fallback" for pair in pairs}
-    # each of the first two parents' pairs fall in different groups, and
-    # the third parent is transformed once for both of its whole pairs
+              for pairs, a_cut, b_cut, _ in groups for pair in pairs}
+    # each of the first two parents' pairs fall in different groups, the
+    # whole pairs join the full-width group, and the third parent is
+    # transformed once for both of its whole pairs
     assert widths == {0: (2000, 188), 1: (2000, 3000), 2: (4000, 1500), 3: (4000, 6000),
-                      4: (8000, 6000), 5: (8000, 6000)}
-    assert [(rungs, a_cut.shape[0], b_cut.shape[1]) for rungs, _, a_cut, b_cut, _ in calls
-            if rungs == "all"] == [("all", 1, 2)]
+                      4: (8000, 6000), 5: (8000, 6000), 6: (8000, 375), 7: (8000, 6000)}
+    assert [(pairs.tolist(), a_cut.shape[0], b_cut.shape[1])
+            for pairs, a_cut, b_cut, _ in groups if widths[int(pairs[0])] == (8000, 6000)] == [
+        ([4, 5], 1, 2), ([7], 1, 1)]
+    # the fourth parent, one of whose siblings is cut, is transformed once
+    # for the fallback rung (the first, p = 4) of both of its pairs
+    fallback_rows = []
+    rfft = fftconv.np.fft.rfft
+    parent_powers = np.square(np.square(parents[3, 0]))  # as _ladder_powers climbs to 4
+
+    def spying_rfft(x, *args, **kwargs):
+        rows = x.reshape(-1, x.shape[-1])[:, :parent_powers.size]
+        if rows.shape[-1] == parent_powers.size:
+            fallback_rows.append(int((rows == parent_powers).all(axis=-1).sum()))
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(fftconv.np.fft, "rfft", spying_rfft)
     apply_rows = numeric_max_operator().apply_rows
     parents.flags.writeable = siblings.flags.writeable = False  # no kernel writes its operands
     for window in (window, (0, 13999)):
+        fallback_rows.clear()
         got, peak = apply_rows(parents, siblings, window=window)
-        for i, j in np.ndindex(3, 2):
+        assert sum(fallback_rows) == 1
+        for i, j in np.ndindex(4, 2):
             one, one_peak = apply_rows(parents[i, 0], siblings[i, j], window=window)
             assert one.tobytes() == got[i, j].tobytes()
             assert np.asarray(one_peak).tobytes() == peak[i, j].tobytes()
             if window[0] == 0:
                 whole = max_convolve_piecewise(Pmf(parents[i, 0]), Pmf(siblings[i, j]))
                 assert whole.values.tobytes() == got[i, j].tobytes()
+
+
+def test_cut_span_pair_outside_the_window_keeps_no_column(monkeypatch):
+    # a span pair whose span output misses the keep-window runs its cut
+    # ladder over an empty window, as a one-pair call and as a row of two
+    monkeypatch.setattr(numeric, "CUT_FROM", 1)
+    bump = np.zeros(300)
+    bump[10:41] = np.exp(-0.5 * ((np.arange(10, 41) - 25) / 2.0) ** 2)
+    apply_rows = numeric_max_operator().apply_rows
+    full, full_peak = apply_rows(bump, bump, window=(0, 599))
+    assert full[100:].tobytes() == bytes(8 * 499)
+    one, one_peak = apply_rows(bump, bump, window=(400, 100))
+    assert one.tobytes() == bytes(800)
+    assert np.asarray(one_peak).tobytes() == np.asarray(full_peak).tobytes()
+    rows = np.stack([bump, np.roll(bump, 250)])
+    got, peak = apply_rows(rows, rows[::-1].copy(), window=(400, 100))
+    for i in range(2):
+        one, one_peak = apply_rows(rows[i], rows[1 - i], window=(400, 100))
+        assert one.tobytes() == got[i].tobytes()
+        assert np.asarray(one_peak).tobytes() == peak[i].tobytes()
 
 
 def test_wide_span_pairs_keep_one_three_rung_stack(monkeypatch):
