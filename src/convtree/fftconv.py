@@ -4,7 +4,11 @@ The O(k log k) engine under every numerical max-convolution: one kernel
 convolves the powers of an exponent ladder, (1.0,) for standard
 convolution, (p,) for a p-norm, several rungs for the piecewise ladder.
 Each transform is padded to the shortest 5-smooth length that holds the
-full output (``fft_length``). Per block of row pairs (their leading axes
+full output (``fft_length``), except that a long-by-short pair (shorter
+row s at least VALID_FROM long, longer row l at least 2s - 1) takes its
+valid columns s - 1..l - 1 and its row scales from a circular transform
+at ``fft_length(l)`` (``_valid_part``); the linear one then gives only
+the kept columns outside them. Per block of row pairs (their leading axes
 broadcast), each operand's rows, every rung, take one stacked real FFT, so
 a tree layer costs a few numpy calls and a one-pair call is its one-row
 case, bit for bit: each row of a stacked transform is computed as it
@@ -52,7 +56,9 @@ instead. Nothing the kernel returns aliases a kept buffer, and each
 thread has its own, so every operation stays safe to call concurrently.
 
 Every row kernel takes a keep-window ``(lo, n)`` and returns the kept
-columns of its full rows and each full row's peak (``_keep_window``); a
+columns of its full rows and each row's scale: its full row's peak, or
+for a long-by-short pair the peak of its circular transform, as the
+kernel scales it (``_convolve_rows``). Neither depends on the window. A
 one-pair function is its kernel over the full window (``_one_pair``).
 """
 
@@ -81,6 +87,21 @@ BLOCK_FLOATS = 1 << 19
 # and rises only when a larger mmapped block is freed, so keeping larger
 # buffers would hold it low for every other allocation of the process.
 KEEP_BYTES = 1 << 20
+
+# Shorter-row length from which a long-by-short row pair takes its valid
+# columns and row scales from a circular transform at its longer row's
+# length (``_valid_part``), so a dense reverse tree layer transforms at its
+# parent's length only. Such layer calls of random rows (32,768 sibling
+# columns a call) took 0.45-0.95x as long at every width from 64 to 4096.
+# Whole solves, against no circular transform (best of 15, floors
+# alternating in one process, 2-vCPU VM): at (1024, 64) sum 0.82x with the
+# floor at 1024 and 0.75x at 256, max-numeric 0.88x and 0.82x; at
+# (32, 256) sum 0.86x and 0.84x, max-numeric 0.87x and 0.84x, pnorm:1
+# 0.97x and 0.91x. A floor of 64 read 0-5% below 256 at (1024, 64), about
+# the spread between runs. What a lower floor costs is its full calls:
+# a one-pair call of such a pair pays both transforms and took 1.3-1.7x as
+# long at widths 64 to 2048 (2.7x at 4096).
+VALID_FROM = 256
 
 
 def padded_length(n_out: int) -> int:
@@ -212,27 +233,60 @@ def _scratch(floats: dict[str, int]) -> dict[str, np.ndarray]:
     return kept
 
 
+def _lead(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    """The broadcast leading shape of the rows ``a`` and ``b``."""
+    if a.shape[:-1] == b.shape[:-1]:  # np.broadcast_shapes costs about 2 us
+        return a.shape[:-1]
+    return np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+
+
+def _valid_part(a: int, b: int) -> tuple[int, int] | None:
+    """The valid columns ``(s - 1, l)`` of a long-by-short pair of rows of
+    ``a`` and ``b`` values, s the shorter length and l the longer: one with
+    s >= VALID_FROM and l >= 2s - 1. None for any other pair.
+
+    Every term of a valid column has both operands inside their rows, so a
+    circular convolution at any length N >= l gives these columns without
+    aliasing: a wrapped column j - N of an output j <= l + s - 2 lies below
+    s - 1.
+    """
+    s, l = min(a, b), max(a, b)
+    return (s - 1, l) if s >= VALID_FROM and l >= 2 * s - 1 else None
+
+
 def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...] = (1.0,),
-                   finish: Callable[[slice, np.ndarray, slice], np.ndarray] | None = None,
-                   window: tuple[int, int] | None = None) -> np.ndarray:
+                   finish: Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None = None,
+                   window: tuple[int, int] | None = None, peaks: np.ndarray | None = None,
+                   linear: bool = False) -> np.ndarray:
     """Linear convolutions of the elementwise p-th powers of every row pair
     of ``left`` (..., a) and ``right`` (..., b), taken in the order given,
-    whose leading axes broadcast, for each exponent p of ``ladder``.
+    whose leading axes broadcast, for each exponent p of ``ladder``, cut to
+    the keep-window ``window=(lo, n)`` (all a + b - 1 outputs by default).
 
     The leading axis is cut into blocks of at most BLOCK_FLOATS live floats
     (one index at least). Per block, each operand takes one transform of
     every rung of its rows (``_spectra``), so a left row shared through
     broadcasting within a block, such as a parent message against its two
-    children, is transformed once. Every pair is transformed whole, at
-    ``fft_length(a + b - 1)``. Each row of the block has a + b - 1 outputs,
-    not clipped (round-off can leave them slightly negative).
-    ``finish(rows, out, kept)`` maps ``out``, the (rungs, *block, a + b - 1)
-    outputs of the block ``rows`` (a slice of the leading axis), to the
-    (*block, n) results of the columns ``kept`` of the keep-window
-    ``window=(lo, n)`` (all a + b - 1 by default). Without ``finish`` the
-    results are the first rung's outputs clipped at zero. The results of
-    all blocks are returned as one (..., n) array, empty when a leading
-    axis is.
+    children, is transformed once. Every pair is transformed whole. Most
+    pairs take one linear transform, at ``fft_length(a + b - 1)``, which
+    gives every kept column and each row's scale, its peak over all a + b -
+    1 outputs. A long-by-short pair (``_valid_part``, unless ``linear``)
+    takes a circular transform at ``fft_length(l)`` instead, which gives its
+    valid columns and each row's scale, its peak over the whole circular
+    output; only a window that reaches past the valid columns also takes
+    the linear transform, for its columns outside them. So every kept
+    column and every scale of a row is the same whatever the window, and
+    a reverse tree layer, whose window is its valid columns, transforms at
+    the parent's length only. Outputs are not clipped (round-off can leave
+    them slightly negative).
+
+    ``finish(rows, kept, scales)`` maps ``kept``, the (rungs, *block, n)
+    kept columns of the block ``rows`` (a slice of the leading axis), and
+    ``scales``, the (rungs, *block) row scales, to the block's (*block, n)
+    results. Without ``finish`` the results are the first rung's kept
+    columns clipped at zero. ``peaks``, if given, an array of the leading
+    shape, receives the first rung's row scales. The results of all blocks
+    are returned as one (..., n) array, empty when a leading axis is.
 
     The transforms run in the buffers of the calling thread's workspace
     (``_scratch``, which keeps no buffer above KEEP_BYTES; the module
@@ -240,22 +294,28 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     powers in turn and then the inverse transform, and one spectra buffer
     per operand. The product is taken in place in the right operand's
     spectra, so a right operand whose leading shape is not the product's
-    is first broadcast to it. ``out`` is a view of the workspace, which
-    ``finish`` may overwrite but must not return or keep: nothing returned
-    aliases the workspace, so a later call, such as the support counts
-    that ``numeric._refine_rows`` takes of a result, cannot change a
+    is first broadcast to it. ``kept`` may be a view of the workspace,
+    which ``finish`` may overwrite but must not return or keep: nothing
+    returned aliases the workspace, so a later call, such as the support
+    counts that ``numeric._refine_rows`` takes of a result, cannot change a
     result already returned.
     """
-    lead = left.shape[:-1]
-    if right.shape[:-1] != lead:  # np.broadcast_shapes costs about 2 us
-        lead = np.broadcast_shapes(lead, right.shape[:-1])
+    lead = _lead(left, right)
     a, b = left.shape[-1], right.shape[-1]
-    size = fft_length(a + b - 1)
     lo, n = (0, a + b - 1) if window is None else window
     if 0 in lead:
         return np.empty(lead + (n,))
+    # the transform lengths, the first giving the scales and the kept
+    # columns first..stop - 1, a second the other kept columns
+    sizes, first, stop = [fft_length(a + b - 1)], lo, lo + n
+    valid = None if linear else _valid_part(a, b)
+    if valid is not None:
+        first = min(max(lo, valid[0]), lo + n)
+        stop = max(min(lo + n, valid[1]), first)
+        sizes = [fft_length(valid[1])] + (sizes if stop - first < n else [])
+    size = max(sizes)
     rungs = len(ladder)
-    shape = (lead or (1,)) + (a + b - 1,)
+    shape = (lead or (1,)) + (n,)
     left, right = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (left, right))
     if right.shape[:-1] != shape[:-1]:
         right = np.broadcast_to(right, shape[:-1] + (b,))
@@ -270,22 +330,52 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     buffers = _scratch({"stack": rungs * p_rows * size,
                         "left": 2 * rungs * l_rows * half,  # floats of complex spectra
                         "right": 2 * rungs * p_rows * half})
-    kept = slice(lo, lo + n)
+    if peaks is not None:
+        peaks = peaks.reshape(shape[:-1])
     if finish is None or len(blocks) > 1:
-        result = np.empty(shape[:-1] + (n,))
+        result = np.empty(shape)
     else:
         result = None  # the finish of the one block returns it
     for start in blocks:
         rows = slice(start, start + blocks.step)
         l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
-        out = _transform(l, r, ladder, size, buffers)[..., :a + b - 1]
+        kept, scales = _kept_columns(l, r, ladder, sizes, (lo, n), (first, stop), buffers)
+        if peaks is not None:
+            peaks[rows] = scales[0]
         if result is None:
-            result = finish(rows, out, kept)
+            result = finish(rows, kept, scales)
         elif finish is None:
-            np.maximum(out[0, ..., kept], 0.0, out=result[rows])
+            np.maximum(kept[0], 0.0, out=result[rows])
         else:
-            result[rows] = finish(rows, out, kept)
+            result[rows] = finish(rows, kept, scales)
     return result.reshape(lead + (n,))
+
+
+def _kept_columns(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...],
+                  sizes: list[int], window: tuple[int, int], columns: tuple[int, int],
+                  buffers: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The (rungs, *lead, n) kept columns of ``window=(lo, n)`` of every row
+    pair of one block of ``_convolve_rows`` and the (rungs, *lead) row
+    scales.
+
+    The transform at ``sizes[0]`` gives the scales, each row's peak over
+    its first a + b - 1 columns (past them a circular transform holds only
+    round-off), and the kept columns ``columns=(first, stop)``; one at
+    ``sizes[1]``, if there is one, gives the other kept columns. The kept
+    columns of one transform are a view of ``buffers["stack"]``.
+    """
+    (lo, n), (first, stop) = window, columns
+    outputs = left.shape[-1] + right.shape[-1] - 1
+    out = _transform(left, right, ladder, sizes[0], buffers)[..., :outputs]
+    if len(sizes) == 1:
+        return out[..., lo:lo + n], out.max(axis=-1)
+    scales = out.max(axis=-1)
+    kept = np.empty(out.shape[:-1] + (n,))
+    kept[..., first - lo:stop - lo] = out[..., first:stop]
+    out = _transform(left, right, ladder, sizes[1], buffers)
+    kept[..., :first - lo] = out[..., lo:first]
+    kept[..., stop - lo:] = out[..., stop:lo + n]
+    return kept, scales
 
 
 def _transform(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...], size: int,
@@ -366,8 +456,8 @@ def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], a: np.ndarra
     ``kernel`` as it is. A span pair goes as its two spans, under the
     keep-window moved to where its span output starts and cut to that
     output. Its kept columns are written back among exact +0.0, and its
-    peak is its span output's, which is the full row's whenever the pair
-    has mass.
+    scale is its spans' (a span output's peak is the full row's whenever
+    the pair has mass).
 
     A rows call goes to ``kernel`` whole. Only rows probed narrow
     (``_maybe_narrow``) can make a span pair, and each span pair among
@@ -408,7 +498,7 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
                        window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """fast_convolve of every row pair of ``left`` (..., a) and ``right``
     (..., b), whose leading axes broadcast, cut to the keep-window
-    ``window=(lo, n)``: the kept columns and row peaks (``_keep_window``).
+    ``window=(lo, n)``: the kept columns and row scales (``_convolve_rows``).
 
     Each row is bit-identical to the one-pair call on that row pair, which
     is cut to its spans (``_cut_pair``).
@@ -420,15 +510,8 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
 def _fast_rows(a: np.ndarray, b: np.ndarray,
                window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """fast_convolve_rows of the canonical operands (``_cut_pair``)."""
-    return _keep_window(_convolve_rows(a, b), window)
-
-
-def _keep_window(out: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The kept columns ``out[..., lo:lo + n]`` of ``window=(lo, n)`` and
-    each full row's peak ``out.max(axis=-1)``: what every row kernel
-    returns."""
-    lo, n = window
-    return out[..., lo:lo + n], out.max(axis=-1)
+    peak = np.empty(_lead(a, b))
+    return _convolve_rows(a, b, window=window, peaks=peak), peak
 
 
 def _one_pair(kernel: Callable, left: Pmf, right: Pmf, *args) -> Pmf:

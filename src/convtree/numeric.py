@@ -21,6 +21,12 @@ The ladder's upper rungs of a wide pair are transformed over each
 operand row's significant span only; ``_ladder_rows`` bounds what that
 drops.
 
+Each row is scaled by the scale ``fftconv._convolve_rows`` gives it: its
+full row's peak, or for a long-by-short pair the peak of its circular
+transform. That is each rung's normalizer in the ladder and the refine
+threshold of the p-norm, and it is the same under every keep-window, so a
+windowed row keeps the bits of its full call.
+
 Neither operator works through the exact zeros of a span pair
 (``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
 half of its outputs). Such a pair is cut to its spans right after the
@@ -30,6 +36,7 @@ spans alone, and every other kept column is exact +0.0.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -41,9 +48,10 @@ from .fftconv import (
     _convolve_rows,
     _cut_pair,
     _edges,
-    _keep_window,
+    _fast_rows,
     _ladder_powers,
     _one_pair,
+    _valid_part,
     padded_length,
 )
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
@@ -117,19 +125,20 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
 def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
                  window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """p_norm_convolve of every row pair, cut to the keep-window
-    ``window=(lo, n)``: the kept columns and each full row's peak.
+    ``window=(lo, n)``: the kept columns and each row's scale
+    (``fftconv._convolve_rows``).
 
     Inputs are divided by their maxima before the p-th power, so large
     values cannot overflow, and the output is scaled back. The powered
     operands are put in canonical order and convolved, and outputs below
-    REFINE_BELOW of each row's peak are recomputed by direct summation.
+    REFINE_BELOW of each row's scale are recomputed by direct summation.
     The refine and the root act on the kept columns only: the refine reads
-    the whole row (``_refine_rows``) to find and cut its small outputs but
-    sums only the pieces that reach into the window, and a row's peak,
-    never small, is the root of its largest power sum, since the root is
-    monotone. A span pair is cut to the spans of its powered operands
-    after the canonical order (``_cut_pair``), so its convolution, refine
-    and root run on the spans alone.
+    every part of the row that the window touches (``_p_norm_sums``) to
+    find and cut its small outputs but sums only the pieces that reach into
+    the window, and a row's scale is the root of its power sums' scale,
+    since the root is monotone. A span pair is cut to the spans of its
+    powered operands after the canonical order (``_cut_pair``), so its
+    convolution, refine and root run on the spans alone.
     """
     p = _check_p(p)
     left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
@@ -147,13 +156,31 @@ def _p_norm_sums(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
                  p: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """_p_norm_rows of the canonical powered operands (``_cut_pair``),
     before the input scale: the refined power sums of the kept columns
-    and each full row's peak, both rooted."""
-    sums = _convolve_rows(a, b)
-    _refine_rows(sums, a, b, window)
-    out, peak = _keep_window(sums, window)
+    and each row's scale (``fftconv._convolve_rows``), both rooted.
+
+    The sums are taken over every part (``_parts``) that the window
+    touches, so the refine finds all the small outputs of those parts."""
+    lo, n = window
+    start, stop = lo, lo + n
+    if n:
+        bounds = _parts(a.shape[-1], b.shape[-1])
+        start = bounds[bisect.bisect_right(bounds, lo) - 1]
+        stop = bounds[bisect.bisect_left(bounds, lo + n)]
+    sums, peak = _fast_rows(a, b, (start, stop - start))
+    _refine_rows(sums, a, b, window, start, peak)
+    out = sums[..., lo - start:lo - start + n]
     if p == 1.0:
         return out, peak
     return _root(out, p), np.power(peak, 1.0 / p)
+
+
+def _parts(a: int, b: int) -> list[int]:
+    """The column bounds of the parts of the a + b - 1 outputs of a row
+    pair of ``a`` and ``b`` values that the refine takes apart: the edges
+    and valid columns of a long-by-short pair (``fftconv._valid_part``),
+    the whole row of any other. A part's kept columns are the same whatever
+    the keep-window, and so are its pieces of direct sums."""
+    return [0, *(_valid_part(a, b) or ()), a + b - 1]
 
 
 def _root(x: np.ndarray, p: float) -> np.ndarray:
@@ -174,28 +201,32 @@ def _root(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, 1.0 / p, out=x)
 
 
-def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[int, int]):
-    """_refine_small_values of each row of ``out`` that has a small output
-    in the kept columns ``out[..., lo:lo + n]`` (``window=(lo, n)``), small
-    meaning against the full row's peak."""
+def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[int, int],
+                 start: int = 0, peak: np.ndarray | None = None):
+    """_refine_small_values of each row of ``out``, which holds output
+    columns start, start + 1, ... of every row pair, that has a small output
+    in the kept columns of ``window=(lo, n)``, small meaning against the
+    row's ``peak`` (its maximum in ``out`` by default)."""
     # One pair: _refine_small_values finds its small outputs itself; the
     # scan and index loop below add 22-38 us to a 67-80 us one-pair
     # p_norm_convolve at k = 64 (2 vCPUs).
     if out.ndim == 1:
-        _refine_small_values(out, a, b, window)
+        _refine_small_values(out, a, b, window, start, peak)
         return
     lo, n = window
     a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
-    peak = out.max(axis=-1, keepdims=True)
-    small = ((out[..., lo:lo + n] <= peak * REFINE_BELOW) & (peak > 0.0)).any(axis=-1)
+    peak = out.max(axis=-1) if peak is None else peak
+    kept = out[..., lo - start:lo - start + n]
+    small = ((kept <= peak[..., None] * REFINE_BELOW) & (peak > 0.0)[..., None]).any(axis=-1)
     for index in map(tuple, np.argwhere(small)):
-        _refine_small_values(out[index], a[index], b[index], window)
+        _refine_small_values(out[index], a[index], b[index], window, start, peak[index])
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         window: tuple[int, int]):
-    """Recompute the outputs in the kept columns ``out[lo:lo + n]``
-    (``window=(lo, n)``) at or below REFINE_BELOW * max(out) by direct
+                         window: tuple[int, int], start: int = 0, peak: float | None = None):
+    """Recompute the outputs of ``out``, which holds output columns start,
+    start + 1, ..., at or below REFINE_BELOW * ``peak`` (its maximum by
+    default) that are kept columns of ``window=(lo, n)``, by direct
     summation, in place.
 
     FFT round-off is absolute (~1e-16 of the peak), so outputs far below the
@@ -208,18 +239,18 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     2. If a trimmed operand still has interior zeros, one FFT convolution of
        the two support indicators, rounded, counts the nonzero terms of
        every output; small outputs with none are exactly zero.
-    3. The other small outputs are grouped into runs of consecutive indices,
-       merging gaps of at most _RUN_GAP, and cut into pieces of at most
-       REFINE_RUN_CAP outputs; each piece is one
+    3. The other small outputs are grouped into runs of consecutive indices
+       in one part (``_parts``), merging gaps of at most _RUN_GAP, and cut
+       into pieces of at most REFINE_RUN_CAP outputs; each piece is one
        ``np.convolve(mode="valid")`` over the slices of both operands it
        needs.
 
-    The steps see every small output of the row, so the pieces do not
-    depend on ``window``; it only skips the direct sums of pieces that do
-    not reach into it. Every kept output is then the same sum over the
-    same piece as under the full window, bit for bit, and the row's peak
-    is untouched. Small outputs outside the window are left at zero or at
-    their direct sum, both far below the peak.
+    The steps see every small output that ``out`` holds, and ``out`` holds
+    whole parts, so the pieces do not depend on ``window``; it only skips
+    the direct sums of pieces that do not reach into it. Every kept output
+    is then the same sum over the same piece as under the full window, bit
+    for bit. Small outputs outside the window are left at zero or at their
+    direct sum, both far below the peak.
 
     Cost: at most one FFT; plus, in C, about the sum of the trimmed overlaps
     of the small outputs that have nonzero terms (a piece of R outputs
@@ -228,25 +259,30 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     Python work per piece. Dense, smooth tails keep the middle term large,
     since each of their small outputs has many nonzero terms.
     """
-    peak = out.max()
+    peak = out.max() if peak is None else peak
     if peak <= 0.0:
         return
     index = np.flatnonzero(out <= peak * REFINE_BELOW)
     if index.size == 0:
         return
     out[index] = 0.0  # the exact value of every output without a nonzero term
+    parts = _parts(a.size, b.size)
     (a_start, a), (b_start, b) = _trimmed(a), _trimmed(b)
     if b.size > a.size:  # slide the longer operand under the shorter one
         (a_start, a), (b_start, b) = (b_start, b), (a_start, a)
     shift = a_start + b_start
-    index = index[(index >= shift) & (index < shift + a.size + b.size - 1)] - shift
+    index += start - shift  # in trimmed indices from here on
+    index = index[(index >= 0) & (index < a.size + b.size - 1)]
     if not (a.all() and b.all()):
         index = index[_support_counts(a, b)[index] > 0.5]
     lo, n = window
-    keep_first, keep_last = lo - shift, lo + n - 1 - shift  # in trimmed indices
-    bounds = [0, *(np.flatnonzero(np.diff(index) > _RUN_GAP + 1) + 1).tolist(), index.size]
-    for start, stop in zip(bounds, bounds[1:]):
-        run = index[start:stop]
+    keep_first, keep_last = lo - shift, lo + n - 1 - shift
+    breaks = np.diff(index) > _RUN_GAP + 1
+    if len(parts) > 2:  # no run crosses the bound of a part
+        breaks |= np.diff(np.searchsorted(np.array(parts) - shift, index, side="right")) != 0
+    bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), index.size]
+    for begin, end in zip(bounds, bounds[1:]):
+        run = index[begin:end]
         for cut in range(0, run.size, REFINE_RUN_CAP):
             piece = run[cut:cut + REFINE_RUN_CAP]
             first, last = int(piece[0]), int(piece[-1])
@@ -256,7 +292,7 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
             b_lo, b_hi = max(0, first - a.size + 1), min(b.size - 1, last)
             sums = np.convolve(_window(a, first - b_hi, last - b_lo), b[b_lo:b_hi + 1],
                                mode="valid")
-            out[shift + piece] = sums[piece - first]
+            out[shift - start + piece] = sums[piece - first]
 
 
 def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -270,7 +306,8 @@ def _support_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The number of nonzero terms a[l] * b[m - l] of every output m of the
     trimmed ``a`` and ``b``, from one FFT convolution of the 0/1 support
     indicators."""
-    return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float)))
+    return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float),
+                                  linear=True))
 
 
 def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -319,25 +356,31 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     """Max-normalized p-norm estimate at every rung, stitched per index, of
     every row pair of ``left`` (..., a) and ``right`` (..., b), whose
     leading axes broadcast, cut to the keep-window ``window=(lo, n)``: the
-    kept columns lo..lo+n-1 and each full row's peak.
+    kept columns lo..lo+n-1 and each row's input scale.
 
     Both inputs of a pair are divided by their maxima before exponentiation
     so the dominant terms start at 1 and survive the p-th power; each rung's
-    convolution is divided by its own peak before the 1/p root, and the
-    input scale is multiplied back at the end. Each index takes the value of
-    the largest exponent whose normalized result clears tau; the smallest
-    exponent is the fallback, so a one-rung ladder never reads tau.
+    convolution is divided by its own row scale (``fftconv._convolve_rows``:
+    its peak, or a long-by-short pair's circular peak) before the 1/p
+    root, and the input scale is multiplied back at the end. Each index
+    takes the value of the largest exponent whose normalized result clears
+    tau; the smallest exponent is the fallback, so a one-rung ladder never
+    reads tau.
 
     All rungs of all rows ride the stacked transforms of _convolve_rows,
     and every step after them acts on each row alone, so each row is
-    bit-identical to the one-pair call. Each rung's peak is taken over all
-    its outputs; the divide, root and stitch run on the kept columns only.
-    Every stitched row peaks at exactly 1 (the top rung's root of its own
-    peak, which clears tau; no root of a value <= 1 exceeds 1), so a full
-    row's peak is its input scale. The upper rungs of a wide pair are
-    transformed over its significant spans only (``_ladder_rows``).
+    bit-identical to the one-pair call. Each rung's scale is taken over
+    all its outputs, whatever the window; the divide, root and stitch run
+    on the kept columns only. The returned scale is the input scale. A
+    stitched row whose top rung is scaled by its own peak peaks at exactly
+    1 (the root of that peak, which clears tau; no root of a value <= 1
+    exceeds 1), so its input scale is its full row's peak. A long-by-short
+    pair's circular peak can exceed its linear one (a wrapped column sums
+    two outputs), and then its row peaks below 1. The upper rungs of a
+    wide pair are transformed over its significant spans only
+    (``_ladder_rows``).
 
-    The rows arrive unclipped. A rung's raw peak equals its clipped one,
+    The rows arrive unclipped. A rung's raw scale equals its clipped one,
     since every rung peaks at about 1. The fallback's kept columns go from
     that division straight into ``_root``; each upper rung roots only its
     values above its floor (defined below): no index could take the rest.
@@ -427,7 +470,10 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     fallback where they clear tau, at the sum of its cuts' starts, and the
     stitched rows are scaled once. Every step acts on each row alone and
     runs the float operations of the stack, so both paths give the same
-    bits.
+    bits. The cuts take the linear transform and are scaled by their own
+    peaks, but a whole pair takes the transforms that the stack would give
+    it (``fftconv._convolve_rows``), so a row's bits do not depend on
+    whether another row of its call is cut.
     """
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
@@ -442,9 +488,8 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     # unrooted.
     floors = [0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in ladder[1:]]
 
-    def normalized(vms, kept):
-        kept = vms[..., kept]
-        kept /= vms.max(axis=-1, keepdims=True)
+    def normalized(kept, scales):
+        kept /= scales[..., None]
         return kept
 
     def upper(rungs, stitched):
@@ -456,16 +501,16 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
             np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
         return stitched
 
-    def fallback(rows, vms, kept):
-        # the smallest exponent, divided into a new array: vms is the workspace
-        return _root(vms[0][..., kept] / vms[0].max(axis=-1, keepdims=True), ladder[0])
+    def fallback(rows, kept, scales):
+        # the smallest exponent, divided into a new array: kept may be the workspace
+        return _root(kept[0] / scales[0][..., None], ladder[0])
 
-    def finish(rows, vms, kept):
-        kept = normalized(vms, kept)
+    def finish(rows, kept, scales):
+        kept = normalized(kept, scales)
         return upper(kept[1:], _root(kept[0], ladder[0])) * scale[rows, ..., None]
 
-    def cut(rows, vms, kept):
-        return upper(normalized(vms, kept), np.zeros(vms.shape[1:-1] + (kept.stop - kept.start,)))
+    def cut(rows, kept, scales):
+        return upper(normalized(kept, scales), np.zeros(kept.shape[1:]))
 
     na, nb = a.shape[-1], b.shape[-1]
     groups = None
@@ -482,8 +527,10 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
         stop = int(np.clip(lo + n - offsets.min(), first, outputs))
         if stop == first:
             continue
-        values = _convolve_rows(a_rows, b_rows, ladder[1:], cut,
-                                (first, stop - first)).reshape(len(pairs), -1)
+        # whole pairs keep the transforms of the three-rung stack
+        whole = a_rows.shape[-1] == na and b_rows.shape[-1] == nb
+        values = _convolve_rows(a_rows, b_rows, ladder[1:], cut, (first, stop - first),
+                                linear=not whole).reshape(len(pairs), -1)
         for row, offset, value in zip(pairs.tolist(), offsets.tolist(), values):
             start, end = max(first, lo - offset), min(stop, lo + n - offset)
             if end > start:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fftconv import _edges, _keep_window, _one_pair, fast_convolve_rows, padded_length
+from .fftconv import _edges, _one_pair, fast_convolve_rows, padded_length
 from .numeric import (
     PiecewiseConfig,
     _check_p,
@@ -55,14 +55,16 @@ class ConvolutionOperator:
 
     ``apply_rows(left, right, window=(lo, n))``, if given, takes a (..., a)
     and a (..., b) array whose leading axes broadcast and returns the pair
-    ``(full[..., lo:lo + n], full.max(axis=-1))``, bit for bit, where
-    every row of ``full`` is ``apply`` of that row pair: a kernel may skip
-    work on the columns it drops. The tree makes one call per segment of
-    a layer (``convolution_tree``), a forward segment keeping its parents'
-    longest reach ``(0, reach)`` and a reverse segment each child's window
-    ``(w - 1, w)``. Without
-    ``apply_rows`` the tree calls ``apply`` once per pair, on the same rows
-    wrapped as Pmfs at offset 0.
+    ``(full[..., lo:lo + n], scale)``, bit for bit, where every row of
+    ``full`` is ``apply`` of that row pair: a kernel may skip work on the
+    columns it drops. ``scale`` holds each row's scale, the same whatever
+    the window: ``full.max(axis=-1)``, or, for a stock operator's
+    long-by-short pair (``fftconv._valid_part``), the peak of its circular
+    transform as its kernel scales it. The tree makes one call per segment
+    of a layer (``convolution_tree``), a forward segment keeping its
+    parents' longest reach ``(0, reach)`` and a reverse segment each
+    child's window ``(w - 1, w)``. Without ``apply_rows`` the tree calls
+    ``apply`` once per pair, on the same rows wrapped as Pmfs at offset 0.
     """
 
     name: str
@@ -224,9 +226,11 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
     # sibling, i.e. convolution with the negated (reversed) sibling, cut
     # back down to the child's own support, which is the same window of
     # every row of a segment; the operator computes only that window, plus
-    # each full row's peak for the zero-mass floor (a sum or p-norm row
-    # peaks above 1 before the cut, and FFT round-off scales with that
-    # peak). Both children share the parent's message. A segment of
+    # each row's scale for the zero-mass floor (a sum or p-norm row peaks
+    # above 1 before the cut, and FFT round-off scales with that peak; a
+    # long-by-short pair's scale, the peak of the circular transform that
+    # gives its window, bounds the round-off of that transform). Both
+    # children share the parent's message. A segment of
     # padding pairs is applied too, as every pair is, but no output reads
     # its messages: they are kept as point masses, unchecked.
     for level in reversed(range(len(segments))):
@@ -335,7 +339,8 @@ def _per_pair_rows(apply: Callable[[Pmf, Pmf], Pmf], left: np.ndarray,
     out = np.empty(lead + (left.shape[-1] + right.shape[-1] - 1,))
     for index in np.ndindex(lead):
         out[index] = apply(Pmf(left[index]), Pmf(right[index])).values
-    return _keep_window(out, window)
+    lo, n = window
+    return out[..., lo:lo + n], out.max(axis=-1)
 
 
 def tree_cost_estimate(n: int, k: int) -> float:

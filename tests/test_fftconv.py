@@ -391,6 +391,61 @@ def test_windowed_reverse_layer_makes_fewer_direct_sums():
         assert windowed.max(axis=-1).tobytes() == full.max(axis=-1).tobytes()
 
 
+def test_refine_runs_stop_at_the_bounds_of_the_valid_columns(monkeypatch):
+    # one output of a long-by-short pair (l = 2s - 1) is large, at column
+    # 44; every other is small: one run over the gap it leaves, which the
+    # valid columns 29..58 cut into three
+    s = 30
+    a, b = np.full(2 * s - 1, 1e-9), np.full(s, 1e-9)
+    a[s - 1], b[s // 2] = 1.0, 1.0
+    row = fast_convolve(Pmf(a), Pmf(b)).values
+    expected = row.copy()
+    refine_per_index(expected, a, b, 1e-6)
+    got = row.copy()
+    assert refine_calls(got, a, b) == 1
+    monkeypatch.setattr(fftconv, "VALID_FROM", s)
+    got = row.copy()
+    assert refine_calls(got, a, b) == 3
+    assert_refined_like_oracle(got, expected)
+
+
+@pytest.mark.parametrize("window, held", [
+    ((35, 10), (29, 30)), ((29, 30), (29, 30)), ((20, 20), (0, 59)), ((50, 20), (29, 59)),
+    ((0, 20), (0, 29)), ((65, 20), (59, 29)), ((10, 70), (0, 88)), ((88, 0), (88, 0)),
+])
+def test_p_norm_sums_take_every_part_the_window_touches(monkeypatch, window, held):
+    # the parts of a 59 by 30 pair: columns 0..28, the valid 29..58, 59..87
+    monkeypatch.setattr(fftconv, "VALID_FROM", 30)
+    windows = []
+    convolve_rows = fftconv._convolve_rows
+
+    def spying_convolve_rows(left, right, *args, **kwargs):
+        windows.append(kwargs["window"])
+        return convolve_rows(left, right, *args, **kwargs)
+
+    monkeypatch.setattr(fftconv, "_convolve_rows", spying_convolve_rows)
+    rng = np.random.default_rng(22)
+    for p in (1.0, 4.0):
+        windows.clear()
+        _p_norm_rows(rng.random((2, 1, 59)), rng.random((2, 2, 30)), p, window=window)
+        assert windows == [held]
+    # any other pair takes its whole row for a window that keeps a column
+    windows.clear()
+    _p_norm_rows(rng.random(59), rng.random(31), 1.0, window=window)
+    assert windows == [(0, 89) if window[1] else window]
+
+
+def test_support_counts_take_the_linear_transform(monkeypatch):
+    # every count is needed, edges and valid columns alike, so a
+    # long-by-short pair of combs takes one transform of its full output
+    monkeypatch.setattr(fftconv, "VALID_FROM", 1)
+    a, b = np.tile([1.0, 0.0], 40)[:-1], np.tile([1.0, 0.0], 10)[:-1]
+    lengths = spy_rfft_lengths(monkeypatch)
+    counts = numeric._support_counts(a, b)
+    assert lengths == [fft_length(79 + 19 - 1)] * 2
+    assert_array_equal(counts, np.convolve(a, b))
+
+
 def test_refine_leaves_a_row_without_small_outputs_alone():
     rng = np.random.default_rng(13)
     a, b = rng.random(30), rng.random(30)
@@ -563,23 +618,95 @@ def test_peaked_pair_transforms_its_spans_only(monkeypatch, one_pair):
 
 
 @pytest.mark.parametrize("name", ["sum", "max-numeric", "pnorm:1", "pnorm:4"])
-def test_dense_tree_transforms_at_the_full_length(monkeypatch, name):
-    # no row pair of a subset-sum solve is a span pair, so its layers keep
-    # the transforms, and the bits, of whole rows
-    instance = generate_subset_sum_instance(32, 256, 0)
+def test_dense_tree_transforms_forward_whole_and_reverse_at_the_parents_length(monkeypatch,
+                                                                             name):
+    # no row pair of a subset-sum solve is a span pair: a forward layer of
+    # rows w wide transforms at fft_length(2w - 1), and a reverse layer of
+    # parents W = 2w - 1 wide at fft_length(W) from VALID_FROM on, at
+    # fft_length(W + w - 1) below it; reaches k, 2k - 1, 4k - 3, ... cross
+    # the floor between the second and third reverse layers from the leaves
+    instance = generate_subset_sum_instance(32, fftconv.VALID_FROM // 2, 0)
     expected, lengths = [], spy_rfft_lengths(monkeypatch)
     convolve_rows = fftconv._convolve_rows
 
     def spying_convolve_rows(left, right, *args, **kwargs):
-        expected.append((len(lengths), fft_length(left.shape[-1] + right.shape[-1] - 1)))
+        (a, b), size = sorted((left.shape[-1], right.shape[-1]), reverse=True), None
+        if a == b:  # forward
+            size = fft_length(2 * a - 1)
+        elif a == 2 * b - 1:  # reverse
+            size = fft_length(a) if b >= fftconv.VALID_FROM else fft_length(a + b - 1)
+        expected.append((len(lengths), size, a != b and b >= fftconv.VALID_FROM))
         return convolve_rows(left, right, *args, **kwargs)
 
     for module in (fftconv, numeric):
         monkeypatch.setattr(module, "_convolve_rows", spying_convolve_rows)
     convolution_tree(instance.priors, instance.sum_likelihood, operator_from_name(name))
     assert len(lengths) == 2 * len(expected) >= 20
-    for first, size in expected:
+    for first, size, _ in expected:
         assert lengths[first:first + 2] == [size, size]
+    # reverse layers on both sides of the floor
+    assert {circular for *_, circular in expected} == {True, False}
+
+
+@pytest.mark.parametrize("name", ["sum", "max-numeric", "pnorm:1", "pnorm:4"])
+def test_dense_reverse_layer_transforms_at_the_parents_length_only(monkeypatch, name):
+    # the keep-window (w - 1, w) of parents 2w - 1 wide is their valid part
+    rng = np.random.default_rng(21)
+    w = fftconv.VALID_FROM
+    message, siblings = rng.random((3, 1, 2 * w - 1)), rng.random((3, 2, w))
+    lengths = spy_rfft_lengths(monkeypatch)
+    operator_from_name(name).apply_rows(message, siblings, window=(w - 1, w))
+    assert lengths == [fft_length(2 * w - 1)] * 2
+    # a window past the valid columns takes the linear transform too
+    lengths.clear()
+    operator_from_name(name).apply_rows(message, siblings, window=(w - 2, w))
+    assert lengths == [fft_length(2 * w - 1)] * 2 + [fft_length(3 * w - 2)] * 2
+
+
+def long_by_short_pairs():
+    """Full one-pair calls of long-by-short pairs above VALID_FROM: l = 2s - 1
+    and l > 2s - 1, random and peaked."""
+    rng = np.random.default_rng(23)
+    s = fftconv.VALID_FROM
+    bins = np.arange(3 * s)
+    return [(Pmf(rng.random(2 * s - 1)), Pmf(rng.random(s), offset=3)),
+            (Pmf(rng.random(s)), Pmf(rng.random(3 * s), offset=-2)),
+            (Pmf(np.exp(-0.5 * ((bins - 0.4 * s) / 40.0) ** 2)),
+             Pmf(np.exp(-0.5 * ((bins[:s] - 0.7 * s) / 15.0) ** 2)))]
+
+
+@pytest.mark.parametrize("pair", range(3))
+def test_long_by_short_pairs_match_naive_convolution(pair):
+    left, right = long_by_short_pairs()[pair]
+    naive = naive_convolve(left, right)
+    scale = naive.values.max()
+    for one_pair in (fast_convolve, partial(p_norm_convolve, p=1.0)):
+        out = one_pair(left, right)
+        assert (out.offset, len(out)) == (naive.offset, len(naive))
+        assert np.abs(out.values - naive.values).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("pair", range(3))
+def test_long_by_short_pairs_bound_the_max_convolution(pair):
+    # the norm sandwich, the p = 64 ratio band and the piecewise median
+    # error of equal-length pairs, on full one-pair calls
+    left, right = long_by_short_pairs()[pair]
+    exact = naive_max_convolve(left, right).values
+    slack = 1e-9 * exact.max()
+    t = pair_counts(len(left), len(right))
+    for p in (4.0, 64.0):
+        est = p_norm_convolve(left, right, p).values
+        # below, only where the p-th power of the max-normalized exact value
+        # is normal: a peaked pair's far tail underflows to zero at p = 64
+        normal = (exact / exact.max()) ** p >= np.finfo(float).tiny
+        assert np.all(est[normal] >= exact[normal] - slack)
+        assert np.all(est <= exact * t ** (1.0 / p) + slack)
+    band = exact >= 0.6 * exact.max()
+    ratio = max_convolve_normalized(left, right, 64.0).values[band] / exact[band]
+    assert np.all((ratio >= 1 / 1.2) & (ratio <= 1.2))
+    keep = exact >= 1e-3 * exact.max()
+    est = max_convolve_piecewise(left, right).values
+    assert np.median(np.abs(est[keep] - exact[keep]) / exact[keep]) <= 0.1
 
 
 @pytest.mark.parametrize("kernel", [

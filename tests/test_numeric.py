@@ -381,13 +381,15 @@ def comb_pair():
 
 def per_rung_ladder(left, right, ladder, tau, window):
     """The ladder kernel as it was before upper rungs were clamped to their
-    floors: clip every output at zero, divide each rung by its peak, root
-    every kept column with np.power and stitch where the root clears tau.
-    A span pair is cut to its spans, as the ladder cuts it. From CUT_FROM
-    outputs on, each upper rung of a pair whose row cuts
-    (``numeric._row_cuts``) make at most CUT_SHARE of its outputs is that
-    rung's convolution of the two cuts, placed at the sum of their starts
-    among zeros."""
+    floors: clip every output at zero, divide each rung by its row scale,
+    root every kept column with np.power and stitch where the root clears
+    tau. A rung's row scale is its peak, or for a long-by-short pair
+    (``fftconv._valid_part``) the peak of its circular convolution at the
+    longer row's length. A span pair is cut to its spans, as the ladder
+    cuts it. From CUT_FROM outputs on, each upper rung of a pair whose row
+    cuts (``numeric._row_cuts``) make at most CUT_SHARE of its outputs is
+    that rung's linear convolution of the two cuts, placed at the sum of
+    their starts among zeros, and scaled by its peak."""
     a, b = fftconv._canonical_rows(np.asarray(left, dtype=float),
                                    np.asarray(right, dtype=float))
 
@@ -399,6 +401,14 @@ def per_rung_ladder(left, right, ladder, tau, window):
         # every rung's clipped outputs, one transform per rung
         vms = np.stack([fftconv._convolve_rows(a, b, (p,)).reshape(-1, outputs)
                         for p in ladder])
+        scales = vms.max(axis=-1)
+        if fftconv._valid_part(a.shape[-1], b.shape[-1]):
+            size = fftconv.fft_length(max(a.shape[-1], b.shape[-1]))
+            for r, p in enumerate(ladder):
+                spectra = [np.fft.rfft(fftconv._ladder_powers(x, (p,))[0], size)
+                           for x in (a, b)]
+                circular = np.fft.irfft(spectra[0] * spectra[1], size)
+                scales[r] = np.broadcast_to(circular.max(axis=-1), lead).reshape(-1)
         if len(ladder) > 1 and outputs >= numeric.CUT_FROM:
             theta = numeric._cut_level(ladder, tau, min(a.shape[-1], b.shape[-1]))
             pairs = zip(*(np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
@@ -412,14 +422,16 @@ def per_rung_ladder(left, right, ladder, tau, window):
                 a_cut = rows[0][a_start:a_start + a_width]
                 b_cut = rows[1][b_start:b_start + b_width]
                 for r, p in enumerate(ladder[1:], 1):
-                    cut = fftconv._convolve_rows(a_cut, b_cut, (p,))
+                    cut = fftconv._convolve_rows(a_cut, b_cut, (p,), linear=True)
                     vms[r, pair] = 0.0
                     vms[r, pair, a_start + b_start:a_start + b_start + cut.size] = cut
+                    scales[r, pair] = cut.max()
         vms = vms.reshape((len(ladder),) + lead + (outputs,))
+        scales = scales.reshape((len(ladder),) + lead)
         stitched = None
-        for vm, p in zip(vms, ladder):
+        for vm, row_scale, p in zip(vms, scales, ladder):
             rung = vm[..., window[0]:window[0] + window[1]]
-            rung /= vm.max(axis=-1, keepdims=True)
+            rung /= row_scale[..., None]
             np.power(rung, 1.0 / p, out=rung)
             if stitched is None:
                 stitched = rung
@@ -443,6 +455,18 @@ def reverse_layer_rows():
     return messages, siblings, (w - 1, w)
 
 
+def reverse_layer_mixed_rows():
+    """Dense parent messages against siblings of which the first of each
+    pair is a narrow bump and the second dense: from CUT_FROM on, the
+    first pairs are cut and the second whole, in one call."""
+    rng = np.random.default_rng(12)
+    w = 40
+    messages = 0.5 + rng.random((3, 1, 2 * w - 1))
+    siblings = 0.5 + rng.random((3, 2, w))
+    siblings[:, 0] = np.exp(-0.5 * ((np.arange(w) - rng.uniform(10, 30, (3, 1))) / 1.5) ** 2)
+    return messages, siblings, (w - 1, w)
+
+
 LADDER, TAU = numeric.DEFAULT_P_LADDER, numeric.DEFAULT_TAU
 # (left, right, keep-window or None for the full one), ladder, tau
 LADDER_CASES = {
@@ -454,10 +478,19 @@ LADDER_CASES = {
     "floor-underflows": (lambda: (*comb_pair(), None), (4.0, 1500.0), TAU),
     "floor-root-rounds-to-tau": (lambda: (*peaked_pair(512, 4), None), (4.0, 1e300), 1.0),
     "reverse-window": (reverse_layer_rows, LADDER, TAU),
+    "reverse-mixed-cut": (reverse_layer_mixed_rows, LADDER, TAU),
 }
 
 
 def assert_ladder_is_the_per_rung_finish(case):
+    # at the stock VALID_FROM and with every long-by-short pair above it
+    with pytest.MonkeyPatch.context() as patch:
+        for floor in (fftconv.VALID_FROM, 1):
+            patch.setattr(fftconv, "VALID_FROM", floor)
+            assert_ladder_at_floor_is_the_per_rung_finish(case)
+
+
+def assert_ladder_at_floor_is_the_per_rung_finish(case):
     make, ladder, tau = LADDER_CASES[case]
     left, right, window = make()
     full = (0, left.shape[-1] + right.shape[-1] - 1)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import convtree.fftconv as fftconv
+import convtree.numeric as numeric
 import convtree.pmf as pmf_module
 import convtree.tree as tree_module
 from bruteforce import brute_force_tree, normalize_mode, spy_span_pairs
@@ -493,9 +494,11 @@ def window_cases():
     siblings layout, windows touching either end of the output, a peaked
     pair that the p-norm refine rewrites, a one-pair call, a peaked
     reverse layer whose runs of small outputs cross both window edges, so
-    the refine sums pieces that reach out of the window, and narrow rows
-    in that layout, span pairs, under windows that cut into their span
-    outputs or miss them."""
+    the refine sums pieces that reach out of the window, narrow rows in
+    that layout, span pairs, under windows that cut into their span
+    outputs or miss them, and long-by-short pairs (``fftconv._valid_part``)
+    of l = 2s - 1 and l > 2s - 1 columns under windows inside, straddling
+    and outside their valid columns s - 1..l - 1."""
     rng = np.random.default_rng(8)
     w = 24
     message, children = 0.05 + rng.random((3, 1, 2 * w - 1)), 0.05 + rng.random((3, 2, w))
@@ -515,6 +518,19 @@ def window_cases():
     # and from a few before 2w - 2 to its last
     message, children = bump(2 * w - 1, (3, 1, 1)), bump(w, (3, 2, 1))
     cases.append((message, children[:, ::-1, ::-1], (w - 1, w)))
+    # the same runs under windows that take parts of an edge and of the
+    # valid columns, and all of them
+    cases.append((message, children[:, ::-1, ::-1], (w - 6, w)))
+    cases.append((message, children[:, ::-1, ::-1], (3, 3 * w - 6)))
+
+    # long-by-short pairs: l = 2s - 1 in the reverse layout, and l > 2s - 1
+    # with the shorter row first
+    s = 30
+    message, children = 0.05 + rng.random((2, 1, 2 * s - 1)), 0.05 + rng.random((2, 2, s))
+    cases += [(message, children, window)
+              for window in ((35, 10), (20, 20), (50, 20), (0, 20), (65, 20), (10, 70))]
+    short, long = 0.05 + rng.random((3, 25)), 0.05 + rng.random((3, 80))
+    cases += [(short, long, window) for window in ((30, 40), (10, 90), (85, 19))]
 
     # span pairs: narrow parent messages against narrow children, one
     # message dense, under windows that cut into the span outputs of the
@@ -531,24 +547,57 @@ def window_cases():
                     (message, children[:, ::-1, ::-1], (300, 100))]
 
 
+def row_peaks(name, left, right, full):
+    """The peak each row pair's kernel returns: for a dense long-by-short
+    pair of a stock operator, the peak of its circular transform at
+    ``fft_length(l)`` as its kernel scales it (``fftconv._convolve_rows``),
+    and for any other pair the peak of its full row."""
+    peaks = np.asarray(full.max(axis=-1))
+    if name == "per-pair":
+        return peaks
+    lead = full.shape[:-1]
+    left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
+    for index in np.ndindex(lead):
+        a, b = sorted((left[index], right[index]), key=len, reverse=True)
+        if fftconv._valid_part(a.size, b.size) is None or fftconv._one_pair_spans(a, b):
+            continue
+        if name.startswith("max-numeric"):  # the top rung peaks at 1 times the input scale
+            peaks[index] = a.max() * b.max()
+            continue
+        p = 4.0 if name == "pnorm:4" else 1.0
+        x, y = (fftconv._ladder_powers(x / x.max(), (p,))[0] for x in (a, b)) if p > 1 else (a, b)
+        size = fftconv.fft_length(a.size)
+        peak = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size).max()
+        peaks[index] = peak if p == 1.0 else np.power(peak, 1.0 / p) * (a.max() * b.max())
+    return peaks
+
+
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
-@pytest.mark.parametrize("name", ["sum", "pnorm:1", "pnorm:4", "max-numeric", "per-pair"])
+@pytest.mark.parametrize("name", ["sum", "pnorm:1", "pnorm:4", "max-numeric",
+                                  "max-numeric-cut", "per-pair"])
 def test_windowed_layer_call_is_the_full_calls_slice_and_peak(monkeypatch, block_floats,
                                                               name):
+    # at the stock VALID_FROM and with every long-by-short pair above it
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
     if name == "per-pair":  # the fallback for an operator without apply_rows
         apply_rows = partial(tree_module._per_pair_rows, naive_max_operator().apply)
+    elif name == "max-numeric-cut":  # every pair with a narrower cut takes it
+        monkeypatch.setattr(numeric, "CUT_FROM", 1)
+        apply_rows = numeric_max_operator().apply_rows
     else:
         apply_rows = operator_from_name(name).apply_rows
-    for left, right, (lo, n) in window_cases():
-        full, full_peak = apply_rows(left, right,
-                                     window=(0, left.shape[-1] + right.shape[-1] - 1))
-        kept, peak = apply_rows(left, right, window=(lo, n))
-        assert kept.shape == full.shape[:-1] + (n,)
-        assert kept.tobytes() == full[..., lo:lo + n].tobytes()
-        assert np.shape(peak) == full.shape[:-1]
-        for got in (peak, full_peak):
-            assert np.asarray(got).tobytes() == full.max(axis=-1).tobytes()
+    for floor in (fftconv.VALID_FROM, 1):
+        monkeypatch.setattr(fftconv, "VALID_FROM", floor)
+        for left, right, (lo, n) in window_cases():
+            full, full_peak = apply_rows(left, right,
+                                         window=(0, left.shape[-1] + right.shape[-1] - 1))
+            kept, peak = apply_rows(left, right, window=(lo, n))
+            assert kept.shape == full.shape[:-1] + (n,)
+            assert kept.tobytes() == full[..., lo:lo + n].tobytes()
+            assert np.shape(peak) == full.shape[:-1]
+            want = row_peaks(name, left, right, full)
+            for got in (peak, full_peak):
+                assert np.asarray(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad, message", [(np.nan, "must be finite"),
