@@ -618,6 +618,28 @@ def test_peaked_pair_transforms_its_spans_only(monkeypatch, one_pair):
 
 
 @pytest.mark.parametrize("name", ["sum", "max-numeric", "pnorm:1", "pnorm:4"])
+def test_dense_tree_transforms_at_the_full_length(monkeypatch, name):
+    # no row pair of a subset-sum solve is a span pair, and with 32 leaves of
+    # k = VALID_FROM // 16 every child reach (at most 16k - 15) stays below
+    # VALID_FROM, so every layer keeps the transforms, and the bits, of whole rows
+    instance = generate_subset_sum_instance(32, fftconv.VALID_FROM // 16, 0)
+    expected, lengths = [], spy_rfft_lengths(monkeypatch)
+    convolve_rows = fftconv._convolve_rows
+
+    def spying_convolve_rows(left, right, *args, **kwargs):
+        assert min(left.shape[-1], right.shape[-1]) < fftconv.VALID_FROM
+        expected.append((len(lengths), fft_length(left.shape[-1] + right.shape[-1] - 1)))
+        return convolve_rows(left, right, *args, **kwargs)
+
+    for module in (fftconv, numeric):
+        monkeypatch.setattr(module, "_convolve_rows", spying_convolve_rows)
+    convolution_tree(instance.priors, instance.sum_likelihood, operator_from_name(name))
+    assert len(lengths) == 2 * len(expected) >= 20
+    for first, size in expected:
+        assert lengths[first:first + 2] == [size, size]
+
+
+@pytest.mark.parametrize("name", ["sum", "max-numeric", "pnorm:1", "pnorm:4"])
 def test_dense_tree_transforms_forward_whole_and_reverse_at_the_parents_length(monkeypatch,
                                                                              name):
     # no row pair of a subset-sum solve is a span pair: a forward layer of
