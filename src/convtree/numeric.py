@@ -27,6 +27,11 @@ transform. That is each rung's normalizer in the ladder and the refine
 threshold of the p-norm, and it is the same under every keep-window, so a
 windowed row keeps the bits of its full call.
 
+The p-norm's small-value refine sums a row with a subnormal product on
+operands scaled by powers of two (``_scales``), so its subnormal outputs
+are rounded once and cost what normal ones do; every other row keeps the
+bits of its unscaled sums.
+
 Neither operator works through the exact zeros of a span pair
 (``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
 half of its outputs). Such a pair is cut to its spans right after the
@@ -69,6 +74,15 @@ REFINE_BELOW = 1e-6
 # in _refine_small_values, up to REFINE_RUN_CAP outputs per call.
 _RUN_GAP = 8
 REFINE_RUN_CAP = 256
+
+# The least normal double. The CPU rounds a subnormal product coarsely and
+# takes several times as long over it, so a row whose least nonzero values
+# multiply to less than this is summed scaled by powers of two that put
+# each operand's maximum in [2^(top-1), 2^top), with
+# top = (1021 - min(a.size, b.size).bit_length()) // 2: every product is
+# then below 2^(2 top) and an output sums fewer than
+# 2^bit_length(min(a.size, b.size)) of them, so no sum reaches 2^1021.
+_TINY = np.finfo(float).tiny
 
 
 def _check_p(p: float) -> float:
@@ -206,7 +220,12 @@ def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[in
     """_refine_small_values of each row of ``out``, which holds output
     columns start, start + 1, ... of every row pair, that has a small output
     in the kept columns of ``window=(lo, n)``, small meaning against the
-    row's ``peak`` (its maximum in ``out`` by default)."""
+    row's ``peak`` (its maximum in ``out`` by default).
+
+    When no product of the call's operands can be subnormal (the least
+    value of each, zeros included, multiply to at least _TINY) the rows
+    are refined as ``normal``; that implies the test each row would make,
+    so a rows call sums every row as its one-pair call does."""
     # One pair: _refine_small_values finds its small outputs itself; the
     # scan and index loop below add 22-38 us to a 67-80 us one-pair
     # p_norm_convolve at k = 64 (2 vCPUs).
@@ -214,25 +233,34 @@ def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[in
         _refine_small_values(out, a, b, window, start, peak)
         return
     lo, n = window
-    a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
     peak = out.max(axis=-1) if peak is None else peak
     kept = out[..., lo - start:lo - start + n]
     small = ((kept <= peak[..., None] * REFINE_BELOW) & (peak > 0.0)[..., None]).any(axis=-1)
+    if not small.any():
+        return
+    normal = bool(np.minimum.reduce(a, axis=None) * np.minimum.reduce(b, axis=None) >= _TINY)
+    a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
     for index in map(tuple, np.argwhere(small)):
-        _refine_small_values(out[index], a[index], b[index], window, start, peak[index])
+        _refine_small_values(out[index], a[index], b[index], window, start, peak[index],
+                             normal)
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         window: tuple[int, int], start: int = 0, peak: float | None = None):
+                         window: tuple[int, int], start: int = 0, peak: float | None = None,
+                         normal: bool = False):
     """Recompute the outputs of ``out``, which holds output columns start,
     start + 1, ..., at or below REFINE_BELOW * ``peak`` (its maximum by
     default) that are kept columns of ``window=(lo, n)``, by direct
     summation, in place.
 
     FFT round-off is absolute (~1e-16 of the peak), so outputs far below the
-    peak can be pure noise; the direct sum is exact there. On peaked inputs
-    almost every output is small, so the sums are not taken one output at a
-    time. Instead:
+    peak can be pure noise; the direct sum is within 1e-14 relative of the
+    exact sum there, whatever its size. A row with a subnormal product is
+    summed on operands scaled by powers of two (``_scales``) and scaled
+    back once, so a subnormal output is its scaled sum rounded once;
+    ``normal`` says that the caller has ruled such products out. On peaked
+    inputs almost every output is small, so the sums are not taken one
+    output at a time. Instead:
 
     1. Each operand is trimmed to its first..last nonzero value; small
        outputs outside the trimmed output range are exactly zero.
@@ -275,6 +303,9 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     index = index[(index >= 0) & (index < a.size + b.size - 1)]
     if not (a.all() and b.all()):
         index = index[_support_counts(a, b)[index] > 0.5]
+    a_scale, b_scale = (0, 0) if normal else _scales(a, b)
+    if a_scale or b_scale:
+        a, b = np.ldexp(a, a_scale), np.ldexp(b, b_scale)
     lo, n = window
     keep_first, keep_last = lo - shift, lo + n - 1 - shift
     breaks = np.diff(index) > _RUN_GAP + 1
@@ -292,7 +323,20 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
             b_lo, b_hi = max(0, first - a.size + 1), min(b.size - 1, last)
             sums = np.convolve(_window(a, first - b_hi, last - b_lo), b[b_lo:b_hi + 1],
                                mode="valid")
+            if a_scale or b_scale:
+                np.ldexp(sums, -(a_scale + b_scale), out=sums)
             out[shift - start + piece] = sums[piece - first]
+
+
+def _scales(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """The powers of two by which the direct sums scale the trimmed ``a``
+    and ``b``: (0, 0) when no product of their nonzero values is subnormal,
+    else those that put each maximum just below 2^top (see _TINY)."""
+    least_a, least_b = (np.min(x, where=x != 0.0, initial=np.inf) for x in (a, b))
+    if least_a * least_b >= _TINY:
+        return 0, 0
+    top = (1021 - min(a.size, b.size).bit_length()) // 2
+    return top - int(np.frexp(a.max())[1]), top - int(np.frexp(b.max())[1])
 
 
 def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:

@@ -6,6 +6,7 @@ kept if best (max mode).
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,18 +56,21 @@ def normalize_mode(arr, mode):
 
 def refine_per_index(out, a, b, rel_threshold):
     """Recompute, in place, every output at or below rel_threshold * max(out)
-    as its direct sum, one np.dot per output.
+    as its exact direct sum, rounded once to the nearest double.
 
-    The oracle for fftconv's small-value refinement: the same selection,
-    visiting the outputs one at a time.
+    The oracle for the p-norm's small-value refinement: the same selection,
+    visiting the outputs one at a time. Each sum is taken in exact rational
+    arithmetic (``fractions.Fraction``), so it carries none of the rounding
+    of float products and sums, subnormal ones included.
     """
     peak = out.max()
     if peak <= 0.0:
         return
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
     for m in np.nonzero(out <= peak * rel_threshold)[0]:
-        lo = max(0, m - b.size + 1)
-        hi = min(a.size - 1, m)
-        out[m] = float(np.dot(a[lo:hi + 1], b[m - hi:m - lo + 1][::-1]))
+        lo = max(0, m - len(b) + 1)
+        hi = min(len(a) - 1, m)
+        out[m] = float(sum(a[l] * b[m - l] for l in range(lo, hi + 1)))
 
 
 def narrow_rows(rng, shape, width):

@@ -274,8 +274,10 @@ operands = st.tuples(st.integers(0, 6), st.lists(magnitudes, min_size=1, max_siz
 @given(operands, operands)
 @settings(max_examples=300, deadline=None)
 def test_refine_matches_per_index_direct_sums(left, right):
-    # at most 40 nonzero terms per output, so any two summation orders
-    # agree within 2 * 40 * 2^-53 < 1e-14 relative
+    # at most 40 nonzero terms per output, each product at least 1e-600
+    # and normal once the refine scales its row by powers of two, so the
+    # float sum is within 40 * 2^-53 < 1e-14 relative of the oracle's exact
+    # one; a subnormal output is that sum rounded once, as the oracle's is
     left, right = Pmf(left), Pmf(right)
     expected = fast_convolve(left, right).values.copy()
     refine_per_index(expected, left.values, right.values, 1e-6)

@@ -216,6 +216,40 @@ def test_p1_small_values_cost_like_uniform_inputs(kind):
     assert ratio <= 10.0
 
 
+def gaussian(k, mean, sigma):
+    """A discretized Gaussian on k bins, normalized to sum 1; its tails run
+    through the subnormal range to exact zeros about 38.6 sigma out."""
+    dens = np.exp(-0.5 * ((np.arange(k) - mean) / sigma) ** 2)
+    return dens / dens.sum()
+
+
+def test_p1_subnormal_tails_cost_like_normal_ones():
+    # the refine sums a row with subnormal products scaled by powers of
+    # two, so the pair costs what the same pair scaled into the normal
+    # range costs
+    left = Pmf(gaussian(4096, 2048.0, 20.0))
+    scaled = Pmf(np.ldexp(left.values, 500))
+    ratio = (best_of_3(p_norm_convolve, left, left, 1.0)
+             / best_of_3(p_norm_convolve, scaled, scaled, 1.0))
+    assert ratio <= 1.6
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([300, 400, 500]))
+@settings(max_examples=72, deadline=None)
+def test_p1_is_homogeneous_in_powers_of_two_on_subnormal_tails(seed, s):
+    # Gaussians of sigma 2-8 on 2048 bins, whose tails pass through the
+    # subnormal range; both operands take the same 2^s, as equal-length
+    # operands are ordered by their bytes. Every nonzero output of the
+    # scaled pair is at least 2^(2s - 1074), normal, so the check rounds
+    # once; the unscaled pair's subnormal outputs must be rounded once too
+    rng = np.random.default_rng(seed)
+    left, right = (gaussian(2048, rng.uniform(0.0, 2047.0), rng.uniform(2.0, 8.0))
+                   for _ in range(2))
+    scaled = p_norm_convolve(Pmf(np.ldexp(left, s)), Pmf(np.ldexp(right, s)), 1.0)
+    got = np.ldexp(scaled.values, -2 * s)
+    assert got.tobytes() == p_norm_convolve(Pmf(left), Pmf(right), 1.0).values.tobytes()
+
+
 def test_pair_counts():
     assert_array_equal(pair_counts(3, 5), [1, 2, 3, 3, 3, 2, 1])
     assert_array_equal(pair_counts(1, 4), [1, 1, 1, 1])
@@ -225,18 +259,34 @@ def test_pair_counts():
 # ---------------------------------------------------------------------------
 # Batched pairs
 
+def broad_rows(rng, shape, width):
+    """Rows of ``width`` columns, each a Gaussian of sigma 18 to 22 at a
+    random centre (``gaussian``): dense rows, whose tails run through the
+    subnormal range to exact zeros where they reach about 38 sigma from
+    the centre, so in rows of 400 columns they stay normal."""
+    rows = np.empty(tuple(shape) + (width,))
+    for row in rows.reshape(-1, width):
+        row[:] = gaussian(width, rng.uniform(0.0, width - 1.0), rng.uniform(18.0, 22.0))
+    return rows
+
+
 def row_cases():
     """(left, right) row arrays: equal widths in both byte orders and equal
     rows, unequal widths both ways round, a 1-D row broadcast against many,
     the parent-against-two-siblings layout of the reverse pass and length-1
     rows. Then span pairs: narrow rows mixed with dense ones, short dense
     rows against long narrow ones and the parent-against-siblings layout
-    of narrow rows."""
+    of narrow rows. Then broad rows, whose small outputs the p-norm refines
+    row by row: with normal tails only, mixed with dense random rows and
+    with subnormal tails, and the parent-against-siblings layout of rows
+    with subnormal tails."""
     rng = np.random.default_rng(17)
     equal = 0.01 + rng.random((5, 48)), 0.01 + rng.random((5, 48))
     equal[1][2] = equal[0][2]
     mixed = narrow_rows(rng, (7,), 400)
     mixed[[1, 3]] = 0.01 + rng.random((2, 400))
+    broad = broad_rows(rng, (6,), 1200)
+    broad[[1, 4]] = 0.01 + rng.random((2, 1200))
     return [equal,
             (0.01 + rng.random((4, 3)), 0.01 + rng.random((4, 257))),
             (0.01 + rng.random(100), 0.01 + rng.random((3, 48))),
@@ -244,7 +294,10 @@ def row_cases():
             (0.01 + rng.random((2, 1)), 0.01 + rng.random((2, 1))),
             (mixed, narrow_rows(rng, (7,), 420)),
             (0.01 + rng.random((5, 12)), narrow_rows(rng, (5,), 600)),
-            (narrow_rows(rng, (3, 1), 799), narrow_rows(rng, (3, 2), 400))]
+            (narrow_rows(rng, (3, 1), 799), narrow_rows(rng, (3, 2), 400)),
+            (broad_rows(rng, (4,), 400), broad_rows(rng, (4,), 430)),
+            (broad, broad_rows(rng, (6,), 1000)),
+            (broad_rows(rng, (3, 1), 1199), broad_rows(rng, (3, 2), 600))]
 
 
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 2000, 1])
