@@ -443,54 +443,52 @@ def _one_pair_spans(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice] | None:
     return slice(l_start, l_stop), slice(r_start, r_stop)
 
 
-def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], a: np.ndarray,
-              b: np.ndarray, window: tuple[int, int],
-              *peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel(a, b, window)``, a row kernel's steps after
-    ``_canonical_rows`` (they return the kept columns and row peaks), with
-    every span pair (``_one_pair_spans``) cut to its spans. ``peaks``, if
-    given, are the row maxima of ``a`` and of ``b``; each row's are passed
-    on with it, after the window (a span holds its row's maximum).
+def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], left: np.ndarray,
+              right: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel(a, b, window)`` of the rows ``left`` and ``right`` as floats
+    in canonical order (``_canonical_rows``), with every span pair
+    (``_one_pair_spans``) cut to its spans. The kernel returns the kept
+    columns and row scales of the rows it receives, and takes any peak it
+    needs from them (a span holds its row's maximum).
 
-    A one-pair call (1-D ``a`` and ``b``) that is a dense pair goes to
-    ``kernel`` as it is. A span pair goes as its two spans, under the
-    keep-window moved to where its span output starts and cut to that
-    output. Its kept columns are written back among exact +0.0, and its
-    scale is its spans' (a span output's peak is the full row's whenever
-    the pair has mass).
+    A one-pair call (1-D rows) that is a dense pair goes to ``kernel`` as
+    it is. A span pair goes as its two spans, under the keep-window moved
+    to where its span output starts and cut to that output. Its kept
+    columns are written back among exact +0.0, and its scale is its
+    spans' (a span output's peak is the full row's whenever the pair has
+    mass).
 
     A rows call goes to ``kernel`` whole. Only rows probed narrow
     (``_maybe_narrow``) can make a span pair, and each span pair among
     them is then computed again as its one-pair call, which replaces its
-    row and peak; so every row is bit-identical to its one-pair call.
+    row and scale; so every row is bit-identical to its one-pair call.
     Half is well above the round-off zeros at the ends of tree messages
     (up to about a quarter of a row in ``max-numeric`` solves at n = 1024,
     k = 64), so their pairs stay dense, as rows and one by one alike.
     """
+    a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
     if a.ndim == b.ndim == 1:
         spans = _one_pair_spans(a, b)
         if spans is None:
-            return kernel(a, b, window, *peaks)
+            return kernel(a, b, window)
         left, right = spans
         first, stop = left.start + right.start, left.stop + right.stop - 1  # the span output
         lo, n = window
         start = min(max(lo, first), stop)
         end = max(start, min(lo + n, stop))
-        kept, peak = kernel(a[left], b[right], (start - first, end - start), *peaks)
+        kept, peak = kernel(a[left], b[right], (start - first, end - start))
         out = np.zeros(n)
         out[start - lo:end - lo] = kept
         return out, peak
-    out, peak = kernel(a, b, window, *peaks)
+    out, peak = kernel(a, b, window)
     maybe = _maybe_narrow(a) | _maybe_narrow(b)
     if maybe is False:  # np.any(False) alone costs about 5 us
         return out, peak
     lead = out.shape[:-1]
     a, b = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (a, b))
-    peaks = [np.broadcast_to(x, lead) for x in peaks]
     for index in zip(*np.nonzero(np.broadcast_to(maybe, lead))):
         if _one_pair_spans(a[index], b[index]) is not None:
-            out[index], peak[index] = _cut_pair(kernel, a[index], b[index], window,
-                                                *(x[index] for x in peaks))
+            out[index], peak[index] = _cut_pair(kernel, a[index], b[index], window)
     return out, peak
 
 
@@ -503,8 +501,7 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
     Each row is bit-identical to the one-pair call on that row pair, which
     is cut to its spans (``_cut_pair``).
     """
-    a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
-    return _cut_pair(_fast_rows, a, b, window)
+    return _cut_pair(_fast_rows, left, right, window)
 
 
 def _fast_rows(a: np.ndarray, b: np.ndarray,

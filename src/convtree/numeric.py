@@ -35,8 +35,9 @@ bits of its unscaled sums.
 Neither operator works through the exact zeros of a span pair
 (``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
 half of its outputs). Such a pair is cut to its spans right after the
-canonical order, so its normalization, transform, refine and root see the
-spans alone, and every other kept column is exact +0.0.
+canonical order, so the ladder's normalization and both operators'
+transform, refine and root see the spans alone, and every other kept
+column is exact +0.0. The p-norm powers whole rows before the cut.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from functools import partial
 import numpy as np
 
 from .fftconv import (
-    _canonical_rows,
     _convolve_rows,
     _cut_pair,
     _edges,
@@ -142,25 +142,23 @@ def _p_norm_rows(left: np.ndarray, right: np.ndarray, p: float,
     ``window=(lo, n)``: the kept columns and each row's scale
     (``fftconv._convolve_rows``).
 
-    Inputs are divided by their maxima before the p-th power, so large
+    Whole rows are divided by their maxima before the p-th power, so large
     values cannot overflow, and the output is scaled back. The powered
-    operands are put in canonical order and convolved, and outputs below
-    REFINE_BELOW of each row's scale are recomputed by direct summation.
-    The refine and the root act on the kept columns only: the refine reads
-    every part of the row that the window touches (``_p_norm_sums``) to
-    find and cut its small outputs but sums only the pieces that reach into
-    the window, and a row's scale is the root of its power sums' scale,
-    since the root is monotone. A span pair is cut to the spans of its
-    powered operands after the canonical order (``_cut_pair``), so its
-    convolution, refine and root run on the spans alone.
+    rows go to ``_cut_pair``, which puts them in canonical order and cuts
+    a span pair to their spans, so its convolution, refine and root run on
+    the spans alone. Outputs below REFINE_BELOW of each row's scale are
+    recomputed by direct summation. The refine and the root act on the
+    kept columns only: the refine reads every part of the row that the
+    window touches (``_p_norm_sums``) to find and cut its small outputs
+    but sums only the pieces that reach into the window, and a row's scale
+    is the root of its power sums' scale, since the root is monotone.
     """
     p = _check_p(p)
-    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
     if p == 1.0:  # no power to overflow and no root to take
-        return _cut_pair(_p_norm_sums, *_canonical_rows(left, right), window)
+        return _cut_pair(_p_norm_sums, left, right, window)
     (left, left_peak), (right, right_peak) = _max_normalized(left), _max_normalized(right)
     left, right = _ladder_powers(left, (p,))[0], _ladder_powers(right, (p,))[0]
-    out, peak = _cut_pair(partial(_p_norm_sums, p=p), *_canonical_rows(left, right), window)
+    out, peak = _cut_pair(partial(_p_norm_sums, p=p), left, right, window)
     scale = left_peak * right_peak
     out *= scale[..., None]
     return out, peak * scale
@@ -373,9 +371,8 @@ def max_convolve_normalized(left: Pmf, right: Pmf, p: float) -> Pmf:
     return _one_pair(_ladder_max_convolve, left, right, (_check_p(p),), DEFAULT_TAU)
 
 
-def _max_normalized(x: np.ndarray, peak=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row divided by its maximum ``peak`` (taken here if not given),
-    and those maxima.
+def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by its maximum, and those maxima.
 
     A row whose maximum is 1.0 (or 0, all-zero) is divided by 1.0, which
     keeps its bits. Tree messages all peak at exactly 1.0, so when every
@@ -386,9 +383,9 @@ def _max_normalized(x: np.ndarray, peak=None) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        peak = x.max() if peak is None else peak
+        peak = x.max()
         return (x if peak == 1.0 else x / (peak or 1.0)), peak
-    peak = x.max(axis=-1) if peak is None else peak
+    peak = x.max(axis=-1)
     if np.all(peak == 1.0):
         return x, peak
     return x / np.where(peak == 0.0, 1.0, peak)[..., None], peak
@@ -400,58 +397,18 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     """Max-normalized p-norm estimate at every rung, stitched per index, of
     every row pair of ``left`` (..., a) and ``right`` (..., b), whose
     leading axes broadcast, cut to the keep-window ``window=(lo, n)``: the
-    kept columns lo..lo+n-1 and each row's input scale.
+    kept columns lo..lo+n-1 and each row's input scale, the product of its
+    operands' maxima.
 
-    Both inputs of a pair are divided by their maxima before exponentiation
-    so the dominant terms start at 1 and survive the p-th power; each rung's
-    convolution is divided by its own row scale (``fftconv._convolve_rows``:
-    its peak, or a long-by-short pair's circular peak) before the 1/p
-    root, and the input scale is multiplied back at the end. Each index
-    takes the value of the largest exponent whose normalized result clears
-    tau; the smallest exponent is the fallback, so a one-rung ladder never
-    reads tau.
-
-    All rungs of all rows ride the stacked transforms of _convolve_rows,
-    and every step after them acts on each row alone, so each row is
-    bit-identical to the one-pair call. Each rung's scale is taken over
-    all its outputs, whatever the window; the divide, root and stitch run
-    on the kept columns only. The returned scale is the input scale. A
-    stitched row whose top rung is scaled by its own peak peaks at exactly
-    1 (the root of that peak, which clears tau; no root of a value <= 1
-    exceeds 1), so its input scale is its full row's peak. A long-by-short
-    pair's circular peak can exceed its linear one (a wrapped column sums
-    two outputs), and then its row peaks below 1. The upper rungs of a
-    wide pair are transformed over its significant spans only
-    (``_ladder_rows``).
-
-    The rows arrive unclipped. A rung's raw scale equals its clipped one,
-    since every rung peaks at about 1. The fallback's kept columns go from
-    that division straight into ``_root``; each upper rung roots only its
-    values above its floor (defined below): no index could take the rest.
-
-    Each operand's row maxima are taken once, here, and handed on with the
-    rows. A span pair is cut to its spans right after the canonical order
-    (``_cut_pair``), so only the spans are divided by their peaks, which
-    are their rows'. The span rule reads the divided rows, and dividing by
-    a peak of at most 1 zeroes no value, so the undivided rows give the
-    same decision; when a value is above 1 every row is divided whole
-    before the cut, and then peaks at exactly 1.
+    Each index takes the value of the largest exponent whose normalized
+    result clears tau; the smallest exponent is the fallback, so a
+    one-rung ladder never reads tau. A span pair is cut to its spans
+    (``fftconv._cut_pair``), which the span rule finds on the undivided
+    rows. ``_ladder_rows`` then normalizes, convolves, roots and stitches
+    the rows it receives, each on its own, so every row is bit-identical
+    to its one-pair call.
     """
-    a, b = _canonical_rows(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
-    a_peak, b_peak = a.max(axis=-1), b.max(axis=-1)
-    kernel = partial(_ladder_rows, ladder=ladder, tau=tau)
-    if a.ndim == b.ndim == 1:  # two scalars, compared without numpy's reductions
-        above = max(a_peak, b_peak) > 1.0
-    else:
-        above = a_peak.size and b_peak.size and max(a_peak.max(), b_peak.max()) > 1.0
-    if above:
-        # divided whole, every pair peaks at 1: its kernel scales by 1.0,
-        # which keeps every bit, and the scale is multiplied back here
-        (a, _), (b, _) = _max_normalized(a, a_peak), _max_normalized(b, b_peak)
-        kept, _ = _cut_pair(kernel, a, b, window, np.sign(a_peak), np.sign(b_peak))
-        peak = a_peak * b_peak
-        return kept * peak[..., None], peak
-    return _cut_pair(kernel, a, b, window, a_peak, b_peak)
+    return _cut_pair(partial(_ladder_rows, ladder=ladder, tau=tau), left, right, window)
 
 
 # Output width a + b - 1 from which _ladder_rows transforms the upper rungs
@@ -479,10 +436,27 @@ CUT_SHARE = 0.75
 
 
 def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
-                 a_peak: np.ndarray, b_peak: np.ndarray,
                  ladder: tuple[float, ...], tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """_ladder_max_convolve of the canonical operands (``_cut_pair``), whose
-    row maxima are ``a_peak`` and ``b_peak``.
+    """_ladder_max_convolve of the canonical operands (``_cut_pair``).
+
+    Both operands of a pair are divided by their maxima before the powers,
+    so the dominant terms start at 1 and survive the p-th power, and the
+    stitched row is multiplied by the product of those maxima, its input
+    scale, at the end. Each rung's convolution is divided by its own row
+    scale (``fftconv._convolve_rows``: its peak, or a long-by-short pair's
+    circular peak) before the 1/p root. Each rung's scale is taken over
+    all its outputs, whatever the window; the divide, root and stitch run
+    on the kept columns only. The returned scale is the input scale. A
+    stitched row whose top rung is scaled by its own peak peaks at exactly
+    1 (the root of that peak, which clears tau; no root of a value <= 1
+    exceeds 1), so its input scale is its full row's peak. A long-by-short
+    pair's circular peak can exceed its linear one (a wrapped column sums
+    two outputs), and then its row peaks below 1.
+
+    The rows arrive unclipped. A rung's raw scale equals its clipped one,
+    since every rung peaks at about 1. The fallback's kept columns go from
+    that division straight into ``_root``; each upper rung roots only its
+    values above its floor (defined below): no index could take the rest.
 
     From an output width of CUT_FROM on, a pair's upper rungs (every rung
     above the fallback) are transformed over each operand row's significant
@@ -519,9 +493,9 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     it (``fftconv._convolve_rows``), so a row's bits do not depend on
     whether another row of its call is cut.
     """
+    (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
-    (a, _), (b, _) = _max_normalized(a, a_peak), _max_normalized(b, b_peak)
     peak = a_peak * b_peak
     scale = np.atleast_1d(peak)
     # A value at or below its rung's floor 0.5 * tau**p would root to at
@@ -608,21 +582,6 @@ def _row_cuts(rows: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(first, width - cut), cut
 
 
-def _may_cut(rows: np.ndarray, theta: float) -> bool:
-    """Whether some row may have a cut narrower than itself, from 16 of
-    its columns: eight ending at column q and eight starting at column
-    n - 1 - q, q = (n - ceil(n/2) - 1) // 2. Two columns at or above
-    ``theta``, one from each, are at least ceil(n/2) apart, so a row that
-    has both spans more than half of itself rounded up and keeps its
-    width. A uniform row almost always has both."""
-    n = rows.shape[-1]
-    q = (n - -(-n // 2) - 1) // 2
-    if q < 0:  # one column
-        return False
-    left, right = rows[:, max(q - 7, 0):q + 1], rows[:, n - 1 - q:n + 7 - q]
-    return not ((left >= theta).any(axis=-1) & (right >= theta).any(axis=-1)).all()
-
-
 def _upper_cuts(a: np.ndarray, b: np.ndarray, theta: float):
     """The upper-rung groups of ``_ladder_rows`` over the row pairs of the
     max-normalized ``a`` (..., na) and ``b`` (..., nb), or None when every
@@ -639,14 +598,14 @@ def _upper_cuts(a: np.ndarray, b: np.ndarray, theta: float):
     transformed once; every other pair goes with m = 1.
     """
     a_rows, b_rows = (x.reshape(-1, x.shape[-1]) for x in (a, b))
-    if not (_may_cut(a_rows, theta) or _may_cut(b_rows, theta)):
-        return None
     na, nb = a_rows.shape[-1], b_rows.shape[-1]
+    (a_start, a_width), (b_start, b_width) = (_row_cuts(x, theta) for x in (a_rows, b_rows))
+    if a_width.min() + b_width.min() - 1 > CUT_SHARE * (na + nb - 1):
+        return None  # the narrowest cuts make a whole pair, so every pair is whole
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     share = lead[-1] if lead and a.shape[:-1] == lead[:-1] + (1,) else 1
     a_of, b_of = (np.broadcast_to(np.arange(len(rows)).reshape(x.shape[:-1]), lead).ravel()
                   for x, rows in ((a, a_rows), (b, b_rows)))
-    (a_start, a_width), (b_start, b_width) = (_row_cuts(x, theta) for x in (a_rows, b_rows))
     # per pair from here on
     a_start, a_width, b_start, b_width = a_start[a_of], a_width[a_of], b_start[b_of], b_width[b_of]
     whole = a_width + b_width - 1 > CUT_SHARE * (na + nb - 1)
