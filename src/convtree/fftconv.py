@@ -19,6 +19,20 @@ quarters of the package's load time. Every forward transform in the
 package is one ``_spectra`` call and every inverse one is in
 ``_transform``.
 
+From FOUR_STEP_FROM points on, a transform is taken in four steps
+(Bailey, "FFTs in external or hierarchical memory", 1990): each
+zero-padded row of N = N1 N2 points is read as an (N1, N2) array, takes
+one ``rfft`` along N1, the twiddle factors W^(k1 n2) (``_twiddles``) and
+one ``fft`` along N2, and its spectrum stays in that (N1 / 2 + 1, N2)
+layout, since the convolution only multiplies spectra elementwise; the
+inverse undoes the steps into the stack. Its short transforms fit in a
+core's cache where one long ``rfft`` does not: a one-pair fast_convolve
+of 2^16 to 2^18 points took 0.54-0.71 times as long. A transform of each
+length takes one form, whatever the call, and each short transform reads
+one row of its operand alone, as a one-row stack would, so every row
+still keeps the bits of its one-pair call. Four steps and one ``rfft``
+agree to round-off (about 1e-15 of the peak), not bit for bit.
+
 A row pair whose mass sits on short spans is cut to them (``_cut_pair``).
 Each operand row's span runs from its first to its last nonzero value, as
 the kernel receives it: powered (``pnorm:<p>``) and in canonical order.
@@ -103,6 +117,19 @@ KEEP_BYTES = 1 << 20
 # long at widths 64 to 2048 (2.7x at 4096).
 VALID_FROM = 256
 
+# Transform length from which a transform is taken in four steps
+# (``_spectra``). One-pair fast_convolve of dense rows, one rfft against
+# four steps (best of 11, alternating in one process, 2-vCPU VM with 2 MiB
+# of L2 per core): 0.64 -> 0.51 ms at 16,384 points, 1.85 -> 1.11 ms at
+# 32,768, 4.11 -> 2.21 ms at 65,536, 7.27 -> 5.17 ms at 131,072 and 17.1 ->
+# 12.0 ms at 262,144. Whole solves (perfbench, 10 s runs, 4-6 alternating
+# rounds): on tree-wide, floors of 32,768, 65,536 and 131,072 read within
+# each other's spread (tree.sum.s medians 0.185, 0.186 and 0.182 s against
+# 0.212 s with none); on tree-deep a floor of 32,768 read no faster than
+# none (sum 0.0625 against 0.0632 s, max-numeric 0.167 against 0.163 s),
+# so the floor stays above its largest transform, 64,800 points.
+FOUR_STEP_FROM = 1 << 16
+
 
 def padded_length(n_out: int) -> int:
     """Next power of two >= n_out."""
@@ -141,10 +168,11 @@ def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
     tests would then amplify that into visible noncommutativity. The longer
     operand goes first, which is one test for the whole call. Of equal
     lengths, the row whose bytes (as ``tobytes`` lays them out) compare
-    lower goes first, in one vectorized comparison over all rows: the rows
-    are compared as 8-byte words, without a copy, and each pair is decided
-    at its first differing word, read big-endian so that its order is the
-    order of its bytes.
+    lower goes first: the rows are compared as 8-byte words, without a
+    copy, and each pair is decided at its first differing word, read
+    big-endian so that its order is the order of its bytes. One vectorized
+    comparison of the first words decides most pairs; only the pairs that
+    tie there are gathered and scanned for their first differing word.
     """
     if left.shape[-1] != right.shape[-1]:
         return (left, right) if left.shape[-1] > right.shape[-1] else (right, left)
@@ -153,14 +181,18 @@ def _canonical_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
     if left.size == right.size == left.shape[-1]:
         return (left, right) if left.tobytes() <= right.tobytes() else (right, left)
     lw, rw = left.view(np.uint64), right.view(np.uint64)
-    differ = lw != rw
-    first = differ.argmax(axis=-1)[..., None]  # 0 where the rows are equal
-    # np.broadcast_to costs a few us a call, so only where a shape needs it
-    lw, rw = (w if w.shape == differ.shape else np.broadcast_to(w, differ.shape) for w in (lw, rw))
-    swap = (np.take_along_axis(lw, first, -1).view(">u8")
-            > np.take_along_axis(rw, first, -1).view(">u8"))
+    l0, r0 = lw[..., 0], rw[..., 0]
+    swap = l0.view(">u8") > r0.view(">u8")
+    tie = l0 == r0
+    if tie.any():  # only rows equal in their first words are read further
+        tied = np.nonzero(tie)
+        lw, rw = (np.broadcast_to(w, tie.shape + w.shape[-1:])[tied] for w in (lw, rw))
+        first = (lw != rw).argmax(axis=-1)[:, None]  # 0 where the rows are equal
+        swap[tied] = (np.take_along_axis(lw, first, -1).view(">u8")
+                      > np.take_along_axis(rw, first, -1).view(">u8"))[:, 0]
     if not swap.any():
         return left, right
+    swap = swap[..., None]
     return np.where(swap, right, left), np.where(swap, left, right)
 
 
@@ -192,19 +224,78 @@ def _ladder_powers(x: np.ndarray, ladder: tuple[float, ...],
     return powers
 
 
+@lru_cache(maxsize=32)
+def _twiddles(size: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The twiddle factors W^(k1 n2), W = exp(-2 pi i / size), of a
+    four-step transform of ``size`` = N1 N2 points, for k1 <= N1 / 2 and
+    n2 < N2, and their conjugates, each as two read-only factors.
+
+    N1 is the largest divisor of ``size`` up to 512, so N1 > 512 / 5 for
+    any 5-smooth size above 512. With n2 = q B + r, N2 = Q B and Q the largest
+    divisor of N2 up to its square root, W^(k1 n2) is the product of an
+    (N1 // 2 + 1, Q, 1) factor W^(k1 q B) and an (N1 // 2 + 1, 1, B) factor
+    W^(k1 r): about N1 sqrt(N2) values where the full table would hold
+    size / 2 (0.4 MB with the conjugates at 2^18 points, against 4.2 MB).
+    They cost one more pass over the spectra each way. Each angle is
+    reduced mod ``size`` in integers before it is scaled, so no factor
+    carries the round-off of a large angle.
+    """
+    n1 = next(d for d in range(512, 0, -1) if size % d == 0)
+    n2 = size // n1
+    q = next(d for d in range(math.isqrt(n2), 0, -1) if n2 % d == 0)
+    k1, blocks, offsets = np.ogrid[:n1 // 2 + 1, :q, :n2 // q]
+    factors = tuple(np.exp((k1 * n % size) * (-2j * np.pi / size))
+                    for n in (blocks * (n2 // q), offsets))
+    conjugates = tuple(f.conj() for f in factors)
+    for table in factors + conjugates:
+        table.flags.writeable = False
+    return factors, conjugates
+
+
+def _spectrum_shape(size: int) -> tuple[int, ...]:
+    """The shape of one row's ``size``-point spectrum as ``_spectra`` lays
+    it out: (size // 2 + 1,), or (N1 // 2 + 1, N2) from FOUR_STEP_FROM on,
+    where spectrum value (k1, k2) is the DFT's value at k1 + N1 k2."""
+    if size < FOUR_STEP_FROM:
+        return (size // 2 + 1,)
+    (outer, inner), _ = _twiddles(size)
+    return outer.shape[0], outer.shape[1] * inner.shape[2]
+
+
+def _twiddle(spectra: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> None:
+    """Multiply the (..., N1 // 2 + 1, N2) ``spectra`` in place by the two
+    factors of a twiddle table (``_twiddles``)."""
+    outer, inner = factors
+    blocks = spectra.reshape(spectra.shape[:-1] + (outer.shape[1], inner.shape[2]))
+    np.multiply(blocks, outer, out=blocks)
+    np.multiply(blocks, inner, out=blocks)
+
+
 def _spectra(x: np.ndarray, ladder: tuple[float, ...], size: int,
              stack: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Real FFTs of the ladder powers of every row of ``x`` (..., n),
-    zero-padded to ``size``: a (rungs, ..., size // 2 + 1) array in the
-    flat buffer ``spectra``, from one transform of the (rungs, rows, size)
-    stack that the powers and their zero pad fill in the flat buffer
-    ``stack``."""
+    zero-padded to ``size``: a (rungs, ..., *_spectrum_shape(size)) array
+    in the flat buffer ``spectra``, from the (rungs, rows, size) stack that
+    the powers and their zero pad fill in the flat buffer ``stack``.
+
+    Below FOUR_STEP_FROM this is one ``rfft`` of the stack. From it on, each
+    row is taken as an (N1, N2) array in four steps (Bailey 1990): one
+    ``rfft`` along its N1 axis, the twiddle factors (``_twiddles``), one
+    ``fft`` along its N2 axis, in place. The spectra stay in that layout,
+    untransposed, since a convolution only multiplies them elementwise."""
     rows = x.reshape(-1, x.shape[-1])
     padded = np.ndarray((len(ladder), len(rows), size), np.float64, stack)
     _ladder_powers(rows, ladder, out=padded[..., :x.shape[-1]])
     padded[..., x.shape[-1]:].fill(0.0)
-    out = np.ndarray(padded.shape[:-1] + (size // 2 + 1,), np.complex128, spectra)
-    return np.fft.rfft(padded, out=out).reshape(len(ladder), *x.shape[:-1], -1)
+    shape = _spectrum_shape(size)
+    out = np.ndarray(padded.shape[:-1] + shape, np.complex128, spectra)
+    if len(shape) == 1:
+        np.fft.rfft(padded, out=out)
+    else:
+        np.fft.rfft(padded.reshape(padded.shape[:-1] + (-1, shape[1])), axis=-2, out=out)
+        _twiddle(out, _twiddles(size)[0])
+        np.fft.fft(out, out=out)
+    return out.reshape(len(ladder), *x.shape[:-1], *shape)
 
 
 class _Workspace(threading.local):
@@ -326,10 +417,10 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     # rows of the left operand and of the product in the first, largest block
     step = min(blocks.step, shape[0])
     l_rows, p_rows = (1 if left.shape[0] == 1 else step) * l_per, step * p_per
-    half = size // 2 + 1
+    spectrum = math.prod(_spectrum_shape(size))
     buffers = _scratch({"stack": rungs * p_rows * size,
-                        "left": 2 * rungs * l_rows * half,  # floats of complex spectra
-                        "right": 2 * rungs * p_rows * half})
+                        "left": 2 * rungs * l_rows * spectrum,  # floats of complex spectra
+                        "right": 2 * rungs * p_rows * spectrum})
     if peaks is not None:
         peaks = peaks.reshape(shape[:-1])
     if finish is None or len(blocks) > 1:
@@ -388,8 +479,17 @@ def _transform(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...], s
     right_spectra = _spectra(right, ladder, size, buffers["stack"], buffers["right"])
     left_spectra = _spectra(left, ladder, size, buffers["stack"], buffers["left"])
     product = np.multiply(left_spectra, right_spectra, out=right_spectra)
-    return np.fft.irfft(product, size, out=np.ndarray(product.shape[:-1] + (size,),
-                                                      np.float64, buffers["stack"]))
+    shape = _spectrum_shape(size)
+    out = np.ndarray(product.shape[:-len(shape)] + (size,), np.float64, buffers["stack"])
+    if len(shape) == 1:
+        return np.fft.irfft(product, size, out=out)
+    # the four steps of _spectra undone: ifft along N2, the conjugate
+    # twiddle factors, irfft along N1 into the rows of the stack
+    np.fft.ifft(product, out=product)
+    _twiddle(product, _twiddles(size)[1])
+    rows = out.reshape(out.shape[:-1] + (-1, shape[1]))
+    np.fft.irfft(product, size // shape[1], axis=-2, out=rows)
+    return out
 
 
 def _maybe_narrow(x: np.ndarray) -> np.ndarray | bool:

@@ -6,6 +6,7 @@ kept if best (max mode).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -111,3 +112,40 @@ def spy_span_pairs(monkeypatch) -> list:
 
     monkeypatch.setattr(fftconv, "_one_pair_spans", spying)
     return found
+
+
+def spy_transforms(monkeypatch, record=np.copy) -> list:
+    """``record(stack)`` of the (rungs, rows, size) zero-padded stack of
+    powers that every forward transform (``fftconv._spectra``) reads from
+    now on, in order (a copy of it by default). Its length is the
+    transform's, whether one ``rfft`` or four steps take it."""
+    import convtree.fftconv as fftconv
+
+    records = []
+    spectra = fftconv._spectra
+
+    def spying(x, ladder, size, stack, out):
+        result = spectra(x, ladder, size, stack, out)
+        shape = (len(ladder), math.prod(x.shape[:-1]), size)
+        records.append(record(np.ndarray(shape, np.float64, stack)))
+        return result
+
+    monkeypatch.setattr(fftconv, "_spectra", spying)
+    return records
+
+
+def circular_convolution(a, b, ladder, size):
+    """The (rungs, *lead, size) ``size``-point circular convolutions of the
+    powers of every row pair of ``a`` and ``b``, in that operand order,
+    whose leading axes broadcast, for each exponent of ``ladder``, through
+    the package's own transform (``fftconv._transform``): the kernel's
+    bits, whether one ``rfft`` or four steps take that length."""
+    import convtree.fftconv as fftconv
+
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    rows = len(ladder) * math.prod(lead)
+    spectrum = 2 * rows * math.prod(fftconv._spectrum_shape(size))
+    buffers = {"stack": np.empty(rows * size), "left": np.empty(spectrum),
+               "right": np.empty(spectrum)}
+    b = np.broadcast_to(b, lead + b.shape[-1:])
+    return fftconv._transform(a, b, tuple(ladder), size, buffers).copy()

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
 import convtree.numeric as numeric
-from bruteforce import narrow_rows, refine_per_index
+from bruteforce import circular_convolution, narrow_rows, refine_per_index, spy_transforms
 from convtree import (
     ConvolutionOperator,
     Pmf,
@@ -158,6 +159,48 @@ def test_fast_matches_naive_on_random_input():
     assert np.abs(fast.values - naive.values).max() <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("size", [4096, 3000, 3375, 131072, fft_length(140000)])
+def test_four_step_transform_convolves_as_one_rfft(monkeypatch, size):
+    # powers of (rungs, rows) stacks at a power of two, even and odd
+    # 5-smooth lengths: 3375 = 15^3 and fft_length(140000) = 140625 have
+    # no factor 2, so N1 is odd (375 for both)
+    monkeypatch.setattr(fftconv, "FOUR_STEP_FROM", 1)
+    assert fft_length(140000) == 140625
+    ladder = (1.0, 2.0)
+    rng = np.random.default_rng(size)
+    left, right = rng.random((3, 1, size // 2)), rng.random((3, 2, size - size // 2))
+    got = circular_convolution(left, right, ladder, size)
+    assert got.shape == (2, 3, 2, size)
+    for (r, p), (i, j) in itertools.product(enumerate(ladder), np.ndindex(3, 2)):
+        a, b = left[i, 0] ** p, right[i, j] ** p
+        want = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
+        # round-off: a few ulps of the peak per factor-of-two level
+        assert_allclose(got[r, i, j], want, rtol=0,
+                        atol=4 * size.bit_length() * np.finfo(float).eps * want.max())
+
+
+def test_twiddle_tables_are_cached_and_read_only():
+    # 140625 = 375 * 375 and 375 = 15 * 25: the factors of W^(k1 n2),
+    # n2 = 25 q + r, are W^(25 k1 q) and W^(k1 r)
+    size = fft_length(140000)
+    factors, conjugates = fftconv._twiddles(size)
+    assert fftconv._twiddles(size)[0] is factors
+    assert [table.shape for table in factors] == [(188, 15, 1), (188, 1, 25)]
+    assert fftconv._spectrum_shape(size) == (188, 375)  # above FOUR_STEP_FROM
+    below = fftconv.FOUR_STEP_FROM - 1
+    assert fftconv._spectrum_shape(below) == (below // 2 + 1,)
+    k1, n2 = np.ogrid[:188, :375]
+    exact = np.exp(-2j * np.pi * (k1 * n2 % size) / size)
+    eps = np.finfo(float).eps
+    assert_allclose((factors[0] * factors[1]).reshape(188, 375), exact, rtol=0, atol=8 * eps)
+    for table, conjugate in zip(factors, conjugates):
+        assert conjugate.tobytes() == table.conj().tobytes()
+        for t in (table, conjugate):
+            assert not t.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                t[0, 0, 0] = 1.0
+
+
 def test_fast_convolve_commutes():
     rng = np.random.default_rng(3)
     left = Pmf(rng.random(40))
@@ -177,6 +220,12 @@ def canonical_cases():
     right[5:10] = left[5:10]
     left[5:8, 2], right[5:8, 2] = 0.0, -0.0  # differ only in the sign of a zero
     left[8:10, 4], right[8:10, 4] = -0.0, 0.0
+    # every pair ties on its first word: four equal rows, four decided at
+    # the last word, the rest anywhere after the first
+    tied = rng.choice(values, (20, 6)), rng.choice(values, (20, 6))
+    tied[1][:, 0] = tied[0][:, 0]
+    tied[1][:4] = tied[0][:4]
+    tied[1][4:8, :5] = tied[0][4:8, :5]
     wide = rng.choice(values, (2, 80, 12))
     # exactly one pair of many swaps, pair 17
     one_swap = rng.random((30, 8)), rng.random((30, 8))
@@ -187,7 +236,9 @@ def canonical_cases():
             "broadcast": (left, right[12:13]),
             "broadcast-both": (left[:5, None], right[None, 10:14]),
             "strided": (wide[0, 0::2, 0::2], wide[1, 1::2, 0::2]),
-            "one-swap": one_swap}
+            "one-swap": one_swap,
+            "tied-first-words": tied,
+            "tied-broadcast": (tied[0][:, None], tied[1][None, :8])}
 
 
 @pytest.mark.parametrize("case", canonical_cases())
@@ -442,7 +493,7 @@ def test_support_counts_take_the_linear_transform(monkeypatch):
     # long-by-short pair of combs takes one transform of its full output
     monkeypatch.setattr(fftconv, "VALID_FROM", 1)
     a, b = np.tile([1.0, 0.0], 40)[:-1], np.tile([1.0, 0.0], 10)[:-1]
-    lengths = spy_rfft_lengths(monkeypatch)
+    lengths = spy_transform_lengths(monkeypatch)
     counts = numeric._support_counts(a, b)
     assert lengths == [fft_length(79 + 19 - 1)] * 2
     assert_array_equal(counts, np.convolve(a, b))
@@ -530,14 +581,7 @@ def test_fast_convolve_many_is_bit_identical_to_one_pair_calls(
 @pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 1])
 def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
-    shapes = []
-    rfft = fftconv.np.fft.rfft
-
-    def counting_rfft(x, *args, **kwargs):
-        shapes.append(x.shape)
-        return rfft(x, *args, **kwargs)
-
-    monkeypatch.setattr(fftconv.np.fft, "rfft", counting_rfft)
+    shapes = spy_transforms(monkeypatch, np.shape)
     rng = np.random.default_rng(4)
     message, siblings = rng.random((1, 1, 63)), rng.random((1, 2, 32))
     fftconv.fast_convolve_rows(message, siblings, window=(0, 94))
@@ -561,17 +605,9 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     assert shapes == [(1, 1, fft_length(63 + 63 - 1))] * 4
 
 
-def spy_rfft_lengths(monkeypatch) -> list:
+def spy_transform_lengths(monkeypatch) -> list:
     """The length of every forward transform made from now on, in order."""
-    lengths = []
-    rfft = fftconv.np.fft.rfft
-
-    def spying_rfft(x, *args, **kwargs):
-        lengths.append(x.shape[-1])
-        return rfft(x, *args, **kwargs)
-
-    monkeypatch.setattr(fftconv.np.fft, "rfft", spying_rfft)
-    return lengths
+    return spy_transforms(monkeypatch, lambda stack: stack.shape[-1])
 
 
 def test_every_row_spanning_at_most_half_is_probed_narrow():
@@ -594,7 +630,7 @@ def test_a_pair_takes_a_span_transform_up_to_half_its_outputs(monkeypatch, spans
     left, right = np.zeros(64), np.zeros(64)
     left[:spans[0]] = 1.0
     right[10:10 + spans[1]] = 1.0
-    lengths = spy_rfft_lengths(monkeypatch)
+    lengths = spy_transform_lengths(monkeypatch)
     fast_convolve(Pmf(left), Pmf(right))
     assert lengths == [size] * 2
 
@@ -612,7 +648,7 @@ def test_peaked_pair_transforms_its_spans_only(monkeypatch, one_pair):
                                                     for x in (left, right))
     outputs = int((l_last - l_first + 1) + (r_last - r_first + 1) - 1)
     assert 2 * outputs <= 8192 + 8192 - 1
-    lengths = spy_rfft_lengths(monkeypatch)
+    lengths = spy_transform_lengths(monkeypatch)
     out = one_pair(left, right).values
     assert lengths == [fft_length(outputs)] * 2
     first = l_first + r_first
@@ -625,7 +661,7 @@ def test_dense_tree_transforms_at_the_full_length(monkeypatch, name):
     # k = VALID_FROM // 16 every child reach (at most 16k - 15) stays below
     # VALID_FROM, so every layer keeps the transforms, and the bits, of whole rows
     instance = generate_subset_sum_instance(32, fftconv.VALID_FROM // 16, 0)
-    expected, lengths = [], spy_rfft_lengths(monkeypatch)
+    expected, lengths = [], spy_transform_lengths(monkeypatch)
     convolve_rows = fftconv._convolve_rows
 
     def spying_convolve_rows(left, right, *args, **kwargs):
@@ -650,7 +686,7 @@ def test_dense_tree_transforms_forward_whole_and_reverse_at_the_parents_length(m
     # fft_length(W + w - 1) below it; reaches k, 2k - 1, 4k - 3, ... cross
     # the floor between the second and third reverse layers from the leaves
     instance = generate_subset_sum_instance(32, fftconv.VALID_FROM // 2, 0)
-    expected, lengths = [], spy_rfft_lengths(monkeypatch)
+    expected, lengths = [], spy_transform_lengths(monkeypatch)
     convolve_rows = fftconv._convolve_rows
 
     def spying_convolve_rows(left, right, *args, **kwargs):
@@ -678,7 +714,7 @@ def test_dense_reverse_layer_transforms_at_the_parents_length_only(monkeypatch, 
     rng = np.random.default_rng(21)
     w = fftconv.VALID_FROM
     message, siblings = rng.random((3, 1, 2 * w - 1)), rng.random((3, 2, w))
-    lengths = spy_rfft_lengths(monkeypatch)
+    lengths = spy_transform_lengths(monkeypatch)
     operator_from_name(name).apply_rows(message, siblings, window=(w - 1, w))
     assert lengths == [fft_length(2 * w - 1)] * 2
     # a window past the valid columns takes the linear transform too

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import convtree.fftconv as fftconv
 import convtree.numeric as numeric
-from bruteforce import narrow_rows, spy_span_pairs
+from bruteforce import circular_convolution, narrow_rows, spy_span_pairs, spy_transforms
 from convtree import (
     DegenerateDistributionError,
     PiecewiseConfig,
@@ -456,9 +456,7 @@ def per_rung_ladder(left, right, ladder, tau, window):
         if fftconv._valid_part(a.shape[-1], b.shape[-1]):
             size = fftconv.fft_length(max(a.shape[-1], b.shape[-1]))
             for r, p in enumerate(ladder):
-                spectra = [np.fft.rfft(fftconv._ladder_powers(x, (p,))[0], size)
-                           for x in (a, b)]
-                circular = np.fft.irfft(spectra[0] * spectra[1], size)
+                circular = circular_convolution(a, b, (p,), size)[0]
                 scales[r] = np.broadcast_to(circular.max(axis=-1), lead).reshape(-1)
         if len(ladder) > 1 and outputs >= numeric.CUT_FROM:
             theta = numeric._cut_level(ladder, tau, min(a.shape[-1], b.shape[-1]))
@@ -686,23 +684,23 @@ def test_cut_groups_keep_every_row_its_one_pair_call(monkeypatch, block_floats):
         ([4, 5], 1, 2), ([7], 1, 1)]
     # the fourth parent, one of whose siblings is cut, is transformed once
     # for the fallback rung (the first, p = 4) of both of its pairs
-    fallback_rows = []
-    rfft = fftconv.np.fft.rfft
+    stacks = spy_transforms(monkeypatch)
     parent_powers = np.square(np.square(parents[3, 0]))  # as _ladder_powers climbs to 4
 
-    def spying_rfft(x, *args, **kwargs):
-        rows = x.reshape(-1, x.shape[-1])[:, :parent_powers.size]
-        if rows.shape[-1] == parent_powers.size:
-            fallback_rows.append(int((rows == parent_powers).all(axis=-1).sum()))
-        return rfft(x, *args, **kwargs)
+    def fallback_rows():
+        count = 0
+        for stack in stacks:
+            rows = stack.reshape(-1, stack.shape[-1])[:, :parent_powers.size]
+            if rows.shape[-1] == parent_powers.size:
+                count += int((rows == parent_powers).all(axis=-1).sum())
+        return count
 
-    monkeypatch.setattr(fftconv.np.fft, "rfft", spying_rfft)
     apply_rows = numeric_max_operator().apply_rows
     parents.flags.writeable = siblings.flags.writeable = False  # no kernel writes its operands
     for window in (window, (0, 13999)):
-        fallback_rows.clear()
+        stacks.clear()
         got, peak = apply_rows(parents, siblings, window=window)
-        assert sum(fallback_rows) == 1
+        assert fallback_rows() == 1
         for i, j in np.ndindex(4, 2):
             one, one_peak = apply_rows(parents[i, 0], siblings[i, j], window=window)
             assert one.tobytes() == got[i, j].tobytes()
@@ -736,14 +734,7 @@ def test_wide_span_pairs_keep_one_three_rung_stack(monkeypatch):
     # every uniform k = 8192 pair's significant spans are wider than half
     # of both its rows, so each operand takes (3, rows, size) transforms,
     # one row of the left operand per row of the product
-    shapes = []
-    rfft = fftconv.np.fft.rfft
-
-    def spying_rfft(x, *args, **kwargs):
-        shapes.append(x.shape)
-        return rfft(x, *args, **kwargs)
-
-    monkeypatch.setattr(fftconv.np.fft, "rfft", spying_rfft)
+    shapes = spy_transforms(monkeypatch, np.shape)
     size = fftconv.fft_length(8192 + 8192 - 1)
     left, right = random_pair(8192, 5)
     max_convolve_piecewise(left, right)

@@ -10,7 +10,13 @@ import convtree.fftconv as fftconv
 import convtree.numeric as numeric
 import convtree.pmf as pmf_module
 import convtree.tree as tree_module
-from bruteforce import brute_force_tree, normalize_mode, spy_span_pairs
+from bruteforce import (
+    brute_force_tree,
+    circular_convolution,
+    normalize_mode,
+    spy_span_pairs,
+    spy_transforms,
+)
 from convtree import (
     ConvolutionOperator,
     DegenerateDistributionError,
@@ -565,9 +571,8 @@ def row_peaks(name, left, right, full):
             peaks[index] = a.max() * b.max()
             continue
         p = 4.0 if name == "pnorm:4" else 1.0
-        x, y = (fftconv._ladder_powers(x / x.max(), (p,))[0] for x in (a, b)) if p > 1 else (a, b)
-        size = fftconv.fft_length(a.size)
-        peak = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size).max()
+        x, y = (a / a.max(), b / b.max()) if p > 1 else (a, b)
+        peak = circular_convolution(x, y, (p,), fftconv.fft_length(a.size)).max()
         peaks[index] = peak if p == 1.0 else np.power(peak, 1.0 / p) * (a.max() * b.max())
     return peaks
 
@@ -598,6 +603,32 @@ def test_windowed_layer_call_is_the_full_calls_slice_and_peak(monkeypatch, block
             want = row_peaks(name, left, right, full)
             for got in (peak, full_peak):
                 assert np.asarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 2000, 1])
+@pytest.mark.parametrize("name", ["sum", "max-numeric", "max-numeric-cut", "pnorm:1",
+                                  "pnorm:4"])
+def test_four_step_rows_keep_their_one_pair_bits(monkeypatch, block_floats, name):
+    # from FOUR_STEP_FROM = 64 on, the transforms of these layers, up to
+    # 1,200 points, take four steps, and the smallest take one rfft; every
+    # row keeps the kept columns and the peak of its one-pair call
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(fftconv, "FOUR_STEP_FROM", 64)
+    if name == "max-numeric-cut":  # every pair with a narrower cut takes it
+        monkeypatch.setattr(numeric, "CUT_FROM", 1)
+        apply_rows = numeric_max_operator().apply_rows
+    else:
+        apply_rows = operator_from_name(name).apply_rows
+    lengths = spy_transforms(monkeypatch, lambda stack: stack.shape[-1])
+    for left, right, window in window_cases():
+        got, peak = apply_rows(left, right, window=window)
+        lead = got.shape[:-1]
+        left, right = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (left, right))
+        for index in np.ndindex(lead):
+            one, one_peak = apply_rows(left[index], right[index], window=window)
+            assert one.tobytes() == got[index].tobytes()
+            assert np.asarray(one_peak).tobytes() == peak[index].tobytes()
+    assert min(lengths) < fftconv.FOUR_STEP_FROM <= max(lengths)
 
 
 @pytest.mark.parametrize("bad, message", [(np.nan, "must be finite"),
