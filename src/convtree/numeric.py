@@ -14,8 +14,9 @@ of the largest exponent whose (max-normalized) value is still trustworthy.
 No kept column is rooted at or below zero: ``_root``, which roots the
 p-norm and the ladder's fallback rung, reads such values as zero and keeps
 them off np.power, which is several times slower on 0.0 (``_root`` says
-by how much). Each upper rung is rooted only above its floor, far enough
-below tau that the stitch takes nothing at or under it.
+by how much). Each upper rung p is rooted only where it wins: where its
+normalized power sum is at least tau**p, or the least subnormal where
+tau**p underflows, so never at or below zero.
 
 The ladder's upper rungs of a wide pair are transformed over each
 operand row's significant span only; ``_ladder_rows`` bounds what that
@@ -102,8 +103,11 @@ def _p_label(p: float) -> str:
 class PiecewiseConfig:
     """Ascending exponent ladder plus the trust threshold tau.
 
-    tau applies to the max-normalized (pre-rescale) values, so it means
-    "within tau of the largest output" regardless of input scale.
+    tau applies to the max-normalized (pre-rescale) values: an upper rung p
+    wins an index where its power sum divided by the rung's peak, before
+    the 1/p root, is at least tau**p (the least subnormal where that
+    underflows), so tau means "within tau of the largest output"
+    regardless of input scale.
     """
 
     p_ladder: tuple[float, ...] = DEFAULT_P_LADDER
@@ -131,7 +135,11 @@ def p_norm_convolve(left: Pmf, right: Pmf, p: float) -> Pmf:
 
         max_conv[m] <= out[m] <= max_conv[m] * t(m)^(1/p)
 
-    and is elementwise nonincreasing in p.
+    and is elementwise nonincreasing in p. The lower bound holds where the
+    p-th power of the normalized exact value, max_conv[m] / (max(L) max(R)),
+    is a normal double. Below that the powers underflow and the output can
+    fall under the max, down to 0.0 (at p = 64, where the exact value is
+    1.2e-9 of the peak).
     """
     return _one_pair(_p_norm_rows, left, right, p)
 
@@ -400,13 +408,13 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     kept columns lo..lo+n-1 and each row's input scale, the product of its
     operands' maxima.
 
-    Each index takes the value of the largest exponent whose normalized
-    result clears tau; the smallest exponent is the fallback, so a
-    one-rung ladder never reads tau. A span pair is cut to its spans
-    (``fftconv._cut_pair``), which the span rule finds on the undivided
-    rows. ``_ladder_rows`` then normalizes, convolves, roots and stitches
-    the rows it receives, each on its own, so every row is bit-identical
-    to its one-pair call.
+    Each index takes the value of the largest exponent p whose normalized
+    power sum is at least tau**p (``_ladder_rows``); the smallest exponent
+    is the fallback, so a one-rung ladder never reads tau. A span pair is
+    cut to its spans (``fftconv._cut_pair``), which the span rule finds on
+    the undivided rows. ``_ladder_rows`` then normalizes, convolves, roots
+    and stitches the rows it receives, each on its own, so every row is
+    bit-identical to its one-pair call.
     """
     return _cut_pair(partial(_ladder_rows, ladder=ladder, tau=tau), left, right, window)
 
@@ -448,15 +456,20 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     all its outputs, whatever the window; the divide, root and stitch run
     on the kept columns only. The returned scale is the input scale. A
     stitched row whose top rung is scaled by its own peak peaks at exactly
-    1 (the root of that peak, which clears tau; no root of a value <= 1
-    exceeds 1), so its input scale is its full row's peak. A long-by-short
+    1 (the root of that peak, which wins; no root of a value <= 1 exceeds
+    1), so its input scale is its full row's peak. A long-by-short
     pair's circular peak can exceed its linear one (a wrapped column sums
     two outputs), and then its row peaks below 1.
 
     The rows arrive unclipped. A rung's raw scale equals its clipped one,
     since every rung peaks at about 1. The fallback's kept columns go from
-    that division straight into ``_root``; each upper rung roots only its
-    values above its floor (defined below): no index could take the rest.
+    that division straight into ``_root``. An upper rung p wins an index
+    where its normalized power sum, the rung divided by its row scale
+    before the root, is at least tau**p, or the least subnormal where
+    tau**p underflows (every positive sum then roots above tau, and no
+    value at or below zero wins). Each upper rung, in ascending order, is
+    rooted only where it wins, straight into the stitched row, so the
+    highest rung that wins an index gives its value.
 
     From an output width of CUT_FROM on, a pair's upper rungs (every rung
     above the fallback) are transformed over each operand row's significant
@@ -465,13 +478,13 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
         theta = tau * (2**-53 / t)**(1 / p1),
 
     in the max-normalized row, t = min(a, b), p1 the lowest upper rung. A
-    rung p >= p1 can win an index only where its normalized power sum is
-    at least tau, so where S_p >= tau**p (S_p peaks at 1 or more). Every
-    term the cut drops holds a value below theta, so is below theta**p,
-    and at most t of them fall on one index: they sum to less than
-    t * theta**p <= 2**-53 * tau**p <= 2**-53 * S_p. There the cut changes
-    nothing but FFT round-off, and a rung choice can flip only where a
-    root lies within round-off of tau.
+    rung p >= p1 wins an index only where its power sum S_p, divided by
+    its peak, is at least tau**p, so where S_p >= tau**p (S_p peaks at 1 or
+    more). Every term the cut drops holds a value below theta, so is below
+    theta**p, and at most t of them fall on one index: they sum to less
+    than t * theta**p <= 2**-53 * tau**p <= 2**-53 * S_p. There the cut
+    changes nothing but FFT round-off, and a rung choice can flip only
+    where S_p over its peak lies within round-off of tau**p.
 
     Each row's cut depends on that row alone, so every row keeps the bits
     of its one-pair call: its width is halved (rounding up) while it still
@@ -484,51 +497,39 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     operands as they arrive, so a reverse layer's parent is transformed
     once for both of its children; then the upper rungs, in one
     ``_convolve_rows`` call per group of pairs of one cut width per
-    operand (``_upper_cuts``). Each pair's upper-rung results replace its
-    fallback where they clear tau, at the sum of its cuts' starts, and the
-    stitched rows are scaled once. Every step acts on each row alone and
-    runs the float operations of the stack, so both paths give the same
-    bits. The cuts take the linear transform and are scaled by their own
-    peaks, but a whole pair takes the transforms that the stack would give
-    it (``fftconv._convolve_rows``), so a row's bits do not depend on
-    whether another row of its call is cut.
+    operand (``_upper_cuts``). The fallback call runs the stack's own
+    finish, which scales it and has no upper rung to stitch; the upper
+    rungs are stitched into zeros, so a pair's cut result is positive
+    exactly where a rung wins, and there it replaces the fallback, scaled
+    by the pair's input scale, at the sum of its cuts' starts. Every step
+    acts on each row alone and runs the float operations of the stack, so
+    both paths give the same bits. The cuts take the linear transform and
+    are scaled by their own peaks, but a whole pair takes the transforms
+    that the stack would give it (``fftconv._convolve_rows``), so a row's
+    bits do not depend on whether another row of its call is cut.
     """
     (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
     peak = a_peak * b_peak
     scale = np.atleast_1d(peak)
-    # A value at or below its rung's floor 0.5 * tau**p would root to at
-    # most tau * 0.5**(1/p), about ln2/p below tau: over 1e6 ulps up to
-    # p = 2**32, so no index takes it. Left unrooted, it is below tau
-    # itself, so still none does. By p = 1e16 that gap is within
-    # round-off, so rungs above 2**32 leave only nonpositive values
-    # unrooted.
-    floors = [0.5 * tau ** p if p <= 2.0 ** 32 else 0.0 for p in ladder[1:]]
-
-    def normalized(kept, scales):
-        kept /= scales[..., None]
-        return kept
+    bars = [max(tau ** p, math.ulp(0.0)) for p in ladder[1:]]  # the least sum that wins
 
     def upper(rungs, stitched):
-        """Root each upper rung above its floor, in place, and copy it
-        into ``stitched`` where it clears tau, in ascending order."""
-        take = np.empty(stitched.shape, bool)  # every mask, so one allocation per call
-        for rung, p, floor in zip(rungs, ladder[1:], floors):
-            np.power(rung, 1.0 / p, out=rung, where=np.greater(rung, floor, out=take))
-            np.copyto(stitched, rung, where=np.greater_equal(rung, tau, out=take))
+        """Root each normalized upper rung into ``stitched`` where it wins,
+        in ascending order."""
+        win = np.empty(stitched.shape, bool)  # every mask, so one allocation per call
+        for rung, p, bar in zip(rungs, ladder[1:], bars):
+            np.power(rung, 1.0 / p, out=stitched, where=np.greater_equal(rung, bar, out=win))
         return stitched
 
-    def fallback(rows, kept, scales):
-        # the smallest exponent, divided into a new array: kept may be the workspace
-        return _root(kept[0] / scales[0][..., None], ladder[0])
-
     def finish(rows, kept, scales):
-        kept = normalized(kept, scales)
+        kept /= scales[..., None]
         return upper(kept[1:], _root(kept[0], ladder[0])) * scale[rows, ..., None]
 
     def cut(rows, kept, scales):
-        return upper(normalized(kept, scales), np.zeros(kept.shape[1:]))
+        kept /= scales[..., None]
+        return upper(kept, np.zeros(kept.shape[1:]))
 
     na, nb = a.shape[-1], b.shape[-1]
     groups = None
@@ -537,7 +538,8 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     if groups is None:
         return _convolve_rows(a, b, ladder, finish, window), peak
     lo, n = window
-    flat = _convolve_rows(a, b, ladder[:1], fallback, window).reshape(scale.size, n)
+    # the fallback rung through the stack's finish, scaled; no upper rung to stitch
+    flat = _convolve_rows(a, b, ladder[:1], finish, window).reshape(scale.size, n)
     for pairs, a_rows, b_rows, offsets in groups:
         # the cut output columns that some pair of the group keeps
         outputs = a_rows.shape[-1] + b_rows.shape[-1] - 1
@@ -552,10 +554,10 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
         for row, offset, value in zip(pairs.tolist(), offsets.tolist(), values):
             start, end = max(first, lo - offset), min(stop, lo + n - offset)
             if end > start:
+                # a cut value is positive exactly where a rung won
                 piece = value[start - first:end - first]
-                np.copyto(flat[row, start + offset - lo:end + offset - lo], piece,
-                          where=piece >= tau)
-    flat *= scale.reshape(-1, 1)
+                np.copyto(flat[row, start + offset - lo:end + offset - lo],
+                          piece * scale.flat[row], where=piece > 0.0)
     return flat.reshape(np.shape(peak) + (n,)), peak
 
 
@@ -642,10 +644,11 @@ def max_convolve_piecewise(left: Pmf, right: Pmf,
 
     Every rung is computed eagerly (the same estimate max_convolve_normalized
     gives for that exponent); each output index takes the value from the
-    largest exponent whose max-normalized result clears tau, falling back to
-    the smallest exponent where none does. High-p values below tau are
-    indistinguishable from underflow/round-off, so the stabler low-p estimate
-    is used there.
+    largest exponent p whose max-normalized power sum, before the 1/p root,
+    is at least tau**p (the least subnormal where that underflows), falling
+    back to the smallest exponent where none does. High-p power sums below
+    tau**p are indistinguishable from underflow/round-off, so the stabler
+    low-p estimate is used there.
     """
     if config is None:
         config = PiecewiseConfig()

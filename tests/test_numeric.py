@@ -1,3 +1,4 @@
+import math
 import time
 from functools import partial
 
@@ -433,10 +434,11 @@ def comb_pair():
 
 
 def per_rung_ladder(left, right, ladder, tau, window):
-    """The ladder kernel as it was before upper rungs were clamped to their
-    floors: clip every output at zero, divide each rung by its row scale,
-    root every kept column with np.power and stitch where the root clears
-    tau. A rung's row scale is its peak, or for a long-by-short pair
+    """The ladder kernel rung by rung: clip every output at zero, divide
+    each rung by its row scale, root every kept column with np.power and
+    stitch each upper rung p where its normalized power sum, before the
+    root, is at least tau**p (the least subnormal where that underflows).
+    A rung's row scale is its peak, or for a long-by-short pair
     (``fftconv._valid_part``) the peak of its circular convolution at the
     longer row's length. A span pair is cut to its spans, as the ladder
     cuts it. From CUT_FROM outputs on, each upper rung of a pair whose row
@@ -481,11 +483,12 @@ def per_rung_ladder(left, right, ladder, tau, window):
         for vm, row_scale, p in zip(vms, scales, ladder):
             rung = vm[..., window[0]:window[0] + window[1]]
             rung /= row_scale[..., None]
+            wins = rung >= max(tau ** p, math.ulp(0.0))
             np.power(rung, 1.0 / p, out=rung)
             if stitched is None:
                 stitched = rung
             else:
-                np.copyto(stitched, rung, where=rung >= tau)
+                np.copyto(stitched, rung, where=wins)
         return stitched * scale.reshape(lead + (1,)), a_peak * b_peak
 
     return fftconv._cut_pair(kernel, left, right, window)
@@ -770,7 +773,8 @@ def test_no_root_sees_a_zero(monkeypatch):
 
 
 def test_upper_rungs_root_only_above_their_floors(monkeypatch):
-    # a value at or below 0.5 * tau**p cannot clear tau, so it is not rooted
+    # an upper rung p is rooted only where its normalized power sum is at
+    # least tau**p, where it wins
     rooted = []
     power = np.power
 
@@ -785,8 +789,23 @@ def test_upper_rungs_root_only_above_their_floors(monkeypatch):
     max_convolve_piecewise(Pmf(left), Pmf(right))
     assert [round(p) for p, _, _ in rooted] == list(LADDER[1:])
     for p, size, values in rooted:
-        assert (values > 0.5 * TAU ** p).all()
+        assert (values >= TAU ** p).all()
         assert values.size < size / 2
+
+
+@pytest.mark.parametrize("cut_from", [numeric.CUT_FROM, 1])
+def test_top_rung_wins_only_where_its_power_sum_clears_tau(monkeypatch, cut_from):
+    # with tau = 1, the rung p = 1e300 wins only where its normalized power
+    # sum is 1, at the exact argmax; elsewhere its root of FFT round-off
+    # rounds to 1 too, but must not take the index
+    monkeypatch.setattr(numeric, "CUT_FROM", cut_from)
+    config = PiecewiseConfig((4.0, 1e300), 1.0)
+    for seed in range(4):
+        left, right = random_pair(512, seed)
+        got = max_convolve_piecewise(left, right, config).values
+        want = max_convolve_normalized(left, right, 4.0).values
+        argmax = int(np.argmax(naive_max_convolve(left, right).values))
+        assert set(np.flatnonzero(got != want).tolist()) <= {argmax}
 
 
 def test_ladder_roots_only_the_span_output(monkeypatch):
