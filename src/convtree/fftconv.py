@@ -69,11 +69,12 @@ glibc's mmap threshold low and makes the rest of the process fault
 instead. Nothing the kernel returns aliases a kept buffer, and each
 thread has its own, so every operation stays safe to call concurrently.
 
-Every row kernel takes a keep-window ``(lo, n)`` and returns the kept
-columns of its full rows and each row's scale: its full row's peak, or
-for a long-by-short pair the peak of its circular transform, as the
-kernel scales it (``_convolve_rows``). Neither depends on the window. A
-one-pair function is its kernel over the full window (``_one_pair``).
+Every row kernel, ``_convolve_rows`` first, takes a keep-window
+``window=(lo, n)`` and returns the kept columns of its full rows and each
+row's scale: its full row's peak, or for a long-by-short pair the peak of
+its circular transform, as ``_convolve_rows`` scales it. Neither depends
+on the window. A one-pair function is its kernel over the full window
+(``_one_pair``).
 """
 
 from __future__ import annotations
@@ -324,13 +325,6 @@ def _scratch(floats: dict[str, int]) -> dict[str, np.ndarray]:
     return kept
 
 
-def _lead(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
-    """The broadcast leading shape of the rows ``a`` and ``b``."""
-    if a.shape[:-1] == b.shape[:-1]:  # np.broadcast_shapes costs about 2 us
-        return a.shape[:-1]
-    return np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-
-
 def _valid_part(a: int, b: int) -> tuple[int, int] | None:
     """The valid columns ``(s - 1, l)`` of a long-by-short pair of rows of
     ``a`` and ``b`` values, s the shorter length and l the longer: one with
@@ -347,12 +341,14 @@ def _valid_part(a: int, b: int) -> tuple[int, int] | None:
 
 def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...] = (1.0,),
                    finish: Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None = None,
-                   window: tuple[int, int] | None = None, peaks: np.ndarray | None = None,
-                   linear: bool = False) -> np.ndarray:
+                   window: tuple[int, int] | None = None,
+                   linear: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Linear convolutions of the elementwise p-th powers of every row pair
     of ``left`` (..., a) and ``right`` (..., b), taken in the order given,
     whose leading axes broadcast, for each exponent p of ``ladder``, cut to
     the keep-window ``window=(lo, n)`` (all a + b - 1 outputs by default).
+    Returns what every row kernel returns: the (..., n) results, and the
+    (...) row scales, here the first rung's.
 
     The leading axis is cut into blocks of at most BLOCK_FLOATS live floats
     (one index at least). Per block, each operand takes one transform of
@@ -375,9 +371,8 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     kept columns of the block ``rows`` (a slice of the leading axis), and
     ``scales``, the (rungs, *block) row scales, to the block's (*block, n)
     results. Without ``finish`` the results are the first rung's kept
-    columns clipped at zero. ``peaks``, if given, an array of the leading
-    shape, receives the first rung's row scales. The results of all blocks
-    are returned as one (..., n) array, empty when a leading axis is.
+    columns clipped at zero. The results and scales of all blocks are
+    returned as one array each, empty when a leading axis is.
 
     The transforms run in the buffers of the calling thread's workspace
     (``_scratch``, which keeps no buffer above KEEP_BYTES; the module
@@ -391,11 +386,13 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     counts that ``numeric._refine_rows`` takes of a result, cannot change a
     result already returned.
     """
-    lead = _lead(left, right)
+    lead = left.shape[:-1]
+    if right.shape[:-1] != lead:  # np.broadcast_shapes costs about 2 us
+        lead = np.broadcast_shapes(lead, right.shape[:-1])
     a, b = left.shape[-1], right.shape[-1]
     lo, n = (0, a + b - 1) if window is None else window
     if 0 in lead:
-        return np.empty(lead + (n,))
+        return np.empty(lead + (n,)), np.empty(lead)
     # the transform lengths, the first giving the scales and the kept
     # columns first..stop - 1, a second the other kept columns
     sizes, first, stop = [fft_length(a + b - 1)], lo, lo + n
@@ -421,8 +418,7 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
     buffers = _scratch({"stack": rungs * p_rows * size,
                         "left": 2 * rungs * l_rows * spectrum,  # floats of complex spectra
                         "right": 2 * rungs * p_rows * spectrum})
-    if peaks is not None:
-        peaks = peaks.reshape(shape[:-1])
+    peaks = np.empty(shape[:-1])
     if finish is None or len(blocks) > 1:
         result = np.empty(shape)
     else:
@@ -431,15 +427,14 @@ def _convolve_rows(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...
         rows = slice(start, start + blocks.step)
         l, r = (x if x.shape[0] == 1 else x[rows] for x in (left, right))
         kept, scales = _kept_columns(l, r, ladder, sizes, (lo, n), (first, stop), buffers)
-        if peaks is not None:
-            peaks[rows] = scales[0]
+        peaks[rows] = scales[0]
         if result is None:
             result = finish(rows, kept, scales)
         elif finish is None:
             np.maximum(kept[0], 0.0, out=result[rows])
         else:
             result[rows] = finish(rows, kept, scales)
-    return result.reshape(lead + (n,))
+    return result.reshape(lead + (n,)), peaks.reshape(lead)
 
 
 def _kept_columns(left: np.ndarray, right: np.ndarray, ladder: tuple[float, ...],
@@ -545,11 +540,12 @@ def _one_pair_spans(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice] | None:
 
 def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], left: np.ndarray,
               right: np.ndarray, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel(a, b, window)`` of the rows ``left`` and ``right`` as floats
-    in canonical order (``_canonical_rows``), with every span pair
-    (``_one_pair_spans``) cut to its spans. The kernel returns the kept
-    columns and row scales of the rows it receives, and takes any peak it
-    needs from them (a span holds its row's maximum).
+    """``kernel(a, b, window=window)`` of the rows ``left`` and ``right``
+    as floats in canonical order (``_canonical_rows``), with every span
+    pair (``_one_pair_spans``) cut to its spans. The kernel, a row kernel
+    such as ``_convolve_rows``, returns the kept columns and row scales of
+    the rows it receives, and takes any peak it needs from them (a span
+    holds its row's maximum).
 
     A one-pair call (1-D rows) that is a dense pair goes to ``kernel`` as
     it is. A span pair goes as its two spans, under the keep-window moved
@@ -570,17 +566,17 @@ def _cut_pair(kernel: Callable[..., tuple[np.ndarray, np.ndarray]], left: np.nda
     if a.ndim == b.ndim == 1:
         spans = _one_pair_spans(a, b)
         if spans is None:
-            return kernel(a, b, window)
+            return kernel(a, b, window=window)
         left, right = spans
         first, stop = left.start + right.start, left.stop + right.stop - 1  # the span output
         lo, n = window
         start = min(max(lo, first), stop)
         end = max(start, min(lo + n, stop))
-        kept, peak = kernel(a[left], b[right], (start - first, end - start))
+        kept, peak = kernel(a[left], b[right], window=(start - first, end - start))
         out = np.zeros(n)
         out[start - lo:end - lo] = kept
         return out, peak
-    out, peak = kernel(a, b, window)
+    out, peak = kernel(a, b, window=window)
     maybe = _maybe_narrow(a) | _maybe_narrow(b)
     if maybe is False:  # np.any(False) alone costs about 5 us
         return out, peak
@@ -601,14 +597,7 @@ def fast_convolve_rows(left: np.ndarray, right: np.ndarray,
     Each row is bit-identical to the one-pair call on that row pair, which
     is cut to its spans (``_cut_pair``).
     """
-    return _cut_pair(_fast_rows, left, right, window)
-
-
-def _fast_rows(a: np.ndarray, b: np.ndarray,
-               window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """fast_convolve_rows of the canonical operands (``_cut_pair``)."""
-    peak = np.empty(_lead(a, b))
-    return _convolve_rows(a, b, window=window, peaks=peak), peak
+    return _cut_pair(_convolve_rows, left, right, window)
 
 
 def _one_pair(kernel: Callable, left: Pmf, right: Pmf, *args) -> Pmf:

@@ -31,7 +31,8 @@ windowed row keeps the bits of its full call.
 The p-norm's small-value refine sums a row with a subnormal product on
 operands scaled by powers of two (``_scales``), so its subnormal outputs
 are rounded once and cost what normal ones do; every other row keeps the
-bits of its unscaled sums.
+bits of its unscaled sums. Each row decides this from its own trimmed
+operands, so a rows call refines every row as its one-pair call does.
 
 Neither operator works through the exact zeros of a span pair
 (``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
@@ -54,11 +55,9 @@ from .fftconv import (
     _convolve_rows,
     _cut_pair,
     _edges,
-    _fast_rows,
     _ladder_powers,
     _one_pair,
     _valid_part,
-    padded_length,
 )
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
@@ -186,7 +185,7 @@ def _p_norm_sums(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
         bounds = _parts(a.shape[-1], b.shape[-1])
         start = bounds[bisect.bisect_right(bounds, lo) - 1]
         stop = bounds[bisect.bisect_left(bounds, lo + n)]
-    sums, peak = _fast_rows(a, b, (start, stop - start))
+    sums, peak = _convolve_rows(a, b, window=(start, stop - start))
     _refine_rows(sums, a, b, window, start, peak)
     out = sums[..., lo - start:lo - start + n]
     if p == 1.0:
@@ -222,16 +221,11 @@ def _root(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[int, int],
-                 start: int = 0, peak: np.ndarray | None = None):
+                 start: int, peak: np.ndarray):
     """_refine_small_values of each row of ``out``, which holds output
     columns start, start + 1, ... of every row pair, that has a small output
     in the kept columns of ``window=(lo, n)``, small meaning against the
-    row's ``peak`` (its maximum in ``out`` by default).
-
-    When no product of the call's operands can be subnormal (the least
-    value of each, zeros included, multiply to at least _TINY) the rows
-    are refined as ``normal``; that implies the test each row would make,
-    so a rows call sums every row as its one-pair call does."""
+    row's ``peak``. Each row is refined as its one-pair call refines it."""
     # One pair: _refine_small_values finds its small outputs itself; the
     # scan and index loop below add 22-38 us to a 67-80 us one-pair
     # p_norm_convolve at k = 64 (2 vCPUs).
@@ -239,34 +233,28 @@ def _refine_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, window: tuple[in
         _refine_small_values(out, a, b, window, start, peak)
         return
     lo, n = window
-    peak = out.max(axis=-1) if peak is None else peak
     kept = out[..., lo - start:lo - start + n]
     small = ((kept <= peak[..., None] * REFINE_BELOW) & (peak > 0.0)[..., None]).any(axis=-1)
     if not small.any():
         return
-    normal = bool(np.minimum.reduce(a, axis=None) * np.minimum.reduce(b, axis=None) >= _TINY)
     a, b = (np.broadcast_to(x, out.shape[:-1] + x.shape[-1:]) for x in (a, b))
     for index in map(tuple, np.argwhere(small)):
-        _refine_small_values(out[index], a[index], b[index], window, start, peak[index],
-                             normal)
+        _refine_small_values(out[index], a[index], b[index], window, start, peak[index])
 
 
 def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         window: tuple[int, int], start: int = 0, peak: float | None = None,
-                         normal: bool = False):
+                         window: tuple[int, int], start: int, peak: float):
     """Recompute the outputs of ``out``, which holds output columns start,
-    start + 1, ..., at or below REFINE_BELOW * ``peak`` (its maximum by
-    default) that are kept columns of ``window=(lo, n)``, by direct
-    summation, in place.
+    start + 1, ..., at or below REFINE_BELOW * ``peak`` that are kept
+    columns of ``window=(lo, n)``, by direct summation, in place.
 
     FFT round-off is absolute (~1e-16 of the peak), so outputs far below the
     peak can be pure noise; the direct sum is within 1e-14 relative of the
     exact sum there, whatever its size. A row with a subnormal product is
     summed on operands scaled by powers of two (``_scales``) and scaled
-    back once, so a subnormal output is its scaled sum rounded once;
-    ``normal`` says that the caller has ruled such products out. On peaked
-    inputs almost every output is small, so the sums are not taken one
-    output at a time. Instead:
+    back once, so a subnormal output is its scaled sum rounded once. On
+    peaked inputs almost every output is small, so the sums are not taken
+    one output at a time. Instead:
 
     1. Each operand is trimmed to its first..last nonzero value; small
        outputs outside the trimmed output range are exactly zero.
@@ -293,7 +281,6 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     Python work per piece. Dense, smooth tails keep the middle term large,
     since each of their small outputs has many nonzero terms.
     """
-    peak = out.max() if peak is None else peak
     if peak <= 0.0:
         return
     index = np.flatnonzero(out <= peak * REFINE_BELOW)
@@ -301,15 +288,16 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
         return
     out[index] = 0.0  # the exact value of every output without a nonzero term
     parts = _parts(a.size, b.size)
-    (a_start, a), (b_start, b) = _trimmed(a), _trimmed(b)
+    (a_start, a_stop), (b_start, b_stop) = _edges(a), _edges(b)
+    a, b = a[a_start:a_stop], b[b_start:b_stop]
     if b.size > a.size:  # slide the longer operand under the shorter one
-        (a_start, a), (b_start, b) = (b_start, b), (a_start, a)
+        a, b = b, a
     shift = a_start + b_start
     index += start - shift  # in trimmed indices from here on
     index = index[(index >= 0) & (index < a.size + b.size - 1)]
     if not (a.all() and b.all()):
         index = index[_support_counts(a, b)[index] > 0.5]
-    a_scale, b_scale = (0, 0) if normal else _scales(a, b)
+    a_scale, b_scale = _scales(a, b)
     if a_scale or b_scale:
         a, b = np.ldexp(a, a_scale), np.ldexp(b, b_scale)
     lo, n = window
@@ -337,7 +325,11 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
 def _scales(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
     """The powers of two by which the direct sums scale the trimmed ``a``
     and ``b``: (0, 0) when no product of their nonzero values is subnormal,
-    else those that put each maximum just below 2^top (see _TINY)."""
+    else those that put each maximum just below 2^top (see _TINY). The
+    plain minima decide most rows: where they multiply to at least _TINY,
+    neither operand holds a zero, so they are their least nonzero values."""
+    if a.min() * b.min() >= _TINY:
+        return 0, 0
     least_a, least_b = (np.min(x, where=x != 0.0, initial=np.inf) for x in (a, b))
     if least_a * least_b >= _TINY:
         return 0, 0
@@ -345,19 +337,12 @@ def _scales(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
     return top - int(np.frexp(a.max())[1]), top - int(np.frexp(b.max())[1])
 
 
-def _trimmed(x: np.ndarray) -> tuple[int, np.ndarray]:
-    """The index of the first nonzero value of ``x`` (which has one) and the
-    view from it to the last nonzero value (``_edges``)."""
-    start, stop = _edges(x)
-    return start, x[start:stop]
-
-
 def _support_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The number of nonzero terms a[l] * b[m - l] of every output m of the
     trimmed ``a`` and ``b``, from one FFT convolution of the 0/1 support
     indicators."""
     return np.rint(_convolve_rows((a != 0.0).astype(float), (b != 0.0).astype(float),
-                                  linear=True))
+                                  linear=True)[0])
 
 
 def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -536,10 +521,10 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     if len(ladder) > 1 and na + nb - 1 >= CUT_FROM:
         groups = _upper_cuts(a, b, _cut_level(ladder, tau, min(na, nb)))
     if groups is None:
-        return _convolve_rows(a, b, ladder, finish, window), peak
+        return _convolve_rows(a, b, ladder, finish, window)[0], peak
     lo, n = window
     # the fallback rung through the stack's finish, scaled; no upper rung to stitch
-    flat = _convolve_rows(a, b, ladder[:1], finish, window).reshape(scale.size, n)
+    flat = _convolve_rows(a, b, ladder[:1], finish, window)[0].reshape(scale.size, n)
     for pairs, a_rows, b_rows, offsets in groups:
         # the cut output columns that some pair of the group keeps
         outputs = a_rows.shape[-1] + b_rows.shape[-1] - 1
@@ -550,7 +535,7 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
         # whole pairs keep the transforms of the three-rung stack
         whole = a_rows.shape[-1] == na and b_rows.shape[-1] == nb
         values = _convolve_rows(a_rows, b_rows, ladder[1:], cut, (first, stop - first),
-                                linear=not whole).reshape(len(pairs), -1)
+                                linear=not whole)[0].reshape(len(pairs), -1)
         for row, offset, value in zip(pairs.tolist(), offsets.tolist(), values):
             start, end = max(first, lo - offset), min(stop, lo + n - offset)
             if end > start:
@@ -655,18 +640,26 @@ def max_convolve_piecewise(left: Pmf, right: Pmf,
     return _one_pair(_ladder_max_convolve, left, right, config.p_ladder, config.tau)
 
 
+# Output length up to which max_convolve_auto takes the exact naive loop.
+# One-pair calls of uniform values (median of 200-300 alternating calls,
+# 2-vCPU VM): the naive loop costs 2.5-4.8 us per output and the piecewise
+# ladder has a floor of 100-240 us, as the machine's load moved both;
+# naive over piecewise read 0.91 at 31 outputs (16x16), 0.92 at 35, 0.98
+# at 39 and 0.96-1.24 at 47, and 1.55 at 103 (4x100). Lopsided pairs
+# belong to the ladder: 16x4096 took 17.4 ms naive against 0.63 ms, and
+# 2x8192 34.2 ms against 1.33 ms.
+NAIVE_UP_TO = 40
+
+
 def max_convolve_auto(left: Pmf, right: Pmf,
                       config: PiecewiseConfig | None = None) -> Pmf:
-    """Exact naive max-convolution on small problems, piecewise otherwise.
+    """Exact naive max-convolution where it is cheaper, piecewise otherwise.
 
-    Naive when its k_L * k_R products are no more than the transform work
-    size * max(1, log2 size), size being ``padded_length`` of the output
-    (the next power of two), not the 5-smooth ``fft_length`` the
-    transforms run at; the log is floored at 1 so length-1 problems still
-    take the naive path.
+    Naive when the output has at most NAIVE_UP_TO values, or when one
+    operand is a single value, so that a point mass stays exact (its
+    result is the other operand scaled and shifted).
     """
-    size = padded_length(len(left) + len(right) - 1)
-    if len(left) * len(right) <= size * max(1.0, math.log2(size)):
+    if len(left) + len(right) - 1 <= NAIVE_UP_TO or min(len(left), len(right)) == 1:
         return naive_max_convolve(left, right)
     return max_convolve_piecewise(left, right, config)
 

@@ -116,12 +116,16 @@ def test_import_loads_no_scipy():
 
 
 @pytest.mark.parametrize("kl,kr,expected", [
-    (8, 8, "naive"),  # 64 products tie the 16 * log2(16) transform work
+    (8, 8, "naive"),
     (4096, 4096, "fast"),
     (1, 1, "naive"),
     (1, 7, "naive"),
-    (1, 8192, "naive"),
+    (1, 8192, "naive"),  # a point mass stays exact
     (64, 64, "fast"),
+    (16, 16, "naive"),  # 31 outputs
+    (4, 100, "fast"),  # lopsided pairs cost the naive loop per output
+    (16, 4096, "fast"),
+    (2, 8192, "fast"),
 ])
 def test_choose_naive_or_fast(kl, kr, expected):
     """max_convolve_auto takes the naive path or the FFT-based piecewise one."""
@@ -298,10 +302,54 @@ def test_refine_recomputes_tiny_outputs_exactly():
 def test_trimmed_is_the_flatnonzero_view(values):
     x = np.array(values)
     nonzero = np.flatnonzero(x)
-    start, view = numeric._trimmed(x)
+    start, stop = fftconv._edges(x)
+    view = x[start:stop]
     assert start == nonzero[0]
     assert view.base is x or view is x
     assert view.tobytes() == x[nonzero[0]:nonzero[-1] + 1].tobytes()
+
+
+def reference_scales(a, b):
+    """The powers of two of the refine's direct sums, from the definition:
+    (0, 0) when the least nonzero values of the trimmed ``a`` and ``b``
+    multiply to a normal double, else those that put each maximum in
+    [2^(top-1), 2^top), top = (1021 - min(a.size, b.size).bit_length()) // 2."""
+    least_a, least_b = (x[x != 0.0].min() for x in (a, b))
+    if least_a * least_b >= np.finfo(float).tiny:
+        return 0, 0
+    top = (1021 - min(a.size, b.size).bit_length()) // 2
+    return top - np.frexp(a.max())[1], top - np.frexp(b.max())[1]
+
+
+def test_scales_match_the_least_nonzero_products():
+    # trimmed rows (nonzero at both ends) of normal values from 1e-200 to
+    # 1, of subnormal values, and of interior zeros, in every mix
+    rng = np.random.default_rng(23)
+    tiny = np.finfo(float).tiny
+    kinds = {"normal": lambda size: 10.0 ** rng.uniform(-200.0, 0.0, size),
+             "subnormal": lambda size: tiny * rng.uniform(1e-15, 1.0, size),
+             "zero": np.zeros}
+    seen = set()
+    for _ in range(600):
+        rows = []
+        for _ in range(2):
+            row = kinds["normal"](int(rng.integers(1, 40)))
+            for kind in rng.choice(list(kinds), size=rng.integers(0, 3)):
+                inner = rng.random(row.size) < 0.3
+                inner[[0, -1]] = False
+                row[inner] = kinds[kind](int(inner.sum()))
+            rows.append(row)
+        a, b = rows
+        expected = reference_scales(a, b)
+        assert numeric._scales(a, b) == expected
+        least = a[a != 0.0].min() * b[b != 0.0].min()
+        seen.add(("plain minimum 0", a.min() * b.min() == 0.0))
+        seen.add(("subnormal least product", least < tiny))
+        if expected != (0, 0):
+            top = (1021 - min(a.size, b.size).bit_length()) // 2
+            for x, scale in zip((a, b), expected):
+                assert 2.0 ** (top - 1) <= np.ldexp(x.max(), scale) < 2.0 ** top
+    assert len(seen) == 4  # each case, both ways
 
 
 def test_refine_handles_all_zero_input():
@@ -346,8 +394,9 @@ def test_refine_matches_per_index_with_an_all_zero_operand():
 
 
 def refine_calls(out, a, b, window=None, refine=numeric._refine_small_values):
-    """Refine ``out`` in place (``refine`` may also be ``_refine_rows``)
-    over ``window``, all of a row by default; the number of direct-sum
+    """Refine ``out``, which holds every output column, in place
+    (``refine`` may also be ``_refine_rows``) over ``window``, all of a
+    row by default, against each row's peak; the number of direct-sum
     calls it made."""
     calls = []
     convolve = np.convolve
@@ -358,7 +407,7 @@ def refine_calls(out, a, b, window=None, refine=numeric._refine_small_values):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(numeric.np, "convolve", counting_convolve)
-        refine(out, a, b, window or (0, out.shape[-1]))
+        refine(out, a, b, window or (0, out.shape[-1]), 0, out.max(axis=-1))
     return len(calls)
 
 
@@ -436,7 +485,7 @@ def test_windowed_reverse_layer_makes_fewer_direct_sums():
     assert len(layers) == 5
     for left, right, (lo, n) in layers:
         a, b = _canonical_rows(left, right)
-        full = fftconv._convolve_rows(a, b)
+        full, _ = fftconv._convolve_rows(a, b)
         windowed = full.copy()
         full_sums = refine_calls(full, a, b, refine=numeric._refine_rows)
         assert refine_calls(windowed, a, b, (lo, n), numeric._refine_rows) < full_sums
@@ -476,7 +525,7 @@ def test_p_norm_sums_take_every_part_the_window_touches(monkeypatch, window, hel
         windows.append(kwargs["window"])
         return convolve_rows(left, right, *args, **kwargs)
 
-    monkeypatch.setattr(fftconv, "_convolve_rows", spying_convolve_rows)
+    monkeypatch.setattr(numeric, "_convolve_rows", spying_convolve_rows)
     rng = np.random.default_rng(22)
     for p in (1.0, 4.0):
         windows.clear()
@@ -805,7 +854,7 @@ def test_refine_cost_stays_near_the_overlaps_of_its_outputs():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(numeric.np, "convolve", counting_convolve)
-        numeric._refine_small_values(out, a, b, (0, out.size))
+        numeric._refine_small_values(out, a, b, (0, out.size), 0, out.max())
     assert small.size > 10000
     assert sum(products) <= 1.1 * overlaps
 

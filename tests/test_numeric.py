@@ -452,7 +452,7 @@ def per_rung_ladder(left, right, ladder, tau, window):
         lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
         outputs = a.shape[-1] + b.shape[-1] - 1
         # every rung's clipped outputs, one transform per rung
-        vms = np.stack([fftconv._convolve_rows(a, b, (p,)).reshape(-1, outputs)
+        vms = np.stack([fftconv._convolve_rows(a, b, (p,))[0].reshape(-1, outputs)
                         for p in ladder])
         scales = vms.max(axis=-1)
         if fftconv._valid_part(a.shape[-1], b.shape[-1]):
@@ -473,7 +473,7 @@ def per_rung_ladder(left, right, ladder, tau, window):
                 a_cut = rows[0][a_start:a_start + a_width]
                 b_cut = rows[1][b_start:b_start + b_width]
                 for r, p in enumerate(ladder[1:], 1):
-                    cut = fftconv._convolve_rows(a_cut, b_cut, (p,), linear=True)
+                    cut = fftconv._convolve_rows(a_cut, b_cut, (p,), linear=True)[0]
                     vms[r, pair] = 0.0
                     vms[r, pair, a_start + b_start:a_start + b_start + cut.size] = cut
                     scales[r, pair] = cut.max()
