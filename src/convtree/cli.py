@@ -3,7 +3,7 @@
 Subcommands: ``maxconv`` (one pairwise max-convolution), ``tree`` (full
 convolution-tree inference), ``bench speed`` / ``bench accuracy`` (CSV
 sweeps), and ``demo subset-sum``. List-valued options are comma-separated,
-e.g. ``--p-ladder 4,32,64``.
+e.g. ``--p-ladder 4,64`` (the default ladder).
 """
 
 from __future__ import annotations

@@ -61,7 +61,14 @@ from .fftconv import (
 )
 from .pmf import DegenerateDistributionError, Pmf, naive_max_convolve
 
-DEFAULT_P_LADDER = (4.0, 32.0, 64.0)
+# The fallback rung p = 4 and one upper rung p = 64. Each rung costs one
+# transform per operand. A middle rung p = 32 would set an index only
+# where S_32 clears tau**32 and S_64 misses tau**64: just below tau times
+# the peak, where many terms sit near it. On uniform and peaked (sigma
+# 2-8) pairs at k = 256 and 1024, seeds 0-7, it moved 1 of 40,928 outputs
+# by more than 1e-12 of the peak, and max-numeric solves took 0.76-0.80x
+# as long without it (in-process, alternating, 2-vCPU VM).
+DEFAULT_P_LADDER = (4.0, 64.0)
 DEFAULT_TAU = 0.6
 
 # Outputs of the exponent-convolve step below this fraction of the peak are
@@ -295,9 +302,14 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     shift = a_start + b_start
     index += start - shift  # in trimmed indices from here on
     index = index[(index >= 0) & (index < a.size + b.size - 1)]
-    if not (a.all() and b.all()):
+    # nonnegative operands: a plain minimum is 0.0 exactly where its
+    # operand holds a zero, and else is its least nonzero value
+    a_min, b_min = a.min(), b.min()
+    if not (a_min and b_min):
         index = index[_support_counts(a, b)[index] > 0.5]
-    a_scale, b_scale = _scales(a, b)
+    a_scale = b_scale = 0
+    if a_min * b_min < _TINY:
+        a_scale, b_scale = _scales(a, b)
     if a_scale or b_scale:
         a, b = np.ldexp(a, a_scale), np.ldexp(b, b_scale)
     lo, n = window
@@ -325,11 +337,9 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
 def _scales(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
     """The powers of two by which the direct sums scale the trimmed ``a``
     and ``b``: (0, 0) when no product of their nonzero values is subnormal,
-    else those that put each maximum just below 2^top (see _TINY). The
-    plain minima decide most rows: where they multiply to at least _TINY,
-    neither operand holds a zero, so they are their least nonzero values."""
-    if a.min() * b.min() >= _TINY:
-        return 0, 0
+    else those that put each maximum just below 2^top (see _TINY).
+    ``_refine_small_values`` calls it only where the plain minima multiply
+    to less than _TINY; where they do not, the answer is (0, 0)."""
     least_a, least_b = (np.min(x, where=x != 0.0, initial=np.inf) for x in (a, b))
     if least_a * least_b >= _TINY:
         return 0, 0
@@ -404,27 +414,27 @@ def _ladder_max_convolve(left: np.ndarray, right: np.ndarray,
     return _cut_pair(partial(_ladder_rows, ladder=ladder, tau=tau), left, right, window)
 
 
-# Output width a + b - 1 from which _ladder_rows transforms the upper rungs
+# Output width a + b - 1 from which _ladder_rows transforms the upper rung
 # of a pair over its cuts. Each _ladder_rows call of max-numeric solves at
-# (32, 256) seeds 0-1, (1024, 64) and (64, 4096) seed 0, timed with the cut
-# and without it (best of 7, alternating, 2-vCPU VM): calls of 16,129
-# outputs or more took 0.33-0.83x as long, except two tree-wide reverse
-# layers of 16 and 32 pairs whose operands are rarely cut (0.92-1.20x,
-# moving that much between repeated runs); calls of 12,097 to 12,286
-# outputs took 0.74-1.13x, of 8,161 outputs 1.17-1.22x and of 4,081
-# outputs 1.37-1.78x, the gathers, the extra transform calls and the
-# per-pair placement costing more than the shorter transforms save. The
-# (32, 256) solves, whose one cut call has 12,241 outputs, read no faster
-# with it in perfbench (oracle seed 11, +0.5%, 2 of 6 pairs faster).
+# (32, 256) seeds 0-1, (1024, 64), (64, 4096) and (256, 1024) seed 0, timed
+# with the cut and without it (default ladder, best of 7, alternating, two
+# runs, 2-vCPU VM): calls of 16,129 outputs or more took 0.55-0.95x as
+# long, except the reverse layers of 4 to 16 parents at (64, 4096) and
+# (256, 1024), whose cuts make 0.35-0.83 of their outputs (1.03-1.25x);
+# calls of 12,097 to 12,286 outputs took 1.11-1.52x, of 8,065 to 8,191
+# outputs 0.92-1.63x and of 4,033 to 4,093 outputs 0.89-1.88x, the
+# gathers, the extra transform calls and the per-pair placement costing
+# more than the shorter transforms of the one upper rung save.
 CUT_FROM = 12288
 # A pair is cut only when its cut outputs wa + wb - 1 are at most this
-# share of its a + b - 1; a whole pair's upper rungs run over its whole
-# rows. Whole max-numeric solves, against no cut (median of 11 alternating
-# solves, three runs, 2-vCPU VM): at (64, 4096) 0.64-0.67x with 0.75,
-# 0.65-0.66x with 1.0 (no share rule) and 0.72-0.74x at 0.5; at
-# (1024, 64) 0.70-0.88x with 0.75, 0.72-0.81x with 1.0 and 0.72-0.85x at
-# 0.5. 0.75 and 1.0 are within that spread, and 1.0 moves the bits of the
-# (64, 4096) and (256, 1024) solves.
+# share of its a + b - 1; a whole pair's upper rung runs over its whole
+# rows. Whole max-numeric solves, against no cut (default ladder, median
+# of 9-11 alternating solves, three runs, 2-vCPU VM): at (64, 4096)
+# 0.88-0.90x with 0.75, 0.86-0.88x with 1.0 (no share rule) and
+# 0.89-0.91x at 0.5; at (1024, 64) 0.91-0.93x with 0.75, 0.90-0.93x with
+# 1.0 and 0.91-0.95x at 0.5; at (256, 1024) 0.84-0.86x with 0.75,
+# 0.89-0.91x with 1.0 and 0.84-0.87x at 0.5. 0.5, 0.75 and 1.0 are within
+# that spread but for 1.0 at (256, 1024).
 CUT_SHARE = 0.75
 
 
@@ -477,7 +487,7 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     end when the span sits closer to it than that width. A pair whose cuts
     make more than CUT_SHARE of its outputs is whole, and takes its whole
     rows as its cuts. A call none of whose pairs is cut, such as one of
-    uniform k = 8192 pairs, is one three-rung stack of whole rows. Any
+    uniform k = 8192 pairs, is one stack of every rung over whole rows. Any
     other call takes two steps: the fallback rung, in one call over the
     operands as they arrive, so a reverse layer's parent is transformed
     once for both of its children; then the upper rungs, in one
@@ -532,7 +542,7 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
         stop = int(np.clip(lo + n - offsets.min(), first, outputs))
         if stop == first:
             continue
-        # whole pairs keep the transforms of the three-rung stack
+        # whole pairs keep the transforms of the whole stack
         whole = a_rows.shape[-1] == na and b_rows.shape[-1] == nb
         values = _convolve_rows(a_rows, b_rows, ladder[1:], cut, (first, stop - first),
                                 linear=not whole)[0].reshape(len(pairs), -1)
@@ -655,11 +665,15 @@ def max_convolve_auto(left: Pmf, right: Pmf,
                       config: PiecewiseConfig | None = None) -> Pmf:
     """Exact naive max-convolution where it is cheaper, piecewise otherwise.
 
-    Naive when the output has at most NAIVE_UP_TO values, or when one
-    operand is a single value, so that a point mass stays exact (its
-    result is the other operand scaled and shifted).
+    Naive when the output has at most NAIVE_UP_TO values. A point mass (an
+    operand of one value) stays exact: its result is the other operand
+    times that value, shifted, and each output is the one product the
+    naive loop takes, so the same bits in one vector multiply.
     """
-    if len(left) + len(right) - 1 <= NAIVE_UP_TO or min(len(left), len(right)) == 1:
+    if min(len(left), len(right)) == 1:
+        point, other = (left, right) if len(left) == 1 else (right, left)
+        return Pmf(other.values * point.values[0], left.offset + right.offset)
+    if len(left) + len(right) - 1 <= NAIVE_UP_TO:
         return naive_max_convolve(left, right)
     return max_convolve_piecewise(left, right, config)
 

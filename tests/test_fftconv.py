@@ -645,7 +645,7 @@ def test_shared_operand_is_transformed_once(monkeypatch, block_floats):
     assert shapes == [(1, 1, size)] * 2
     shapes.clear()
     max_convolve_piecewise(left, right)
-    assert shapes == [(3, 1, size)] * 2
+    assert shapes == [(len(DEFAULT_P_LADDER), 1, size)] * 2
     # so are the support counts of the p-norm refine: a comb pair's zero
     # outputs carry round-off, and its trimmed operands keep their gaps
     comb = Pmf(np.tile([1.0, 0.0], 32)[:-1])

@@ -38,7 +38,7 @@ def random_pair(k, seed):
 
 def test_default_config():
     cfg = PiecewiseConfig()
-    assert cfg.p_ladder == (4.0, 32.0, 64.0)
+    assert cfg.p_ladder == (4.0, 64.0)
     assert cfg.tau == 0.6
 
 
@@ -412,6 +412,27 @@ def test_piecewise_median_error_small():
     assert np.median(err) <= 0.1
 
 
+def test_default_ladder_matches_a_middle_rung_ladder():
+    # a rung p = 32 between 4 and 64 changes only indices where S_32 clears
+    # tau**32 and S_64 misses tau**64: 1 of 40,928 outputs of these pairs
+    # moves by more than 1e-12 of the peak
+    eps = np.finfo(float).eps
+    three = PiecewiseConfig((4.0, 32.0, 64.0))
+    moved = outputs = 0
+    for k in (256, 1024):
+        for seed in range(8):
+            for left, right in (random_pair(k, seed), map(Pmf, peaked_pair(k, seed))):
+                got = max_convolve_piecewise(left, right).values
+                middle = max_convolve_piecewise(left, right, three).values
+                moved += int(np.count_nonzero(np.abs(got - middle) > 1e-12 * middle.max()))
+                outputs += got.size
+                exact = naive_max_convolve(left, right).values
+                limit = exact * pair_counts(k, k) ** 0.25 + 2.0 * eps ** 0.25 * exact.max()
+                assert np.all(got <= limit)
+    assert outputs == 40928
+    assert moved <= 4
+
+
 def peaked_pair(k, seed):
     """Two discretized Gaussians on k bins, sigma in [2, 8]: most outputs of
     every rung are exact zeros after the clip."""
@@ -431,6 +452,21 @@ def comb_pair():
     left, right = np.zeros(301), np.zeros(200)
     left[::7], right[::5] = 0.1 + rng.random(43), 0.1 + rng.random(40)
     return left, right
+
+
+def plateau_pair():
+    """A spike of 1 and a plateau of about 0.735 in each row. A plateau
+    product, about 0.54, sums enough terms to clear tau = 0.6 at p = 32
+    but not at p = 64, and a spike-by-plateau product clears both, so a
+    ladder (4, 32, 64) takes each upper rung somewhere."""
+    rng = np.random.default_rng(13)
+    pair = []
+    for spike, lo, hi in ((10, 100, 400), (5, 200, 450)):
+        row = np.zeros(512)
+        row[lo:hi] = 0.735 * (0.98 + 0.02 * rng.random(hi - lo))
+        row[spike] = 1.0
+        pair.append(row)
+    return pair
 
 
 def per_rung_ladder(left, right, ladder, tau, window):
@@ -520,6 +556,8 @@ def reverse_layer_mixed_rows():
 
 
 LADDER, TAU = numeric.DEFAULT_P_LADDER, numeric.DEFAULT_TAU
+# a ladder with two upper rungs: ascending stitch, highest winner
+TWO_UPPER = (4.0, 32.0, 64.0)
 # (left, right, keep-window or None for the full one), ladder, tau
 LADDER_CASES = {
     "peaked-8192": (lambda: (*peaked_pair(8192, 0), None), LADDER, TAU),
@@ -531,6 +569,7 @@ LADDER_CASES = {
     "floor-root-rounds-to-tau": (lambda: (*peaked_pair(512, 4), None), (4.0, 1e300), 1.0),
     "reverse-window": (reverse_layer_rows, LADDER, TAU),
     "reverse-mixed-cut": (reverse_layer_mixed_rows, LADDER, TAU),
+    "two-upper-rungs": (lambda: (*plateau_pair(), None), TWO_UPPER, TAU),
 }
 
 
@@ -576,6 +615,18 @@ def test_cut_ladder_is_bit_identical_to_the_per_rung_finish(monkeypatch, block_f
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
     monkeypatch.setattr(numeric, "CUT_FROM", 1)
     assert_ladder_is_the_per_rung_finish(case)
+
+
+def test_two_upper_rungs_each_win_somewhere():
+    # so the two-upper-rungs case checks the ascending stitch: p = 64 where
+    # both upper rungs win, p = 32 where only it does
+    left, right = plateau_pair()
+    wins = {}
+    for p in TWO_UPPER[1:]:
+        sums = np.convolve(left ** p, right ** p)
+        wins[p] = sums / sums.max() >= TAU ** p
+    assert np.any(wins[32.0] & wins[64.0])
+    assert np.any(wins[32.0] & ~wins[64.0])
 
 
 def test_ladder_cases_reach_the_cut(monkeypatch):
@@ -673,7 +724,9 @@ def test_cut_groups_keep_every_row_its_one_pair_call(monkeypatch, block_floats):
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
     parents, siblings, window = reverse_rows_in_cut_groups()
     assert parents.shape[-1] + siblings.shape[-1] - 1 >= numeric.CUT_FROM
-    theta = numeric._cut_level(LADDER, TAU, siblings.shape[-1])
+    # the cut geometry of a ladder whose lowest upper rung is p = 32
+    config = PiecewiseConfig(TWO_UPPER)
+    theta = numeric._cut_level(TWO_UPPER, TAU, siblings.shape[-1])
     groups = numeric._upper_cuts(parents, siblings, theta)
     widths = {int(pair): (a_cut.shape[-1], b_cut.shape[-1])
               for pairs, a_cut, b_cut, _ in groups for pair in pairs}
@@ -698,7 +751,7 @@ def test_cut_groups_keep_every_row_its_one_pair_call(monkeypatch, block_floats):
                 count += int((rows == parent_powers).all(axis=-1).sum())
         return count
 
-    apply_rows = numeric_max_operator().apply_rows
+    apply_rows = numeric_max_operator(config).apply_rows
     parents.flags.writeable = siblings.flags.writeable = False  # no kernel writes its operands
     for window in (window, (0, 13999)):
         stacks.clear()
@@ -709,7 +762,8 @@ def test_cut_groups_keep_every_row_its_one_pair_call(monkeypatch, block_floats):
             assert one.tobytes() == got[i, j].tobytes()
             assert np.asarray(one_peak).tobytes() == peak[i, j].tobytes()
             if window[0] == 0:
-                whole = max_convolve_piecewise(Pmf(parents[i, 0]), Pmf(siblings[i, j]))
+                whole = max_convolve_piecewise(Pmf(parents[i, 0]), Pmf(siblings[i, j]),
+                                               config)
                 assert whole.values.tobytes() == got[i, j].tobytes()
 
 
@@ -733,21 +787,22 @@ def test_cut_span_pair_outside_the_window_keeps_no_column(monkeypatch):
         assert np.asarray(one_peak).tobytes() == peak[i].tobytes()
 
 
-def test_wide_span_pairs_keep_one_three_rung_stack(monkeypatch):
+def test_wide_span_pairs_keep_one_whole_ladder_stack(monkeypatch):
     # every uniform k = 8192 pair's significant spans are wider than half
-    # of both its rows, so each operand takes (3, rows, size) transforms,
-    # one row of the left operand per row of the product
+    # of both its rows, so each operand takes (rungs, rows, size)
+    # transforms, one row of the left operand per row of the product
+    rungs = len(numeric.DEFAULT_P_LADDER)
     shapes = spy_transforms(monkeypatch, np.shape)
     size = fftconv.fft_length(8192 + 8192 - 1)
     left, right = random_pair(8192, 5)
     max_convolve_piecewise(left, right)
-    assert shapes == [(3, 1, size)] * 2
+    assert shapes == [(rungs, 1, size)] * 2
     shapes.clear()
     pairs = [random_pair(8192, seed) for seed in (6, 7, 8)]
     numeric_max_operator().apply_rows(np.stack([l.values for l, _ in pairs]),
                                       np.stack([r.values for _, r in pairs]),
                                       window=(0, 16383))
-    assert all(shape[0] == 3 and shape[2] == size for shape in shapes)
+    assert all(shape[0] == rungs and shape[2] == size for shape in shapes)
     assert sum(shape[1] for shape in shapes) == 2 * len(pairs)
 
 
@@ -1011,6 +1066,18 @@ def test_auto_delta_operand_is_exact():
     x = Pmf(np.random.default_rng(0).random(100))
     auto = max_convolve_auto(delta(0, 0.5), x)
     assert_array_equal(auto.values, naive_max_convolve(delta(0, 0.5), x).values)
+
+
+@pytest.mark.parametrize("k", [5, 8192])
+def test_auto_point_mass_is_the_naive_result_on_either_side(k):
+    # one product per output, so the vector multiply keeps the naive bits
+    rng = np.random.default_rng(k)
+    values = rng.random(k) * (rng.random(k) < 0.7)
+    x, point = Pmf(values, -3), delta(7, 0.3 + rng.random())
+    for left, right in ((point, x), (x, point)):
+        auto, naive = max_convolve_auto(left, right), naive_max_convolve(left, right)
+        assert auto.offset == naive.offset == 4
+        assert auto.values.tobytes() == naive.values.tobytes()
 
 
 def test_auto_large_input_uses_piecewise():
