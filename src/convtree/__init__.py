@@ -31,7 +31,6 @@ from .numeric import (
 from .pmf import (
     DegenerateDistributionError,
     Pmf,
-    delta,
     naive_convolve,
     naive_max_convolve,
     normalize_sum,
@@ -66,7 +65,6 @@ __all__ = [
     "TreeResult",
     "accuracy_sweep_rows",
     "convolution_tree",
-    "delta",
     "fast_convolve",
     "fft_length",
     "generate_subset_sum_instance",

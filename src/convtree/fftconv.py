@@ -508,9 +508,12 @@ def _maybe_narrow(x: np.ndarray) -> np.ndarray | bool:
 
 
 def _edges(x: np.ndarray) -> tuple[int, int]:
-    """The first nonzero column of the 1-D ``x`` and one past its last,
-    from one boolean pass and an argmax from each end; (0, x.size) when
-    every value is zero (-0.0 is zero)."""
+    """The first nonzero column of the 1-D ``x`` and one past its last:
+    (0, x.size) straight from the two end values when both are nonzero,
+    else from one boolean pass and an argmax from each end; (0, x.size)
+    also when every value is zero (-0.0 is zero)."""
+    if x[0] and x[-1]:
+        return 0, x.size
     nonzero = x != 0.0
     return int(nonzero.argmax()), x.size - int(nonzero[::-1].argmax())
 

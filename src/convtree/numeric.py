@@ -32,7 +32,11 @@ The p-norm's small-value refine sums a row with a subnormal product on
 operands scaled by powers of two (``_scales``), so its subnormal outputs
 are rounded once and cost what normal ones do; every other row keeps the
 bits of its unscaled sums. Each row decides this from its own trimmed
-operands, so a rows call refines every row as its one-pair call does.
+operands, so a rows call refines every row as its one-pair call does. Its
+per-row bookkeeping does only what can change a sum: a positive plain
+minimum is taken as its operand's least nonzero value, two binary searches
+cut the small outputs to the trimmed range, and a piece of outputs without
+gaps takes its sums in one slice.
 
 Neither operator works through the exact zeros of a span pair
 (``fftconv._cut_pair``: a pair whose nonzero spans convolve to at most
@@ -273,6 +277,9 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
        into pieces of at most REFINE_RUN_CAP outputs; each piece is one
        ``np.convolve(mode="valid")`` over the slices of both operands it
        needs.
+    4. The pieces are walked by their bounds in the sorted small outputs. A
+       piece without gaps writes its sums with one slice assignment; only a
+       piece with gaps gathers the sums of its outputs and scatters them.
 
     The steps see every small output that ``out`` holds, and ``out`` holds
     whole parts, so the pieces do not depend on ``window``; it only skips
@@ -285,7 +292,8 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     of the small outputs that have nonzero terms (a piece of R outputs
     costs R times the span of the shorter operand it reads, which the cap
     keeps within about R*R/2 products of its outputs' own overlaps); plus
-    Python work per piece. Dense, smooth tails keep the middle term large,
+    a few scalar steps of Python per piece, and a gather and a scatter for
+    a piece with gaps. Dense, smooth tails keep the middle term large,
     since each of their small outputs has many nonzero terms.
     """
     if peak <= 0.0:
@@ -300,16 +308,22 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     if b.size > a.size:  # slide the longer operand under the shorter one
         a, b = b, a
     shift = a_start + b_start
-    index += start - shift  # in trimmed indices from here on
-    index = index[(index >= 0) & (index < a.size + b.size - 1)]
+    offset = shift - start  # of trimmed indices in ``out``
+    # the sorted small outputs inside the trimmed output range, in trimmed
+    # indices from here on
+    inside = np.searchsorted(index, (offset, offset + a.size + b.size - 1))
+    index = index[inside[0]:inside[1]]
+    index -= offset
     # nonnegative operands: a plain minimum is 0.0 exactly where its
     # operand holds a zero, and else is its least nonzero value
     a_min, b_min = a.min(), b.min()
     if not (a_min and b_min):
         index = index[_support_counts(a, b)[index] > 0.5]
+    if index.size == 0:
+        return
     a_scale = b_scale = 0
     if a_min * b_min < _TINY:
-        a_scale, b_scale = _scales(a, b)
+        a_scale, b_scale = _scales(a, b, a_min, b_min)
     if a_scale or b_scale:
         a, b = np.ldexp(a, a_scale), np.ldexp(b, b_scale)
     lo, n = window
@@ -317,30 +331,39 @@ def _refine_small_values(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     breaks = np.diff(index) > _RUN_GAP + 1
     if len(parts) > 2:  # no run crosses the bound of a part
         breaks |= np.diff(np.searchsorted(np.array(parts) - shift, index, side="right")) != 0
+    # the pieces tile ``index``: each ends where the next begins
     bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), index.size]
-    for begin, end in zip(bounds, bounds[1:]):
-        run = index[begin:end]
-        for cut in range(0, run.size, REFINE_RUN_CAP):
-            piece = run[cut:cut + REFINE_RUN_CAP]
-            first, last = int(piece[0]), int(piece[-1])
-            if last < keep_first or first > keep_last:
-                continue
-            # b[b_lo..b_hi] holds every b term of outputs first..last
-            b_lo, b_hi = max(0, first - a.size + 1), min(b.size - 1, last)
-            sums = np.convolve(_window(a, first - b_hi, last - b_lo), b[b_lo:b_hi + 1],
-                               mode="valid")
-            if a_scale or b_scale:
-                np.ldexp(sums, -(a_scale + b_scale), out=sums)
-            out[shift - start + piece] = sums[piece - first]
+    begins = [cut for begin, end in zip(bounds, bounds[1:])
+              for cut in range(begin, end, REFINE_RUN_CAP)]
+    ends = begins[1:] + [index.size]
+    firsts, lasts = index[begins].tolist(), index[np.subtract(ends, 1)].tolist()
+    for begin, end, first, last in zip(begins, ends, firsts, lasts):
+        if last < keep_first or first > keep_last:
+            continue
+        # b[b_lo..b_hi] holds every b term of outputs first..last
+        b_lo, b_hi = max(0, first - a.size + 1), min(b.size - 1, last)
+        sums = np.convolve(_window(a, first - b_hi, last - b_lo), b[b_lo:b_hi + 1],
+                           mode="valid")
+        if a_scale or b_scale:
+            np.ldexp(sums, -(a_scale + b_scale), out=sums)
+        if last - first == end - begin - 1:  # no gaps: outputs first..last
+            out[offset + first:offset + last + 1] = sums
+        else:
+            piece = index[begin:end]
+            out[offset + piece] = sums[piece - first]
 
 
-def _scales(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+def _scales(a: np.ndarray, b: np.ndarray, a_min: float, b_min: float) -> tuple[int, int]:
     """The powers of two by which the direct sums scale the trimmed ``a``
-    and ``b``: (0, 0) when no product of their nonzero values is subnormal,
-    else those that put each maximum just below 2^top (see _TINY).
+    and ``b``, whose plain minima are ``a_min`` and ``b_min``: (0, 0) when
+    no product of their nonzero values is subnormal, else those that put
+    each maximum just below 2^top (see _TINY). A positive plain minimum is
+    its operand's least nonzero value; only an operand that holds a zero
+    (a plain minimum of 0) takes a masked reduction for it.
     ``_refine_small_values`` calls it only where the plain minima multiply
     to less than _TINY; where they do not, the answer is (0, 0)."""
-    least_a, least_b = (np.min(x, where=x != 0.0, initial=np.inf) for x in (a, b))
+    least_a, least_b = (x_min or np.min(x, where=x != 0.0, initial=np.inf)
+                        for x, x_min in ((a, a_min), (b, b_min)))
     if least_a * least_b >= _TINY:
         return 0, 0
     top = (1021 - min(a.size, b.size).bit_length()) // 2
@@ -379,7 +402,8 @@ def _max_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A row whose maximum is 1.0 (or 0, all-zero) is divided by 1.0, which
     keeps its bits. Tree messages all peak at exactly 1.0, so when every
-    row does, ``x`` itself is returned rather than a copy of it; no kernel
+    row does, ``x`` itself is returned rather than a copy of it (and only
+    then: ``_ladder_rows`` reads it as input scales of 1.0); no kernel
     writes to its operands. One row (1-D ``x``) takes scalar steps with
     the same bits: its reduction wrappers and ``np.where`` would cost
     about 8 us of fixed overhead, more than the division of a cut span.
@@ -445,8 +469,11 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     Both operands of a pair are divided by their maxima before the powers,
     so the dominant terms start at 1 and survive the p-th power, and the
     stitched row is multiplied by the product of those maxima, its input
-    scale, at the end. Each rung's convolution is divided by its own row
-    scale (``fftconv._convolve_rows``: its peak, or a long-by-short pair's
+    scale, at the end. When every input scale is exactly 1.0, as for tree
+    messages, the fallback rung is divided into a fresh array instead, and
+    the stitched row is that array, with no multiply (x * 1.0 == x). Each
+    rung's convolution is divided by its own row scale
+    (``fftconv._convolve_rows``: its peak, or a long-by-short pair's
     circular peak) before the 1/p root. Each rung's scale is taken over
     all its outputs, whatever the window; the divide, root and stitch run
     on the kept columns only. The returned scale is the input scale. A
@@ -503,7 +530,11 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
     that the stack would give it (``fftconv._convolve_rows``), so a row's
     bits do not depend on whether another row of its call is cut.
     """
-    (a, a_peak), (b, b_peak) = _max_normalized(a), _max_normalized(b)
+    normalized = _max_normalized(a), _max_normalized(b)
+    # an operand comes back itself only when each of its rows peaks at 1.0,
+    # as tree messages do; the input scale is then 1.0, and x * 1.0 == x
+    unit = normalized[0][0] is a and normalized[1][0] is b
+    (a, a_peak), (b, b_peak) = normalized
     if not (np.all(a_peak > 0.0) and np.all(b_peak > 0.0)):
         raise DegenerateDistributionError("degenerate distribution: total mass is zero")
     peak = a_peak * b_peak
@@ -519,8 +550,12 @@ def _ladder_rows(a: np.ndarray, b: np.ndarray, window: tuple[int, int],
         return stitched
 
     def finish(rows, kept, scales):
-        kept /= scales[..., None]
-        return upper(kept[1:], _root(kept[0], ladder[0])) * scale[rows, ..., None]
+        if not unit:
+            kept /= scales[..., None]
+            return upper(kept[1:], _root(kept[0], ladder[0])) * scale[rows, ..., None]
+        # the fallback divided into a fresh array, stitched with no multiply
+        stitched = _root(np.divide(kept[0], scales[0, ..., None]), ladder[0])
+        return upper(np.divide(kept[1:], scales[1:, ..., None], out=kept[1:]), stitched)
 
     def cut(rows, kept, scales):
         kept /= scales[..., None]

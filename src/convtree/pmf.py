@@ -107,11 +107,6 @@ class Pmf:
         return pmfs
 
 
-def delta(outcome: int = 0, mass: float = 1.0) -> Pmf:
-    """Point mass at a single outcome."""
-    return Pmf(np.array([mass], dtype=float), outcome)
-
-
 def normalize_sum(p: Pmf) -> Pmf:
     """Scale so the values sum to one."""
     values = p.values

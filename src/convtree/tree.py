@@ -262,7 +262,7 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
         if hi > lo:
             rows = _rescaled(message[:hi - lo] * leaf[:hi - lo], ZERO_MASS_REL_TOL)
             if operator.normalization == "sum":
-                rows /= rows.sum(axis=1)[:, None]
+                rows = rows / rows.sum(axis=1)[:, None]
             likelihoods[order[lo:hi], :rows.shape[1]] = rows
     if operator.normalization == "sum":
         root = root / root.sum(axis=1)[:, None]
@@ -278,7 +278,9 @@ def convolution_tree(priors: list[Pmf], sum_likelihood: Pmf,
 
 
 def _rescaled(rows: np.ndarray, floor: np.ndarray | float | None = None) -> np.ndarray:
-    """Each row divided by its peak, so that it peaks at exactly 1.0.
+    """Each row divided by its peak, so that it peaks at exactly 1.0:
+    ``rows`` itself when every row already does (x / 1.0 == x), so the
+    tree writes to no row this returns.
 
     Without ``floor`` every row must have mass, else
     DegenerateDistributionError. With it, a row whose peak is at or below
@@ -292,6 +294,9 @@ def _rescaled(rows: np.ndarray, floor: np.ndarray | float | None = None) -> np.n
     elif np.any(peak <= floor):
         raise InconsistentEvidenceError(
             "inconsistent evidence: zero mass over the target support")
+    # x / 1.0 == x; the first peak decides most calls in one scalar test
+    if peak[0] == 1.0 and (peak == 1.0).all():
+        return rows
     return rows / peak[:, None]
 
 

@@ -19,7 +19,6 @@ from convtree import (
     ConvolutionOperator,
     Pmf,
     convolution_tree,
-    delta,
     fast_convolve,
     fft_length,
     generate_subset_sum_instance,
@@ -146,7 +145,7 @@ def test_fast_convolve_binomial():
 
 def test_fast_convolve_delta_identity():
     x = Pmf([0.3, 0.2, 0.5], offset=-1)
-    out = fast_convolve(delta(0), x)
+    out = fast_convolve(Pmf([1.0]), x)
     assert out.offset == -1
     assert_allclose(out.values, x.values, atol=1e-12)
 
@@ -297,8 +296,9 @@ def test_refine_recomputes_tiny_outputs_exactly():
 @pytest.mark.parametrize("values", [
     [0.0, 0.0, 0.3, 0.0], [0.7], [-0.0, 0.2, 0.0, 0.5, -0.0], [0.0, 0.0, 0.4, 0.1],
     [0.4, 0.1, 0.0, 0.0, 0.0], [1e-320, 0.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0, 0.0],
+    [0.3, 0.0, 0.0, 0.5],
 ], ids=["single", "one-value", "minus-zero-ends", "zeros-before", "zeros-after",
-        "subnormal-end", "interior-zeros"])
+        "subnormal-end", "interior-zeros", "nonzero-ends"])
 def test_trimmed_is_the_flatnonzero_view(values):
     x = np.array(values)
     nonzero = np.flatnonzero(x)
@@ -341,15 +341,18 @@ def test_scales_match_the_least_nonzero_products():
             rows.append(row)
         a, b = rows
         expected = reference_scales(a, b)
-        assert numeric._scales(a, b) == expected
+        assert numeric._scales(a, b, a.min(), b.min()) == expected
         least = a[a != 0.0].min() * b[b != 0.0].min()
         seen.add(("plain minimum 0", a.min() * b.min() == 0.0))
         seen.add(("subnormal least product", least < tiny))
+        # both least nonzero values are plain minima, read without a mask
+        seen.add(("positive minima, subnormal product",
+                  min(a.min(), b.min()) > 0.0 and a.min() * b.min() < tiny))
         if expected != (0, 0):
             top = (1021 - min(a.size, b.size).bit_length()) // 2
             for x, scale in zip((a, b), expected):
                 assert 2.0 ** (top - 1) <= np.ldexp(x.max(), scale) < 2.0 ** top
-    assert len(seen) == 4  # each case, both ways
+    assert len(seen) == 6  # each case, both ways
 
 
 def test_refine_handles_all_zero_input():
@@ -422,6 +425,22 @@ def test_refine_merges_runs_across_small_gaps():
     expected, got = row.copy(), row.copy()
     refine_per_index(expected, a, b, 1e-6)
     assert refine_calls(got, a, b) == 3
+    assert_refined_like_oracle(got, expected)
+    untouched = np.setdiff1d(np.arange(69), small)
+    assert_array_equal(got[untouched], 1.0)
+
+
+def test_refine_writes_a_piece_with_and_one_without_gaps():
+    rng = np.random.default_rng(14)
+    a, b = rng.random(50), rng.random(20)
+    row = np.ones(69)
+    # outputs 5..14 make a piece without gaps, 30, 31, 38 and 39 one with
+    # gaps of 6 and 0 indices (at most _RUN_GAP)
+    small = [*range(5, 15), 30, 31, 38, 39]
+    row[small] = 1e-9
+    expected, got = row.copy(), row.copy()
+    refine_per_index(expected, a, b, 1e-6)
+    assert refine_calls(got, a, b) == 2
     assert_refined_like_oracle(got, expected)
     untouched = np.setdiff1d(np.arange(69), small)
     assert_array_equal(got[untouched], 1.0)

@@ -15,7 +15,6 @@ from convtree import (
     DegenerateDistributionError,
     PiecewiseConfig,
     Pmf,
-    delta,
     fast_convolve,
     generate_uniform_pair,
     max_convolve_auto,
@@ -144,7 +143,7 @@ def test_peak_one_operands_are_neither_copied_nor_written():
 
 def test_delta_pair_any_p():
     for p in (1.0, 3.5, 64.0):
-        out = p_norm_convolve(delta(0), delta(0), p)
+        out = p_norm_convolve(Pmf([1.0]), Pmf([1.0]), p)
         assert_allclose(out.values, [1.0], atol=1e-15)
 
 
@@ -344,7 +343,7 @@ def test_normalized_scale_equivariance():
 
 
 def test_normalized_delta_product():
-    out = max_convolve_normalized(delta(0, 0.5), delta(0, 0.5), 64.0)
+    out = max_convolve_normalized(Pmf([0.5]), Pmf([0.5]), 64.0)
     assert_array_equal(out.values, [0.25])
 
 
@@ -397,7 +396,7 @@ def test_piecewise_commutes_exactly():
 
 def test_piecewise_delta_exact():
     for cfg in (None, PiecewiseConfig((2.0, 8.0), 0.3)):
-        out = max_convolve_piecewise(delta(1, 0.4), delta(2, 0.5), cfg)
+        out = max_convolve_piecewise(Pmf([0.4], 1), Pmf([0.5], 2), cfg)
         assert out.offset == 3
         assert_array_equal(out.values, [0.2])
 
@@ -615,6 +614,29 @@ def test_cut_ladder_is_bit_identical_to_the_per_rung_finish(monkeypatch, block_f
     monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
     monkeypatch.setattr(numeric, "CUT_FROM", 1)
     assert_ladder_is_the_per_rung_finish(case)
+
+
+@pytest.mark.parametrize("block_floats", [fftconv.BLOCK_FLOATS, 3000, 1])
+@pytest.mark.parametrize("cut_from", [numeric.CUT_FROM, 1])
+def test_rows_that_peak_at_one_skip_only_a_multiply_by_one(monkeypatch, block_floats,
+                                                           cut_from):
+    # tree messages peak at exactly 1.0, and the ladder stitches such rows
+    # in a fresh array with no multiply by their input scale. The same rows
+    # halved take that multiply, by 0.25, which is exact; so each result is
+    # the other times 0.25 bit for bit, whole pairs and cut ones alike
+    monkeypatch.setattr(fftconv, "BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(numeric, "CUT_FROM", cut_from)
+    left, right, window = reverse_layer_mixed_rows()
+    left, right = (x / x.max(axis=-1, keepdims=True) for x in (left, right))
+    kernel = numeric_max_operator().apply_rows
+    unit, unit_scale = kernel(left, right, window=window)
+    kept = unit.copy()
+    halved, halved_scale = kernel(0.5 * left, 0.5 * right, window=window)
+    assert unit.tobytes() == kept.tobytes()  # no later call writes to it
+    assert set(unit_scale.ravel()) == {1.0} and set(halved_scale.ravel()) == {0.25}
+    assert (0.25 * unit).tobytes() == halved.tobytes()
+    want, _ = per_rung_ladder(left, right, LADDER, TAU, window)
+    assert unit.tobytes() == want.tobytes()
 
 
 def test_two_upper_rungs_each_win_somewhere():
@@ -1064,8 +1086,8 @@ def test_auto_small_input_is_exact():
 
 def test_auto_delta_operand_is_exact():
     x = Pmf(np.random.default_rng(0).random(100))
-    auto = max_convolve_auto(delta(0, 0.5), x)
-    assert_array_equal(auto.values, naive_max_convolve(delta(0, 0.5), x).values)
+    auto = max_convolve_auto(Pmf([0.5]), x)
+    assert_array_equal(auto.values, naive_max_convolve(Pmf([0.5]), x).values)
 
 
 @pytest.mark.parametrize("k", [5, 8192])
@@ -1073,7 +1095,7 @@ def test_auto_point_mass_is_the_naive_result_on_either_side(k):
     # one product per output, so the vector multiply keeps the naive bits
     rng = np.random.default_rng(k)
     values = rng.random(k) * (rng.random(k) < 0.7)
-    x, point = Pmf(values, -3), delta(7, 0.3 + rng.random())
+    x, point = Pmf(values, -3), Pmf([0.3 + rng.random()], 7)
     for left, right in ((point, x), (x, point)):
         auto, naive = max_convolve_auto(left, right), naive_max_convolve(left, right)
         assert auto.offset == naive.offset == 4

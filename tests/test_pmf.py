@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from convtree import (
     DegenerateDistributionError,
     Pmf,
-    delta,
     naive_convolve,
     naive_max_convolve,
     normalize_sum,
@@ -113,12 +112,6 @@ def test_constructor_accepts_an_integral_offset(offset, expected):
     assert type(p.offset) is int
 
 
-def test_delta():
-    d = delta(3, mass=0.5)
-    assert d.offset == 3
-    assert_array_equal(d.values, [0.5])
-
-
 # ---------------------------------------------------------------------------
 # Normalization
 
@@ -150,7 +143,7 @@ def test_naive_convolve_binomial():
 
 def test_naive_convolve_delta_identity():
     x = Pmf([0.3, 0.2, 0.5], offset=2)
-    out = naive_convolve(delta(0), x)
+    out = naive_convolve(Pmf([1.0]), x)
     assert out.offset == 2
     assert_allclose(out.values, x.values, atol=1e-15)
 
@@ -180,7 +173,7 @@ def test_autocorrelation_symmetric_about_zero():
 
 def test_naive_max_convolve_delta_identity():
     x = Pmf([0.3, 0.2, 0.5])
-    out = naive_max_convolve(delta(0), x)
+    out = naive_max_convolve(Pmf([1.0]), x)
     assert_array_equal(out.values, x.values)
 
 
@@ -197,7 +190,7 @@ def test_naive_max_convolve_zero_annihilates():
 
 def test_naive_max_convolve_scalar_scales_and_shifts():
     x = Pmf([0.3, 0.2, 0.5], offset=1)
-    out = naive_max_convolve(delta(4, mass=0.5), x)
+    out = naive_max_convolve(Pmf([0.5], 4), x)
     assert out.offset == 5
     assert_allclose(out.values, 0.5 * x.values, atol=1e-15)
 

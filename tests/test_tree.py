@@ -23,7 +23,6 @@ from convtree import (
     InconsistentEvidenceError,
     Pmf,
     convolution_tree,
-    delta,
     generate_subset_sum_instance,
     naive_max_operator,
     normalize_sum,
@@ -81,7 +80,7 @@ def test_two_variable_worked_example():
     # evidence says the sum is exactly 1; joint events are (0,1) and (1,0),
     # so X1 is distributed as [A0*B1, A1*B0] = [.05, .45], normalized
     priors = [Pmf([0.5, 0.5]), Pmf([0.9, 0.1])]
-    evidence = delta(1)
+    evidence = Pmf([1.0], 1)
     result = convolution_tree(priors, evidence, standard_operator())
     assert_allclose(result.likelihoods[0].values, [0.1, 0.9], atol=1e-12)
     assert_allclose(result.likelihoods[1].values, [0.9, 0.1], atol=1e-12)
@@ -181,7 +180,7 @@ def point_evidence(priors):
     """A point mass on the middle of the sums that the priors' masses reach."""
     lo = sum(p.offset + int(np.flatnonzero(p.values)[0]) for p in priors)
     hi = sum(p.offset + int(np.flatnonzero(p.values)[-1]) for p in priors)
-    return delta((lo + hi) // 2)
+    return Pmf([1.0], (lo + hi) // 2)
 
 
 @pytest.mark.parametrize("n", sorted(RAGGED_LENGTHS))
@@ -278,7 +277,7 @@ def test_narrower_child_is_read_over_its_own_reach():
     assert len(priors) == 9
     first = sum(p.offset + int(np.flatnonzero(p.values)[0]) for p in priors)
     with pytest.raises(InconsistentEvidenceError):
-        convolution_tree(priors, delta(first + 2), numeric_max_operator())
+        convolution_tree(priors, Pmf([1.0], first + 2), numeric_max_operator())
 
 
 def test_span_rule_keeps_round_off_zero_ends_whole(monkeypatch):
@@ -308,7 +307,7 @@ def test_padding_is_neutral():
     priors = random_priors(3, 4, seed=9)
     evidence = random_evidence(priors, seed=10)
     base = convolution_tree(priors, evidence, standard_operator())
-    padded = convolution_tree(priors + [delta(0)], evidence, standard_operator())
+    padded = convolution_tree(priors + [Pmf([1.0])], evidence, standard_operator())
     for got, expected in zip(padded.likelihoods[:3], base.likelihoods):
         assert_allclose(got.values, expected.values, atol=1e-12)
 
@@ -452,6 +451,32 @@ def test_every_row_the_tree_passes_in_peaks_at_one(name):
     plain = convolution_tree(priors, evidence, stock)
     for got, one in zip([*spied.likelihoods, spied.sum_prior],
                         [*plain.likelihoods, plain.sum_prior]):
+        assert got.values.tobytes() == one.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["sum", "max-naive", "max-numeric", "pnorm:1", "pnorm:4"])
+def test_tree_writes_to_no_input_that_peaks_at_one(name):
+    # rows that peak at exactly 1.0 pass _rescaled as themselves, so the
+    # tree then holds the caller's own arrays (a Pmf wraps a float array
+    # without a copy): solving leaves them as they were, and solving again
+    # gives the same bits
+    rows = np.array([[0.5, 1.0, 0.25], [1.0, 0.0, 0.75]])
+    assert tree_module._rescaled(rows) is rows
+    rng = np.random.default_rng(13)
+    arrays = [rng.random(int(rng.integers(2, 9))) for _ in range(5)]
+    arrays.append(rng.random(sum(map(len, arrays)) - len(arrays) + 1))  # the evidence
+    for values in arrays:
+        values /= values.max()
+    before = [values.copy() for values in arrays]
+    priors, evidence = [Pmf(values) for values in arrays[:-1]], Pmf(arrays[-1])
+    assert all(p.values is values for p, values in zip(priors + [evidence], arrays))
+    operator = operator_from_name(name)
+    first = convolution_tree(priors, evidence, operator)
+    for values, was in zip(arrays, before):
+        assert values.tobytes() == was.tobytes()
+    second = convolution_tree(priors, evidence, operator)
+    for got, one in zip([*first.likelihoods, first.sum_prior],
+                        [*second.likelihoods, second.sum_prior]):
         assert got.values.tobytes() == one.values.tobytes()
 
 
@@ -674,7 +699,7 @@ def test_evidence_on_zero_padding_only_raises(name, tail):
     # the sum 4 needs the first prior at its padded outcome 4, and with two
     # point masses added, sum 5 needs their parent node at padded outcomes
     priors = [Pmf([1.0, 1.0]), Pmf([1.0, 0.0, 0.0, 0.0, 0.0]), *tail]
-    evidence = delta(4 + len(tail) // 2)
+    evidence = Pmf([1.0], 4 + len(tail) // 2)
     with pytest.raises(InconsistentEvidenceError):
         convolution_tree(priors, evidence, operator_from_name(name))
 
@@ -704,14 +729,14 @@ def test_layer_batching_bounds_transient_memory(monkeypatch):
 
 def test_all_zero_prior_raises():
     with pytest.raises(DegenerateDistributionError):
-        convolution_tree([Pmf([0.0, 0.0]), Pmf([1.0])], delta(0),
+        convolution_tree([Pmf([0.0, 0.0]), Pmf([1.0])], Pmf([1.0]),
                          standard_operator())
 
 
 def test_unreachable_evidence_raises():
     priors = [Pmf([0.5, 0.5]), Pmf([0.5, 0.5])]  # sums reach 0..2
     with pytest.raises(InconsistentEvidenceError):
-        convolution_tree(priors, delta(10), standard_operator())
+        convolution_tree(priors, Pmf([1.0], 10), standard_operator())
 
 
 def test_evidence_below_reachable_sums_raises():
@@ -741,7 +766,7 @@ def test_zero_mass_evidence_over_reachable_sums_raises():
 
 def test_empty_priors_rejected():
     with pytest.raises(ValueError):
-        convolution_tree([], delta(0), standard_operator())
+        convolution_tree([], Pmf([1.0]), standard_operator())
 
 
 # ---------------------------------------------------------------------------
